@@ -1,87 +1,28 @@
-"""Orbit-closure kernels.
+"""Orbit-closure kernel.
 
 Conjugation by a fixed element permutes the group; orbits are connected
-components of the graph whose edges are those permutations.  Two
-interchangeable engines compute component labels (each element mapped to
-the minimal element index of its component, so the result is independent
-of scheduling):
+components of the graph whose edges are those permutations.  orbit_roots
+labels each element with the minimal element index of its component by
+a numpy label-propagation sweep: every element repeatedly pulls the
+smaller label across each permutation and its inverse until nothing
+changes, so the result does not depend on the order of the sweep.
 
-  * a compiled union-find with path halving (numba, if importable);
-  * a pure-numpy label-propagation sweep, used when numba is missing or
-    when the environment variable RADICAL_RAM_NO_NUMBA is set.
-
-Both take the same input: an int64 array of shape (n_perms, n) where row g
-maps element index e to its conjugate under generator g.
+The input is an int64 array of shape (n_perms, n) where row g maps
+element index e to its conjugate under generator g.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit as _njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _no_numba_requested():
-    return bool(os.environ.get("RADICAL_RAM_NO_NUMBA"))
-
-
-def kernel_backend():
-    """Which engine orbit_roots will use right now."""
-    return "numpy" if (_no_numba_requested() or not _HAVE_NUMBA) else "numba"
-
-
-@_njit(cache=True)
-def _orbit_roots_uf(perms):  # pragma: no cover - compiled
-    n = perms.shape[1]
-    parent = np.arange(n)
-    for e in range(n):
-        for g in range(perms.shape[0]):
-            a = e
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = perms[g, e]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            # union by smaller index, so the final root of a component is
-            # its minimal member no matter the visit order
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    for e in range(n):
-        r = e
-        while parent[r] != r:
-            r = parent[r]
-        a = e
-        while parent[a] != r:
-            nxt = parent[a]
-            parent[a] = r
-            a = nxt
-    return parent
-
-
-def _orbit_roots_numpy(perms):
-    n = perms.shape[1]
-    labels = np.arange(n, dtype=np.int64)
+def orbit_roots(perms):
+    """Component label (minimal member index) for each element."""
+    perms = np.ascontiguousarray(perms, dtype=np.int64)
+    assert perms.ndim == 2
+    labels = np.arange(perms.shape[1], dtype=np.int64)
     # include inverse permutations so min-labels flow both ways along edges
-    directed = [perms[g] for g in range(perms.shape[0])]
+    directed = list(perms)
     directed += [np.argsort(p, kind="stable") for p in directed]
     changed = True
     while changed:
@@ -92,12 +33,3 @@ def _orbit_roots_numpy(perms):
                 labels = pulled
                 changed = True
     return labels
-
-
-def orbit_roots(perms):
-    """Component label (minimal member index) for each element."""
-    perms = np.ascontiguousarray(perms, dtype=np.int64)
-    assert perms.ndim == 2
-    if kernel_backend() == "numba":
-        return _orbit_roots_uf(perms)
-    return _orbit_roots_numpy(perms)

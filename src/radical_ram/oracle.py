@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import kernel_backend, orbit_roots
+from ._kernels import orbit_roots
 from .arith import CycInt, _reduction_rows, discrete_log, unit_decomp, vp
 from .chartab import (
     char_value,
@@ -496,7 +496,6 @@ def verification_report(G, max_order=None):
     ok = all(c["status"] != "fail" for c in checks)
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},
-        "kernel_backend": kernel_backend(),
         "checks": checks,
         "ok": ok,
     }

@@ -3,17 +3,14 @@ second, even dumber route (python-object union-find over literal
 conjugation), plus the documented behavior of induction, lifting and
 exact inner products."""
 
-import numpy as np
 import pytest
 
-from radical_ram._kernels import kernel_backend, orbit_roots
 from radical_ram.arith import CycInt
 from radical_ram.chartab import char_value, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
 from radical_ram.oracle import (
     DenseClassFunction,
     ResourceLimitError,
-    _conj_perms,
     classes_bruteforce,
     element_grid,
     frobenius_induction_check,
@@ -70,15 +67,6 @@ def test_bruteforce_resource_limit():
 def test_orbit_partition_check(G):
     ok, detail = orbit_partition_check(G)
     assert ok, detail
-
-
-def test_kernel_backends_agree(monkeypatch):
-    perms = _conj_perms(GroupDesc(3, 3, 3))
-    default = orbit_roots(perms)
-    monkeypatch.setenv("RADICAL_RAM_NO_NUMBA", "1")
-    assert kernel_backend() == "numpy"
-    fallback = orbit_roots(perms)
-    assert np.array_equal(default, fallback)
 
 
 # --------------------------------------------------------------- induction
@@ -259,7 +247,6 @@ def test_verification_report_all_pass(G):
         "null_subgroup_scan",
     ]
     assert all(c["status"] == "pass" for c in report["checks"])
-    assert report["kernel_backend"] in ("numba", "numpy")
     assert report["group"]["order"] == G.order
 
 
