@@ -5,6 +5,9 @@ Everything here is arbitrary-precision and exact.  No floats ever touch a
 root of unity: an element of Z[zeta_N] is carried as an integer vector on
 the group ring of mu_N and compared after reduction modulo the N-th
 cyclotomic polynomial.
+
+It also holds the one runner that turns named self-checks into report
+rows, because every checking module can import it from here.
 """
 
 from __future__ import annotations
@@ -14,17 +17,14 @@ from functools import lru_cache
 
 from sympy import isprime
 
-# v_p(0) = INF; it compares greater than every finite valuation and is
-# clamped by consumers (to r for unit parts, to s for cyclic parts).
-INF = float("inf")
-
 
 def vp(n, p):
-    """Largest k with p^k | n, or INF for n = 0."""
+    """Largest k with p^k | n; n = 0 has no finite valuation and is
+    rejected, so callers handle 0 explicitly."""
     if not isprime(p):
         raise ValueError(f"vp: {p} is not prime")
     if n == 0:
-        return INF
+        raise ValueError("vp: the valuation of 0 is infinite")
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -334,6 +334,28 @@ class CycInt:
         return f"CycInt({self.order}: {body})"
 
 
-def cyc_reduce(x):
-    """Module-level alias mirroring the functional interface."""
-    return x.reduce()
+# ---------------------------------------------------------------------------
+# Named self-checks.
+
+
+class ResourceLimitError(RuntimeError):
+    """A brute-force pass was asked to enumerate more elements than allowed."""
+
+
+def run_checks(checks):
+    """Report rows {name, status, detail} for (name, check) pairs.
+
+    Each check returns (ok, detail).  An AssertionError inside a check is
+    a fail row whose detail is the assertion text; a ResourceLimitError
+    is a skipped row, so one check cannot abort the others."""
+    rows = []
+    for name, check in checks:
+        try:
+            ok, detail = check()
+            status = "pass" if ok else "fail"
+        except AssertionError as exc:
+            status, detail = "fail", str(exc)
+        except ResourceLimitError as exc:
+            status, detail = "skipped", {"reason": str(exc)}
+        rows.append({"name": name, "status": status, "detail": detail})
+    return rows

@@ -83,10 +83,6 @@ class Character:
     level: int
     prim_degree: int
 
-    @property
-    def k(self):
-        return self.level
-
     def is_trivial(self):
         return self.kind == "linear" and self.twist == (0, 0)
 
@@ -176,14 +172,6 @@ def char_value(chi, cls, G):
         return CycInt.zero(n)
     e = linear_exponent(chi.twist, cls.representative.u, G)
     return CycInt.term(coeff, e * (n // twist_order(G)), n)
-
-
-def level(chi):
-    return chi.level
-
-
-def prim_degree(chi):
-    return chi.prim_degree
 
 
 def null_subgroup(chi):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from sympy import isprime
 
@@ -30,9 +29,7 @@ from .holomorph import GroupDesc, class_count
 from .oracle import DEFAULT_MAX_ORDER, resolve_max_order, verification_report
 from .ramfil import (
     EISENSTEIN,
-    TAME,
     UNIT,
-    UNRAMIFIED,
     PrimeLocalContext,
     filtration_json,
     global_ram,
@@ -40,6 +37,7 @@ from .ramfil import (
     ramification_checks,
     upper_filtration,
     validate,
+    wild_context,
 )
 
 EXIT_OK = 0
@@ -114,15 +112,13 @@ def prime_block(gpd):
 
 
 def build_report(a, m):
-    """The full analyze report.  Per-prime blocks are independent, so
-    they are computed concurrently; assembly stays in prime order."""
-    data = global_ram(m, a)
-    with ThreadPoolExecutor(max_workers=max(1, min(8, len(data)))) as pool:
-        blocks = list(pool.map(prime_block, data))
+    """The full analyze report: one prime_block per prime, computed in a
+    plain loop in prime order (the work holds the GIL, so threads would
+    not run it any faster)."""
     return {
         "input": {"a": a, "m": m},
         "validation": {"ok": True, "violations": []},
-        "primes": blocks,
+        "primes": [prime_block(gpd) for gpd in global_ram(m, a)],
     }
 
 
@@ -221,14 +217,6 @@ def cmd_analyze(args):
 # verify
 
 
-def _synthetic_unit(p, r, s):
-    return PrimeLocalContext(p, r, 0, UNIT, s, p ** (r - s), p**s * p ** (r - 1) * (p - 1), 1)
-
-
-def _synthetic_eisenstein(p, r):
-    return PrimeLocalContext(p, r, 1, EISENSTEIN, r, 1, p**r * p ** (r - 1) * (p - 1), 1)
-
-
 def _context_check_rows(ctx):
     return ramification_checks(ctx) + conductor_checks(ctx)
 
@@ -253,11 +241,11 @@ def verify_sweep(ps, rs, s_filter, max_order):
                 entry = {
                     "group": {"p": p, "r": r, "s": s, "order": G.order},
                     "oracle": verification_report(G, max_order),
-                    "unit_checks": _context_check_rows(_synthetic_unit(p, r, s)),
+                    "unit_checks": _context_check_rows(wild_context(p, r, s, UNIT, 0)),
                 }
                 if s == r:
                     entry["eisenstein_checks"] = _context_check_rows(
-                        _synthetic_eisenstein(p, r)
+                        wild_context(p, r, r, EISENSTEIN, 1)
                     )
                 results.append(entry)
     return results

@@ -24,14 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chartab import (
-    character_table,
-    count_by,
-    level,
-    null_subgroup,
-    prim_degree,
-    subgroup_contains,
-)
+from .arith import run_checks
+from .chartab import character_table, count_by, null_subgroup, subgroup_contains
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -87,7 +81,7 @@ def c_exp_closed(chi, case):
     Eisenstein case: pr-1 when pr >= lev+2, else lev + 1/(p-1) (the
     whole wild part survives one congruence level longer, so the
     fractional band is two classes wide)."""
-    return _c_closed(case, chi.group.p, level(chi), prim_degree(chi))
+    return _c_closed(case, chi.group.p, chi.level, chi.prim_degree)
 
 
 def _f_printed(case, p, lev, pr):
@@ -115,12 +109,12 @@ def artin_conductor(chi, ctx, filt=None):
     c_clo = c_exp_closed(chi, ctx.case)
     assert c_def == c_clo, (
         f"conductor mismatch at p={ctx.p} r={ctx.r} s={ctx.s} {ctx.case}: "
-        f"definitional {c_def} != closed {c_clo} for lev={level(chi)}, pr={prim_degree(chi)}"
+        f"definitional {c_def} != closed {c_clo} for lev={chi.level}, pr={chi.prim_degree}"
     )
     f = chi.degree * (1 + c_clo)
     assert f.denominator == 1 and f >= 0, f"Artin conductor {f} must be a non-negative integer"
     f_val = int(f)
-    assert f_val == _f_printed(ctx.case, ctx.p, level(chi), prim_degree(chi))
+    assert f_val == _f_printed(ctx.case, ctx.p, chi.level, chi.prim_degree)
     return ConductorRecord(chi, c_clo, f_val)
 
 
@@ -275,16 +269,6 @@ def conductor_json(ctx):
 
 def conductor_checks(ctx):
     """Named self-checks for the verification report."""
-    checks = []
-
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-            checks.append(
-                {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-            )
-        except AssertionError as exc:
-            checks.append({"name": name, "status": "fail", "detail": str(exc)})
 
     def two_routes():
         records = conductor_table(ctx)  # asserts definitional == closed per character
@@ -302,7 +286,8 @@ def conductor_checks(ctx):
         total_ok = sum(got.values()) == disc_vp_local_sum(ctx)
         return got == want and total_ok, f"{got}"
 
-    run("conductor_two_routes", two_routes)
-    run("discriminant_three_routes", three_routes)
-    run("conductor_level_subtotals", subtotals)
-    return checks
+    return run_checks([
+        ("conductor_two_routes", two_routes),
+        ("discriminant_three_routes", three_routes),
+        ("conductor_level_subtotals", subtotals),
+    ])

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import INF, vp
+from .arith import vp
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class ConjClass:
 
 
 def _alpha_of(u, G):
+    if u == 1:
+        return G.r
     return min(vp(u - 1, G.p), G.r)
 
 
@@ -105,7 +107,7 @@ def conj_class_of(g, G):
     p, s = G.p, G.s
     alpha = _alpha_of(g.u, G)
     cap = min(alpha, s)
-    beta = min(vp(g.i, p), cap)
+    beta = cap if g.i == 0 else min(vp(g.i, p), cap)
     if beta < cap:
         size = p ** (s - beta) - p ** (s - beta - 1)
     else:
@@ -145,4 +147,5 @@ def class_count(G):
 def in_subgroup(g, x, y, G):
     """Membership of g in C(p^x) x| G(p^r)^y: cyclic part at depth >= s-x,
     unit part congruent to 1 mod p^y."""
-    return vp(g.i, G.p) >= G.s - x and (g.u - 1) % G.p**y == 0
+    cyclic_ok = g.i == 0 or vp(g.i, G.p) >= G.s - x
+    return cyclic_ok and (g.u - 1) % G.p**y == 0

@@ -23,7 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import orbit_roots
-from .arith import CycInt, _reduction_rows, discrete_log, unit_decomp, vp
+from .arith import (
+    CycInt,
+    ResourceLimitError,
+    _reduction_rows,
+    discrete_log,
+    run_checks,
+    unit_decomp,
+    vp,
+)
 from .chartab import (
     char_value,
     character_json,
@@ -36,10 +44,6 @@ from .chartab import (
 from .holomorph import GroupDesc, all_classes, class_count, conj_class_of, element
 
 DEFAULT_MAX_ORDER = 100000
-
-
-class ResourceLimitError(RuntimeError):
-    """A brute-force pass was asked to enumerate more elements than allowed."""
 
 
 def resolve_max_order(max_order=None):
@@ -455,17 +459,6 @@ def null_subgroup_scan_check(G):
 
 def verification_report(G, max_order=None):
     """Per-check pass/fail with a first counterexample on failure."""
-    checks = []
-
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-        except ResourceLimitError as exc:
-            checks.append({"name": name, "status": "skipped", "detail": {"reason": str(exc)}})
-            return
-        checks.append(
-            {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-        )
 
     def class_count_check():
         enumerated = len(all_classes(G))
@@ -485,14 +478,15 @@ def verification_report(G, max_order=None):
                 return False, detail
         return True, None
 
-    run("orbit_partition", lambda: orbit_partition_check(G, max_order))
-    run("class_count_closed_form", class_count_check)
-    run("degree_square_sum", degree_square_check)
-    run("row_orthogonality", lambda: orthogonality_check(G))
-    run("frobenius_induction", lambda: frobenius_induction_check(G.p, G.r))
-    run("quotient_lift", quotient_lift_checks)
-    run("null_subgroup_scan", lambda: null_subgroup_scan_check(G))
-
+    checks = run_checks([
+        ("orbit_partition", lambda: orbit_partition_check(G, max_order)),
+        ("class_count_closed_form", class_count_check),
+        ("degree_square_sum", degree_square_check),
+        ("row_orthogonality", lambda: orthogonality_check(G)),
+        ("frobenius_induction", lambda: frobenius_induction_check(G.p, G.r)),
+        ("quotient_lift", quotient_lift_checks),
+        ("null_subgroup_scan", lambda: null_subgroup_scan_check(G)),
+    ])
     ok = all(c["status"] != "fail" for c in checks)
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from sympy import factorint, integer_nthroot, isprime
 
-from .arith import compute_s, vp
+from .arith import compute_s, run_checks, vp
 from .chartab import (
     SubgroupDesc,
     subgroup_eq,
@@ -45,7 +45,6 @@ from .chartab import (
     subgroup_normal_form,
     subgroup_order,
     trivial_subgroup,
-    whole_group,
 )
 from .holomorph import GroupDesc
 
@@ -97,13 +96,14 @@ def validate(m, a):
     if violations:
         return violations
 
-    for q in sorted(factorint(m)):
+    primes = sorted(factorint(m))
+    for q in primes:
         root = _perfect_power_root(a, q)
         if root is not None:
             violations.append(
                 f"a = {a} is a perfect {q}-th power (({root})^{q}) and {q} | m"
             )
-    for p in sorted(factorint(m)):
+    for p in primes:
         v = vp(a, p)
         r = vp(m, p)
         if v > 0 and v % p == 0 and v % p**r != 0:
@@ -142,6 +142,16 @@ class PrimeLocalContext:
         return None
 
 
+def wild_context(p, r, s, case, vp_a):
+    """The UNIT or EISENSTEIN context at p with wild depth s (s = r in
+    the Eisenstein case): p^(r-s) primes above p, each with residue
+    degree 1 and ramification index e = p^s * phi(p^r)."""
+    assert case == UNIT or (case == EISENSTEIN and s == r)
+    g = p ** (r - s)
+    e = p**s * p ** (r - 1) * (p - 1)
+    return PrimeLocalContext(p, r, vp_a, case, s, g, e, 1)
+
+
 def classify_prime(p, m, a):
     """Case analysis of the prime p for Q(zeta_m, a^(1/m)).
 
@@ -169,9 +179,7 @@ def classify_prime(p, m, a):
     if v > 0 and v % p != 0:
         # Bezout twist: some a^x * p^(y*p^r) has valuation exactly 1, and
         # it generates the same radical extension locally.
-        s = r
-        e = p**r * p ** (r - 1) * (p - 1)
-        return PrimeLocalContext(p, r, v, EISENSTEIN, s, 1, e, 1)
+        return wild_context(p, r, r, EISENSTEIN, v)
     if v % p**r == 0:
         # Includes v = 0.  Strip the p-part; what remains is a unit at p.
         a_unit = a // p**v
@@ -180,10 +188,7 @@ def classify_prime(p, m, a):
             raise ValueError(
                 f"classify_prime: a = {a} is a pure {p}-power, excluded by validate"
             )
-        s = compute_s(a_unit, p, r)
-        g = p ** (r - s)
-        e = p**s * p ** (r - 1) * (p - 1)
-        return PrimeLocalContext(p, r, v, UNIT, s, g, e, 1)
+        return wild_context(p, r, compute_s(a_unit, p, r), UNIT, v)
     raise ValueError(
         f"classify_prime: v_{p}(a) = {v} violates the hypothesis at p = {p}"
     )
@@ -221,12 +226,6 @@ def _step_order(h, G):
     if isinstance(h, CyclicInertia):
         return h.order
     return subgroup_order(h, G)
-
-
-def _steps_eq(h1, h2, G):
-    if isinstance(h1, CyclicInertia) or isinstance(h2, CyclicInertia):
-        return h1 == h2
-    return subgroup_eq(h1, h2, G)
 
 
 def canonicalize(G, numbering, entries):
@@ -687,10 +686,7 @@ def cyclotomic_quotient_check(ctx):
     G = ctx.group()
     up = upper_filtration(ctx)
     q = quotient_filtration(up, SubgroupDesc(G.s, G.r))
-    cyc_ctx = PrimeLocalContext(
-        ctx.p, ctx.r, 0, UNIT, 0, ctx.p**ctx.r, ctx.p ** (ctx.r - 1) * (ctx.p - 1), 1
-    )
-    expected = upper_filtration(cyc_ctx)
+    expected = upper_filtration(wild_context(ctx.p, ctx.r, 0, UNIT, 0))
     if len(q.steps) != len(expected.steps):
         return False
     for (b1, h1), (b2, h2) in zip(q.steps, expected.steps):
@@ -705,23 +701,17 @@ def cyclotomic_quotient_check(ctx):
 
 def ramification_checks(ctx):
     """Named self-checks for the verification report."""
-    checks = []
-
-    def run(name, fn):
-        try:
-            ok = fn()
-            checks.append({"name": name, "status": "pass" if ok else "fail", "detail": ""})
-        except AssertionError as exc:
-            checks.append({"name": name, "status": "fail", "detail": str(exc)})
 
     def integral():
         low = lower_filtration(ctx)  # asserts integrality + printed claims
-        return all(b.denominator == 1 for b, _ in low.steps)
+        return all(b.denominator == 1 for b, _ in low.steps), ""
 
-    run("lower_breaks_integral", integral)
-    run("herbrand_roundtrip", lambda: herbrand_roundtrip_check(ctx))
-    run("tower_step_breaks", lambda: tower_step_check(ctx))
-    run("cyclotomic_quotient", lambda: cyclotomic_quotient_check(ctx))
+    checks = run_checks([
+        ("lower_breaks_integral", integral),
+        ("herbrand_roundtrip", lambda: (herbrand_roundtrip_check(ctx), "")),
+        ("tower_step_breaks", lambda: (tower_step_check(ctx), "")),
+        ("cyclotomic_quotient", lambda: (cyclotomic_quotient_check(ctx), "")),
+    ])
     note = unit_corner_note(ctx)
     if note is not None:
         checks.append({"name": "unit_corner_note", "status": "info", "detail": note})

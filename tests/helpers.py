@@ -1,11 +1,22 @@
 """Shared brute-force machinery for the test suite.
 
-Everything here is deliberately dumb: exhaustive enumeration and union-find,
-no closed forms, so it can serve as an independent oracle for them.
+The brute-force routes are deliberately dumb: exhaustive enumeration and
+union-find, no closed forms, so they can serve as an independent oracle
+for them.  unit_ctx/eis_ctx are the synthetic wild contexts the suites
+sweep.
 """
 
 from radical_ram.arith import unit_decomp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
+from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
+
+
+def unit_ctx(p, r, s):
+    return wild_context(p, r, s, UNIT, 0)
+
+
+def eis_ctx(p, r):
+    return wild_context(p, r, r, EISENSTEIN, 1)
 
 
 def elements(G):

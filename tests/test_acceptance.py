@@ -29,9 +29,6 @@ from radical_ram.oracle import (
     resolve_max_order,
 )
 from radical_ram.ramfil import (
-    EISENSTEIN,
-    UNIT,
-    PrimeLocalContext,
     cyclotomic_quotient_check,
     different_sum,
     herbrand_phi,
@@ -42,6 +39,8 @@ from radical_ram.ramfil import (
     upper_filtration,
 )
 
+from helpers import eis_ctx, unit_ctx
+
 MAX_ORDER = resolve_max_order()
 
 TRIPLES = [
@@ -51,16 +50,6 @@ TRIPLES = [
     for s in range(r + 1)
     if GroupDesc(p, r, s).order <= MAX_ORDER
 ]
-
-
-def unit_ctx(p, r, s):
-    return PrimeLocalContext(
-        p, r, 0, UNIT, s, p ** (r - s), p**s * p ** (r - 1) * (p - 1), 1
-    )
-
-
-def eis_ctx(p, r):
-    return PrimeLocalContext(p, r, 1, EISENSTEIN, r, 1, p**r * p ** (r - 1) * (p - 1), 1)
 
 
 def wild_contexts():

@@ -9,19 +9,16 @@ table itself.
 
 import pytest
 
-from radical_ram.arith import INF, CycInt, unit_decomp, vp
+from radical_ram.arith import CycInt, unit_decomp, vp
 from radical_ram.chartab import (
-    Character,
     SubgroupDesc,
     char_value,
     character_json,
     character_table,
     count_by,
     induced_coefficient,
-    level,
     linear_exponent,
     null_subgroup,
-    prim_degree,
     rou_sum,
     rou_sum_closed,
     subgroup_contains,
@@ -218,19 +215,19 @@ def test_level_and_prim_pinned():
     by = {(c.kind, c.twist, c.level): c for c in table}
 
     triv = by[("linear", (0, 0), 0)]
-    assert (level(triv), prim_degree(triv)) == (0, 0)
+    assert (triv.level, triv.prim_degree) == (0, 0)
     assert null_subgroup(triv) == SubgroupDesc(2, 0)
 
     tors = by[("linear", (1, 0), 0)]
-    assert (level(tors), prim_degree(tors)) == (0, 1)
+    assert (tors.level, tors.prim_degree) == (0, 1)
     assert null_subgroup(tors) == SubgroupDesc(2, 1)
 
     ind1 = by[("induced", (0, 1), 1)]
-    assert (level(ind1), prim_degree(ind1)) == (1, 2)
+    assert (ind1.level, ind1.prim_degree) == (1, 2)
     assert null_subgroup(ind1) == SubgroupDesc(1, 2)
 
     ind2 = by[("induced", (0, 0), 2)]
-    assert (level(ind2), prim_degree(ind2)) == (2, 2)
+    assert (ind2.level, ind2.prim_degree) == (2, 2)
     assert null_subgroup(ind2) == SubgroupDesc(0, 2)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from radical_ram import cli
+from radical_ram import cli, oracle
 from radical_ram.cli import main
 
 
@@ -146,6 +146,38 @@ def test_verify_env_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "2")
     assert code == 0
     assert "exceeds bound 50" in out
+
+
+def _verify_rows(out):
+    """(section, check) -> row over every check row of a verify --json report."""
+    rows = {}
+    for entry in json.loads(out)["groups"]:
+        for section in ("unit_checks", "eisenstein_checks"):
+            for row in entry.get(section, ()):
+                rows[(section, row["name"])] = row
+        for row in entry["oracle"]["checks"]:
+            rows[("oracle", row["name"])] = row
+    return rows
+
+
+def test_verify_assertion_in_oracle_check_is_a_fail_row(capsys, monkeypatch):
+    argv = ("verify", "--p", "3", "--r", "1", "--s", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = _verify_rows(out)
+
+    def boom(G):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(oracle, "orthogonality_check", boom)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    rows = _verify_rows(out)
+    failed = rows[("oracle", "row_orthogonality")]
+    assert failed["status"] == "fail" and "boom" in failed["detail"]
+    assert rows.keys() == clean.keys()
+    others = [key for key in rows if key != ("oracle", "row_orthogonality")]
+    assert all(rows[key] == clean[key] for key in others)
 
 
 def test_verify_usage_errors(capsys):

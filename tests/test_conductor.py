@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from radical_ram.chartab import character_table, level, prim_degree
+from radical_ram.chartab import character_table
 from radical_ram.conductor import (
     ConductorRecord,
     artin_conductor,
@@ -27,7 +27,6 @@ from radical_ram.conductor import (
     disc_vp_local_sum,
 )
 from radical_ram.ramfil import (
-    EISENSTEIN,
     UNIT,
     PrimeLocalContext,
     classify_prime,
@@ -36,15 +35,7 @@ from radical_ram.ramfil import (
     upper_filtration,
 )
 
-
-def unit_ctx(p, r, s):
-    return PrimeLocalContext(
-        p, r, 0, UNIT, s, p ** (r - s), p**s * p ** (r - 1) * (p - 1), 1
-    )
-
-
-def eis_ctx(p, r):
-    return PrimeLocalContext(p, r, 1, EISENSTEIN, r, 1, p**r * p ** (r - 1) * (p - 1), 1)
+from helpers import eis_ctx, unit_ctx
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
@@ -57,7 +48,7 @@ def by_invariants(ctx):
     """Table records keyed by (level, primitive degree, degree)."""
     out = {}
     for rec in conductor_table(ctx):
-        key = (level(rec.character), prim_degree(rec.character), rec.character.degree)
+        key = (rec.character.level, rec.character.prim_degree, rec.character.degree)
         out.setdefault(key, []).append(rec)
     return out
 
@@ -206,7 +197,7 @@ def test_per_character_excess_bucketing(ctx):
     p = ctx.p
     for rec in conductor_table(ctx):
         chi = rec.character
-        k, t = level(chi), prim_degree(chi)
+        k, t = chi.level, chi.prim_degree
         if k == 0:
             assert chi.degree * rec.f_val == t
             continue

@@ -23,7 +23,7 @@ from radical_ram.holomorph import (
     mul,
 )
 
-from helpers import SMALL, brute_orbits, elements, generators
+from helpers import SMALL, brute_orbits, elements
 
 
 # ------------------------------------------------------------- group law

@@ -7,7 +7,7 @@ import pytest
 
 from radical_ram.arith import CycInt
 from radical_ram.chartab import char_value, character_table, zeta_order
-from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
+from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes
 from radical_ram.oracle import (
     DenseClassFunction,
     ResourceLimitError,

@@ -22,8 +22,6 @@ from radical_ram.ramfil import (
     UNRAMIFIED,
     UPPER,
     CyclicInertia,
-    Filtration,
-    PrimeLocalContext,
     canonicalize,
     classify_prime,
     cyclotomic_quotient_check,
@@ -50,15 +48,7 @@ from radical_ram.ramfil import (
     value_at,
 )
 
-
-def unit_ctx(p, r, s):
-    return PrimeLocalContext(
-        p, r, 0, UNIT, s, p ** (r - s), p**s * p ** (r - 1) * (p - 1), 1
-    )
-
-
-def eis_ctx(p, r):
-    return PrimeLocalContext(p, r, 1, EISENSTEIN, r, 1, p**r * p ** (r - 1) * (p - 1), 1)
+from helpers import eis_ctx, unit_ctx
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
