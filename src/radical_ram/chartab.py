@@ -162,16 +162,42 @@ def char_coefficient(chi, cls):
     return induced_coefficient(chi.level, cls.alpha, cls.beta, chi.group.p)
 
 
-def char_value(chi, cls, G):
-    """Exact value of chi on the class, as a CycInt of order p^r(p-1)."""
+def canonical_monomial(c, e, n):
+    """The canonical pair of c * zeta_n^e for even n: (0, 0) when c = 0,
+    otherwise the exponent taken mod n and moved into [0, n/2), with the
+    sign of c flipped when it moves (zeta_n^(n/2) = -1)."""
+    if c == 0:
+        return (0, 0)
+    half = n // 2
+    e %= n
+    if e >= half:
+        return (-c, e - half)
+    return (c, e)
+
+
+def char_monomial(chi, cls, G):
+    """Exact value of chi on the class as the canonical pair (c, e) of
+    c * zeta_N^e, N = p^r(p-1) (see canonical_monomial).
+
+    N is even, and two values are equal exactly when their pairs are:
+    both zero, or c1 z^e1 = c2 z^e2 with c1, c2 nonzero, which forces
+    z^(e1-e2) = c2/c1, a rational root of unity, so +1 or -1.  Then
+    (c1, e1) = (c2, e2) or (c1, e1) = (-c2, e2 + N/2), mod N, and both
+    cases land on one canonical pair.  Comparing pairs is O(1) where a
+    CycInt comparison reduces all N coefficients."""
     if chi.group != G:
         raise ValueError(f"character of {chi.group} evaluated in {G}")
     n = zeta_order(G)
     coeff = char_coefficient(chi, cls)
     if coeff == 0:
-        return CycInt.zero(n)
+        return (0, 0)
     e = linear_exponent(chi.twist, cls.representative.u, G)
-    return CycInt.term(coeff, e * (n // twist_order(G)), n)
+    return canonical_monomial(coeff, e * (n // twist_order(G)), n)
+
+
+def char_value(chi, cls, G):
+    """Exact value of chi on the class, as a CycInt of order p^r(p-1)."""
+    return CycInt.term(*char_monomial(chi, cls, G), zeta_order(G))
 
 
 def null_subgroup(chi):
@@ -225,20 +251,29 @@ def rou_sum_closed(s_prime, p, r):
 def value_profiles(G, classes=None, table=None):
     """Factorized value data for fast exact linear algebra: per character,
     an integer coefficient and a twist exponent (mod phi(p^r)) on every
-    class.  chi(class j) = coeffs[j] * zeta_{m0}^{exps[j]} exactly."""
+    class.  chi(class j) = coeffs[j] * zeta_{m0}^{exps[j]} exactly.
+    Rows of one level share their coefficient list and rows of one twist
+    their exponent list; callers must treat both as read-only."""
     if classes is None:
         classes = all_classes(G)
     if table is None:
         table = character_table(G)
-    units = [c.representative.u for c in classes]
+    # the linear_exponent formula, with each class's discrete log taken once
+    d = unit_decomp(G.p, G.r)
+    m0 = twist_order(G)
+    logs = [discrete_log(c.representative.u, d) for c in classes]
+    ea = [a * d.principal_order % m0 for a, _ in logs]
+    eb = [b * d.torsion_order % m0 for _, b in logs]
     exp_cache = {}
+    coeff_cache = {}
     profiles = []
     for chi in table:
         if chi.twist not in exp_cache:
-            exp_cache[chi.twist] = [linear_exponent(chi.twist, u, G) for u in units]
-        exps = exp_cache[chi.twist]
-        coeffs = [char_coefficient(chi, c) for c in classes]
-        profiles.append((coeffs, exps))
+            ta, tb = chi.twist
+            exp_cache[chi.twist] = [(ta * x + tb * y) % m0 for x, y in zip(ea, eb)]
+        if chi.level not in coeff_cache:
+            coeff_cache[chi.level] = [char_coefficient(chi, c) for c in classes]
+        profiles.append((coeff_cache[chi.level], exp_cache[chi.twist]))
     return classes, table, profiles
 
 

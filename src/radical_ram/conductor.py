@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .arith import run_checks
 from .chartab import character_table, count_by, null_subgroup, subgroup_contains
@@ -128,9 +129,12 @@ def conductor_table(ctx):
 # Discriminant valuations.
 
 
-def disc_vp_local_sum(ctx):
-    """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi)."""
-    return sum(rec.character.degree * rec.f_val for rec in conductor_table(ctx))
+def disc_vp_local_sum(ctx, records=None):
+    """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi),
+    over `records` if given (conductor_table(ctx) otherwise)."""
+    if records is None:
+        records = conductor_table(ctx)
+    return sum(rec.character.degree * rec.f_val for rec in records)
 
 
 def disc_vp_local_closed(ctx):
@@ -246,7 +250,7 @@ def conductor_json(ctx):
     from .chartab import character_json
 
     records = conductor_table(ctx)
-    sum_route = sum(rec.character.degree * rec.f_val for rec in records)
+    sum_route = disc_vp_local_sum(ctx, records)
     closed_route = disc_vp_local_closed(ctx)
     diff_route = different_sum(lower_filtration(ctx))
     return {
@@ -268,14 +272,19 @@ def conductor_json(ctx):
 
 
 def conductor_checks(ctx):
-    """Named self-checks for the verification report."""
+    """Named self-checks for the verification report.
+
+    The conductor table is built once for all three checks.  A build that
+    raises is not cached, so each check that needs the table tries again
+    and reports its own fail row."""
+    records = cache(lambda: conductor_table(ctx))
 
     def two_routes():
-        records = conductor_table(ctx)  # asserts definitional == closed per character
-        return True, f"{len(records)} characters reconciled"
+        n = len(records())  # asserts definitional == closed per character
+        return True, f"{n} characters reconciled"
 
     def three_routes():
-        a = disc_vp_local_sum(ctx)
+        a = disc_vp_local_sum(ctx, records())
         b = disc_vp_local_closed(ctx)
         c = different_sum(lower_filtration(ctx))
         return a == b == c, f"sum={a} closed={b} different={c}"
@@ -283,7 +292,7 @@ def conductor_checks(ctx):
     def subtotals():
         got = disc_subtotals(ctx)
         want = disc_subtotals_closed(ctx)
-        total_ok = sum(got.values()) == disc_vp_local_sum(ctx)
+        total_ok = sum(got.values()) == disc_vp_local_sum(ctx, records())
         return got == want and total_ok, f"{got}"
 
     return run_checks([

@@ -33,6 +33,7 @@ from .arith import (
     vp,
 )
 from .chartab import (
+    char_monomial,
     char_value,
     character_json,
     character_table,
@@ -43,7 +44,7 @@ from .chartab import (
 )
 from .holomorph import GroupDesc, all_classes, class_count, conj_class_of, element
 
-DEFAULT_MAX_ORDER = 100000
+DEFAULT_MAX_ORDER = 200000
 
 
 def resolve_max_order(max_order=None):
@@ -194,10 +195,10 @@ def inner_product(f, g):
     return acc.divide_exact(G.order)
 
 
-def _induction_sum_reduced(G, i):
-    """The same Frobenius sum, reduced exactly in the small ring
-    Z[zeta_{p^s}] where it natively lives — cheap even for p = 7."""
-    return CycInt.from_pairs([(1, i * t % G.ps) for t in unit_list(G)], G.ps).reduce()
+def _induction_sum_small(G, i):
+    """The same Frobenius sum in the small ring Z[zeta_{p^s}] where it
+    natively lives, so reducing it is cheap even for p = 7."""
+    return CycInt.from_pairs([(1, i * t % G.ps) for t in unit_list(G)], G.ps)
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +206,10 @@ def frobenius_induction_check(p, r):
     """induce_from_cyclic against the closed-form top-level row at s = r.
 
     The honest sum is an algebraic integer in Z[zeta_{p^r}]; after exact
-    reduction it must be the plain integer the closed form predicts.  On
-    small rings the comparison is additionally repeated with full CycInt
-    equality in the common big ring through the public entry point.
+    reduction it must be the plain integer the closed form predicts.  The
+    closed value is an integer exactly when its canonical exponent is 0.
+    On small rings the comparison is additionally repeated with full
+    CycInt equality in the common big ring through the public entry point.
     """
     big = GroupDesc(p, r, r)
     rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
@@ -215,10 +217,12 @@ def frobenius_induction_check(p, r):
     chi = rows[0]
     classes = all_classes(big)
     for c in classes:
-        closed = char_value(chi, c, big).as_int()
+        closed, e = char_monomial(chi, c, big)
+        if e != 0:
+            return False, {"class_key": list(map(int, c.key)), "reason": "non-integer closed value"}
         rep = c.representative
         if rep.u == 1:
-            honest = _induction_sum_reduced(big, rep.i)
+            honest = _induction_sum_small(big, rep.i)
         else:
             honest = CycInt.zero(big.ps)
         try:
@@ -242,12 +246,13 @@ def frobenius_induction_check(p, r):
 @lru_cache(maxsize=None)
 def _kernel_trivial_census(G):
     """Rows of the s = r table that are trivial on the kernel of the
-    reduction onto C(p^s), checked by honest evaluation."""
+    reduction onto C(p^s), checked by honest evaluation on every kernel
+    element; values are compared as canonical pairs (char_monomial)."""
     big = GroupDesc(G.p, G.r, G.r)
     kernel = [element(big, j * G.ps % big.ps, 1) for j in range(big.ps // G.ps)]
     for chi in character_table(big):
-        deg = CycInt.integer(chi.degree, zeta_order(big))
-        trivial = all(char_value(chi, conj_class_of(g, big), big) == deg for g in kernel)
+        deg = (chi.degree, 0)
+        trivial = all(char_monomial(chi, conj_class_of(g, big), big) == deg for g in kernel)
         expected = chi.kind == "linear" or chi.level <= G.s
         if trivial != expected:
             return False, {"character": character_json(chi), "trivial_on_kernel": trivial}
@@ -282,8 +287,8 @@ def _lift_check_detail(G, k):
         e = int(mismatch[0])
         return False, {"k": k, "element": [int(I[e]), int(U[e])]}
 
-    # Full cyclotomic values, compared on every upstairs class for every
-    # canonical twist at this level.
+    # Full cyclotomic values, compared as canonical pairs on every upstairs
+    # class for every canonical twist at this level.
     small_rows = {c.twist: c for c in character_table(G) if c.level == k and c.kind == "induced"}
     big_rows = {c.twist: c for c in character_table(big) if c.level == k and c.kind == "induced"}
     if set(small_rows) != set(big_rows):
@@ -292,7 +297,7 @@ def _lift_check_detail(G, k):
         chi_small = small_rows[tw]
         for c in all_classes(big):
             down = conj_class_of(element(G, c.representative.i % G.ps, c.representative.u), G)
-            if char_value(chi_big, c, big) != char_value(chi_small, down, G):
+            if char_monomial(chi_big, c, big) != char_monomial(chi_small, down, G):
                 return False, {"k": k, "twist": list(tw), "class_key": list(map(int, c.key))}
 
     return _kernel_trivial_census(G)
@@ -384,7 +389,11 @@ def orthogonality_check(G):
         for i, f in enumerate(funcs):
             for j, g in enumerate(funcs):
                 expect = CycInt.integer(1 if i == j else 0, n)
-                if inner_product(f, g) != expect:
+                try:
+                    got = inner_product(f, g)
+                except ArithmeticError as exc:
+                    return False, {"pair_kind": "naive-crosscheck", "pair": [i, j], "reason": str(exc)}
+                if got != expect:
                     return False, {"pair_kind": "naive-crosscheck", "pair": [i, j]}
     return True, None
 
@@ -411,16 +420,19 @@ def null_subgroup_scan_check(G):
     d = unit_decomp(G.p, G.r)
     m0 = twist_order(G)
     vp_i = _vp_capped(G.ps, G.p, G.s)[I]
-    cyclic_col = U == 1
-    units_col = I == 0
-
-    def congruence_mask(x, y):
-        return (vp_i >= G.s - x) & ((U - 1) % G.p**y == 0)
+    # the group's masks, built once: cyclic depth >= s - x, unit level >= y
+    depth = [vp_i >= G.s - x for x in range(G.s + 1)]
+    level = [(U - 1) % G.p**y == 0 for y in range(G.r + 1)]
+    cyclic_at = [np.flatnonzero((U == 1) & m) for m in depth]
+    units_at = [np.flatnonzero((I == 0) & m) for m in level]
+    congruence = {(x, y): depth[x] & level[y] for x in range(G.s + 1) for y in range(G.r + 1)}
 
     for chi, (coeffs, exps) in zip(table, profiles):
-        coeff_arr = np.array(coeffs, dtype=np.int64)[cidx]
-        exp_arr = np.array(exps, dtype=np.int64)[cidx]
-        is_null = (coeff_arr == chi.degree) & (exp_arr % m0 == 0)
+        # chi(g) = chi(1) per class, then spread to every element
+        null_cls = (np.array(coeffs, dtype=np.int64) == chi.degree) & (
+            np.array(exps, dtype=np.int64) % m0 == 0
+        )
+        is_null = null_cls[cidx]
         sd = null_subgroup(chi)
 
         def fail(reason):
@@ -429,20 +441,16 @@ def null_subgroup_scan_check(G):
         # largest cyclic depth fully inside the scan result
         x_max = -1
         for x in range(G.s + 1):
-            if is_null[cyclic_col & (vp_i >= G.s - x)].all():
+            if is_null[cyclic_at[x]].all():
                 x_max = x
         # smallest congruence level whose units all pass the scan
-        y_min = next(
-            y
-            for y in range(G.r + 1)
-            if is_null[units_col & ((U - 1) % G.p**y == 0)].all()
-        )
+        y_min = next(y for y in range(G.r + 1) if is_null[units_at[y]].all())
         if (x_max, y_min) != (sd.x, sd.y):
             return fail(f"largest congruence pair ({x_max},{y_min}) != ({sd.x},{sd.y})")
-        if not is_null[congruence_mask(sd.x, sd.y)].all():
+        if not is_null[congruence[sd.x, sd.y]].all():
             return fail("descriptor subgroup not inside scan result")
         if chi.kind == "induced":
-            if not np.array_equal(is_null, congruence_mask(sd.x, sd.y)):
+            if not np.array_equal(is_null, congruence[sd.x, sd.y]):
                 return fail("induced null set is not exactly the descriptor")
         else:
             # linear: the null set is C(p^s) x| ker(twist); its size is an

@@ -2,8 +2,8 @@
 per criterion.
 
 The parameter range everywhere is p in {3, 5, 7}, r <= 3, s <= r, with
-group order bounded by RADICAL_RAM_MAX_ORDER (default 100000), which
-admits 26 of the 27 triples.
+group order bounded by RADICAL_RAM_MAX_ORDER (default 200000), which
+admits all 27 triples.
 """
 
 import random

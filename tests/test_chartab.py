@@ -7,11 +7,15 @@ ring, and a histogram of (level, primitive degree) pairs recounted from the
 table itself.
 """
 
+import random
+
 import pytest
 
 from radical_ram.arith import CycInt, unit_decomp, vp
 from radical_ram.chartab import (
     SubgroupDesc,
+    canonical_monomial,
+    char_monomial,
     char_value,
     character_json,
     character_table,
@@ -310,6 +314,60 @@ def test_value_profiles_match_char_value(G):
                 assert direct.is_zero()
             else:
                 assert direct == CycInt.term(coeffs[j], exps[j] * step, n)
+
+
+# ------------------------------------------------------ canonical monomials
+
+
+@pytest.mark.parametrize("n", [6, 18, 42, 294])
+def test_canonical_monomial_decides_term_equality(n):
+    """Equal canonical pairs exactly when the dense terms are equal, on
+    random pairs that include zero coefficients, whole turns, the sign
+    flip at n/2 and the shift by n/2 without the flip (the negative)."""
+    rng = random.Random(n)
+    half = n // 2
+
+    def random_term():
+        return rng.choice([0, 1, -1, 2, -2, 6]), rng.randrange(-2 * n, 2 * n)
+
+    outcomes = set()
+    for _ in range(400):
+        c, e = random_term()
+        kind = rng.randrange(4)
+        if kind == 0:
+            other = (c, e + n * rng.randrange(-2, 3))
+        elif kind == 1:
+            other = (-c, e + half + n * rng.randrange(-2, 3))
+        elif kind == 2:
+            other = (c, e + half)
+        else:
+            other = random_term()
+        pair = canonical_monomial(c, e, n)
+        assert pair == (0, 0) if c == 0 else 0 <= pair[1] < half
+        same_pair = pair == canonical_monomial(*other, n)
+        same_term = CycInt.term(c, e, n) == CycInt.term(*other, n)
+        assert same_pair == same_term, ((c, e), other)
+        outcomes.add((kind, same_pair))
+    assert {(0, True), (1, True), (2, False), (3, False)} <= outcomes
+
+
+@pytest.mark.parametrize("G", [GroupDesc(3, 2, 2), GroupDesc(5, 2, 1)])
+def test_char_monomial_partitions_values_like_dense_equality(G):
+    """On a whole table, the canonical pairs and the reduced dense values
+    (built from value_profiles, not from char_monomial) are in bijection."""
+    classes, table, profiles = value_profiles(G)
+    n = zeta_order(G)
+    step = n // twist_order(G)
+    by_pair, by_dense = {}, {}
+    for chi, (coeffs, exps) in zip(table, profiles):
+        for j, cls in enumerate(classes):
+            pair = char_monomial(chi, cls, G)
+            dense = CycInt.term(coeffs[j], exps[j] * step, n).reduce().coeffs
+            by_pair.setdefault(pair, set()).add(dense)
+            by_dense.setdefault(dense, set()).add(pair)
+    assert all(len(v) == 1 for v in by_pair.values())
+    assert all(len(v) == 1 for v in by_dense.values())
+    assert len(by_pair) > 1
 
 
 def test_character_json_shape():

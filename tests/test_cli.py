@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from radical_ram import cli, oracle
+from radical_ram import chartab, cli, oracle
 from radical_ram.cli import main
+from radical_ram.holomorph import GroupDesc
 
 
 def run(capsys, *argv):
@@ -178,6 +179,41 @@ def test_verify_assertion_in_oracle_check_is_a_fail_row(capsys, monkeypatch):
     assert rows.keys() == clean.keys()
     others = [key for key in rows if key != ("oracle", "row_orthogonality")]
     assert all(rows[key] == clean[key] for key in others)
+
+
+def test_verify_catches_one_negated_value(capsys, monkeypatch):
+    """One value of the small group turned into its negative, by moving
+    its exponent half a turn without flipping the sign, must fail the
+    quotient lift.  The naive inner products of row_orthogonality see the
+    same value and must fail too (a non-exact division, not a crash); the
+    batched orthogonality engine and every other check do not read it."""
+    argv = ("verify", "--p", "3", "--r", "2", "--s", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = _verify_rows(out)
+
+    small = GroupDesc(3, 2, 1)
+    real = chartab.linear_exponent
+
+    def negated(twist, u, G):
+        e = real(twist, u, G)
+        if G == small and twist == (0, 1) and u == 7:
+            m0 = chartab.twist_order(G)
+            e = (e + m0 // 2) % m0
+        return e
+
+    monkeypatch.setattr(chartab, "linear_exponent", negated)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    rows = _verify_rows(out)
+    failed = rows[("oracle", "quotient_lift")]
+    assert failed["status"] == "fail"
+    assert failed["detail"]["k"] == 1 and failed["detail"]["twist"] == [0, 1]
+    naive = rows[("oracle", "row_orthogonality")]
+    assert naive["status"] == "fail" and naive["detail"]["pair_kind"] == "naive-crosscheck"
+    assert rows.keys() == clean.keys()
+    hit = {("oracle", "quotient_lift"), ("oracle", "row_orthogonality")}
+    assert all(rows[key] == clean[key] for key in rows if key not in hit)
 
 
 def test_verify_usage_errors(capsys):

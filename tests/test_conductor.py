@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from radical_ram import conductor
 from radical_ram.chartab import character_table
 from radical_ram.conductor import (
     ConductorRecord,
@@ -255,6 +256,35 @@ def test_conductor_checks_report():
         ]
         assert all(row["status"] == "pass" for row in rows)
         assert all(isinstance(row["detail"], str) for row in rows)
+
+
+def test_conductor_checks_build_the_table_once(monkeypatch):
+    calls = []
+    real = conductor.conductor_table
+
+    def counted(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    ctx = unit_ctx(3, 2, 1)
+    clean = conductor_checks(ctx)
+    monkeypatch.setattr(conductor, "conductor_table", counted)
+    assert conductor_checks(ctx) == clean
+    assert calls == [ctx]
+
+
+def test_conductor_checks_table_failure_fails_every_row(monkeypatch):
+    calls = []
+
+    def broken(ctx):
+        calls.append(ctx)
+        raise AssertionError("conductor mismatch")
+
+    monkeypatch.setattr(conductor, "conductor_table", broken)
+    rows = conductor_checks(unit_ctx(3, 2, 1))
+    assert [row["status"] for row in rows] == ["fail"] * 3
+    assert all(row["detail"] == "conductor mismatch" for row in rows)
+    assert len(calls) == 3
 
 
 def test_conductor_json_shape():

@@ -5,8 +5,9 @@ exact inner products."""
 
 import pytest
 
+from radical_ram import oracle
 from radical_ram.arith import CycInt
-from radical_ram.chartab import char_value, character_table, zeta_order
+from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes
 from radical_ram.oracle import (
     DenseClassFunction,
@@ -108,6 +109,53 @@ def test_frobenius_induction_check(p, r):
 
 
 # ------------------------------------------------------------------- lifts
+
+
+@pytest.fixture
+def clear_oracle_caches():
+    """A mutated run must neither read nor leave cached oracle results."""
+    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_frobenius_closed_side_must_be_an_integer(clear_oracle_caches, monkeypatch):
+    big = GroupDesc(3, 2, 2)
+    real = oracle.char_monomial
+
+    def off_axis(chi, cls, G):
+        c, e = real(chi, cls, G)
+        if G == big and cls.representative.u == 1 and cls.beta == 0:
+            return c, 1
+        return c, e
+
+    monkeypatch.setattr(oracle, "char_monomial", off_axis)
+    ok, detail = frobenius_induction_check(3, 2)
+    assert not ok
+    assert detail["reason"] == "non-integer closed value"
+
+
+def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, monkeypatch):
+    """The level-2 row of (3,2,2) made trivial on the kernel of the
+    reduction onto C(3): the census for s = 1 must flag it."""
+    G, big = GroupDesc(3, 2, 1), GroupDesc(3, 2, 2)
+    real = oracle.char_monomial
+
+    def trivial_on_kernel(chi, cls, H):
+        if H == big and chi.level == 2 and cls.representative.u == 1 and cls.beta >= G.s:
+            return chi.degree, 0
+        return real(chi, cls, H)
+
+    assert oracle._kernel_trivial_census(G) == (True, None)
+    oracle._kernel_trivial_census.cache_clear()
+    monkeypatch.setattr(oracle, "char_monomial", trivial_on_kernel)
+    ok, detail = oracle._kernel_trivial_census(G)
+    assert not ok
+    top = [chi for chi in character_table(big) if chi.level == 2]
+    assert detail == {"character": character_json(top[0]), "trivial_on_kernel": True}
 
 
 @pytest.mark.parametrize(
