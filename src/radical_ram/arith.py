@@ -347,7 +347,8 @@ def run_checks(checks):
 
     Each check returns (ok, detail).  An AssertionError inside a check is
     a fail row whose detail is the assertion text; a ResourceLimitError
-    is a skipped row, so one check cannot abort the others."""
+    is a skipped row; any other exception is a fail row whose detail is
+    "<type>: <text>", so one check cannot abort the others."""
     rows = []
     for name, check in checks:
         try:
@@ -357,5 +358,7 @@ def run_checks(checks):
             status, detail = "fail", str(exc)
         except ResourceLimitError as exc:
             status, detail = "skipped", {"reason": str(exc)}
+        except Exception as exc:
+            status, detail = "fail", f"{type(exc).__name__}: {exc}"
         rows.append({"name": name, "status": status, "detail": detail})
     return rows

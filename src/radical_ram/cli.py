@@ -3,8 +3,9 @@
 Three subcommands:
 
   analyze <a> <m>   classify every prime dividing m or a, build the
-                    filtrations, conductor table and discriminant data,
-                    and report them (text or canonical JSON);
+                    filtrations, conductors and discriminant data, and
+                    report them (text, or canonical JSON with one
+                    conductor row per character);
   verify            run the brute-force oracle suites and the named
                     self-checks over a parameter range;
   chartab <p> <r> <s>  dump one exact character table.
@@ -87,9 +88,10 @@ def _count_by_summary(G):
     return rows
 
 
-def prime_block(gpd):
+def prime_block(gpd, characters=True):
     """One per-prime report block; the wild cases carry the filtrations,
-    the character census and the conductor/discriminant data."""
+    the character census and the conductor/discriminant data, with the
+    per-character conductor rows only if `characters` is set."""
     ctx = gpd.context
     block = {
         "p": ctx.p,
@@ -107,18 +109,18 @@ def prime_block(gpd):
             "class_count": class_count(G),
             "count_by": _count_by_summary(G),
         }
-        block["conductors"] = conductor_json(ctx)
+        block["conductors"] = conductor_json(ctx, characters)
     return block
 
 
-def build_report(a, m):
+def build_report(a, m, characters=True):
     """The full analyze report: one prime_block per prime, computed in a
     plain loop in prime order (the work holds the GIL, so threads would
-    not run it any faster)."""
+    not run it any faster).  Text output needs no per-character rows."""
     return {
         "input": {"a": a, "m": m},
         "validation": {"ok": True, "violations": []},
-        "primes": [prime_block(gpd) for gpd in global_ram(m, a)],
+        "primes": [prime_block(gpd, characters) for gpd in global_ram(m, a)],
     }
 
 
@@ -177,7 +179,7 @@ def cmd_analyze(args):
         return EXIT_VIOLATION
 
     try:
-        report = build_report(args.a, args.m)
+        report = build_report(args.a, args.m, args.json)
     except AssertionError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INCONSISTENT

@@ -12,11 +12,18 @@ conductor exponent c(chi) is
     non-negative integer even though c has denominator p - 1, and must
     match a third, directly printed integer form.
 
+Since c(chi) depends on (level, primitive degree) alone, the checked
+value is computed once per non-empty (level, primitive degree) bucket of
+the closed census count_by (bucket_conductor); a character's record is
+its bucket's.  analyze reads the buckets; verify builds the per-character
+table and checks it against them.
+
 The p-valuation of the local discriminant is then obtained three ways:
-the conductor-discriminant sum over the character table, a closed
-polynomial in (p, r, s), and the different-sum of the lower filtration.
-A fourth route decomposes the sum by (level, primitive degree) classes
-into named partial sums with their own closed forms.
+the conductor-discriminant sum (over the buckets, weighted by count_by,
+or over a table of records), a closed polynomial in (p, r, s), and the
+different-sum of the lower filtration.  A fourth route decomposes the
+sum by (level, primitive degree) classes into named partial sums with
+their own closed forms.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import run_checks
-from .chartab import character_table, count_by, null_subgroup, subgroup_contains
+from .chartab import SubgroupDesc, character_table, count_by, null_subgroup, subgroup_contains
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -50,9 +57,12 @@ def c_exp_definitional(chi, filt):
     """Largest break b of the canonical upper filtration with G^b not
     inside the null subgroup of chi; -1 for the trivial character."""
     assert filt.numbering == UPPER and filt.group == chi.group
-    if chi.is_trivial():
+    return _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
+
+
+def _c_definitional(gr, trivial, filt):
+    if trivial:
         return Fraction(-1)
-    gr = null_subgroup(chi)
     best = Fraction(-1)
     for b, h in filt.steps:
         if not subgroup_contains(gr, h, filt.group):
@@ -85,11 +95,16 @@ def c_exp_closed(chi, case):
     return _c_closed(case, chi.group.p, chi.level, chi.prim_degree)
 
 
+def _degree(p, lev):
+    """Degree of every character of level lev."""
+    return 1 if lev == 0 else p ** (lev - 1) * (p - 1)
+
+
 def _f_printed(case, p, lev, pr):
     """The directly printed integer form of f = deg * (1 + c)."""
     if lev == 0:
         return pr
-    deg = p ** (lev - 1) * (p - 1)
+    deg = _degree(p, lev)
     if case == UNIT:
         return deg * pr + (p ** (lev - 1) if lev == pr else 0)
     if lev + 2 <= pr:
@@ -97,26 +112,53 @@ def _f_printed(case, p, lev, pr):
     return deg * (lev + 1) + p ** (lev - 1)
 
 
-def artin_conductor(chi, ctx, filt=None):
-    """Conductor record for chi, with the definitional and closed-form
-    exponents reconciled and the integrality of f checked.  Disagreement
-    is an internal inconsistency (it would falsify either the filtration
-    canonicalization or the closed conductor data), hence an assert."""
+def bucket_conductor(ctx, lev, pr, filt):
+    """(c, f) shared by every character of level lev and primitive degree
+    pr, with the definitional exponent (on the null subgroup
+    C(p^(s-lev)) x| G(p^r)^pr, trivial iff (lev, pr) = (0, 0)) and the
+    closed exponent reconciled, and the integrality of f checked.
+    Disagreement is an internal inconsistency (it would falsify either
+    the filtration canonicalization or the closed conductor data), hence
+    an AssertionError."""
     assert ctx.case in (UNIT, EISENSTEIN)
+    G = ctx.group()
+    assert filt.numbering == UPPER and filt.group == G
+    c_def = _c_definitional(SubgroupDesc(G.s - lev, pr), (lev, pr) == (0, 0), filt)
+    c_clo = _c_closed(ctx.case, ctx.p, lev, pr)
+    assert c_def == c_clo, (
+        f"conductor mismatch at p={ctx.p} r={ctx.r} s={ctx.s} {ctx.case}: "
+        f"definitional {c_def} != closed {c_clo} for lev={lev}, pr={pr}"
+    )
+    f = _degree(ctx.p, lev) * (1 + c_clo)
+    assert f.denominator == 1 and f >= 0, f"Artin conductor {f} must be a non-negative integer"
+    f_val = int(f)
+    assert f_val == _f_printed(ctx.case, ctx.p, lev, pr)
+    return c_clo, f_val
+
+
+def conductor_buckets(ctx, filt=None):
+    """{(level, prim_degree): (c, f)} over the non-empty buckets of the
+    census, in (level, prim_degree) order."""
+    if filt is None:
+        filt = upper_filtration(ctx)
+    G = ctx.group()
+    return {
+        (k, t): bucket_conductor(ctx, k, t, filt)
+        for k in range(G.s + 1)
+        for t in range(G.r + 1)
+        if count_by(k, t, G)
+    }
+
+
+def artin_conductor(chi, ctx, filt=None):
+    """Conductor record for chi: its bucket's (c, f), which must also be
+    deg(chi) * (1 + c)."""
     if filt is None:
         filt = upper_filtration(ctx)
     assert chi.group == ctx.group()
-    c_def = c_exp_definitional(chi, filt)
-    c_clo = c_exp_closed(chi, ctx.case)
-    assert c_def == c_clo, (
-        f"conductor mismatch at p={ctx.p} r={ctx.r} s={ctx.s} {ctx.case}: "
-        f"definitional {c_def} != closed {c_clo} for lev={chi.level}, pr={chi.prim_degree}"
-    )
-    f = chi.degree * (1 + c_clo)
-    assert f.denominator == 1 and f >= 0, f"Artin conductor {f} must be a non-negative integer"
-    f_val = int(f)
-    assert f_val == _f_printed(ctx.case, ctx.p, chi.level, chi.prim_degree)
-    return ConductorRecord(chi, c_clo, f_val)
+    c, f = bucket_conductor(ctx, chi.level, chi.prim_degree, filt)
+    assert chi.degree * (1 + c) == f, f"deg {chi.degree} does not fit level {chi.level}"
+    return ConductorRecord(chi, c, f)
 
 
 def conductor_table(ctx):
@@ -125,16 +167,39 @@ def conductor_table(ctx):
     return [artin_conductor(chi, ctx, filt) for chi in character_table(ctx.group())]
 
 
+def census_mismatch(G, characters):
+    """None when the (level, prim_degree) histogram of `characters` is
+    the closed census count_by, else the first bucket that differs."""
+    seen = {}
+    for chi in characters:
+        key = (chi.level, chi.prim_degree)
+        seen[key] = seen.get(key, 0) + 1
+    for k in range(G.s + 1):
+        for t in range(G.r + 1):
+            n, want = seen.pop((k, t), 0), count_by(k, t, G)
+            if n != want:
+                return f"(level {k}, prim_degree {t}): {n} characters, census {want}"
+    if seen:
+        return f"characters outside the census: {sorted(seen)}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Discriminant valuations.
 
 
 def disc_vp_local_sum(ctx, records=None):
     """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi),
-    over `records` if given (conductor_table(ctx) otherwise)."""
-    if records is None:
-        records = conductor_table(ctx)
-    return sum(rec.character.degree * rec.f_val for rec in records)
+    over `records` if given, else over the buckets, each weighted by its
+    census count."""
+    if records is not None:
+        return sum(rec.character.degree * rec.f_val for rec in records)
+    return _census_sum(ctx, conductor_buckets(ctx))
+
+
+def _census_sum(ctx, buckets):
+    G = ctx.group()
+    return sum(count_by(k, t, G) * _degree(ctx.p, k) * f for (k, t), (_, f) in buckets.items())
 
 
 def disc_vp_local_closed(ctx):
@@ -245,23 +310,17 @@ def disc_vp_global(m, a, p):
 # JSON shape and the named self-checks.
 
 
-def conductor_json(ctx):
-    """Per-character conductor data plus the discriminant cross-check."""
+def conductor_json(ctx, characters=True):
+    """The discriminant cross-check, plus the per-character conductor
+    rows (in table order, each its bucket's (c, f)) when `characters` is
+    set.  The character table is built only for those rows."""
     from .chartab import character_json
 
-    records = conductor_table(ctx)
-    sum_route = disc_vp_local_sum(ctx, records)
+    buckets = conductor_buckets(ctx)
+    sum_route = _census_sum(ctx, buckets)
     closed_route = disc_vp_local_closed(ctx)
     diff_route = different_sum(lower_filtration(ctx))
-    return {
-        "characters": [
-            {
-                "character": character_json(rec.character),
-                "c": frac_str(rec.c_exp),
-                "f": rec.f_val,
-            }
-            for rec in records
-        ],
+    out = {
         "v_p_disc": {
             "sum": sum_route,
             "closed": closed_route,
@@ -269,6 +328,18 @@ def conductor_json(ctx):
             "agree": sum_route == closed_route == diff_route,
         },
     }
+    if characters:
+        G = ctx.group()
+        table = character_table(G)
+        mismatch = census_mismatch(G, table)
+        if mismatch is not None:
+            raise AssertionError(f"character table against census at p={ctx.p}: {mismatch}")
+        rows = {key: (frac_str(c), f) for key, (c, f) in buckets.items()}
+        out["characters"] = []
+        for chi in table:
+            c, f = rows[chi.level, chi.prim_degree]
+            out["characters"].append({"character": character_json(chi), "c": c, "f": f})
+    return out
 
 
 def conductor_checks(ctx):
@@ -280,8 +351,17 @@ def conductor_checks(ctx):
     records = cache(lambda: conductor_table(ctx))
 
     def two_routes():
-        n = len(records())  # asserts definitional == closed per character
-        return True, f"{n} characters reconciled"
+        recs = records()  # asserts definitional == closed per character
+        mismatch = census_mismatch(ctx.group(), [rec.character for rec in recs])
+        if mismatch is not None:
+            return False, f"character table against census: {mismatch}"
+        buckets = conductor_buckets(ctx)
+        for rec in recs:
+            key = (rec.character.level, rec.character.prim_degree)
+            if (rec.c_exp, rec.f_val) != buckets[key]:
+                got = (rec.c_exp, rec.f_val)
+                return False, f"{rec.character} has (c, f) = {got}, bucket {key} has {buckets[key]}"
+        return True, f"{len(recs)} characters reconciled"
 
     def three_routes():
         a = disc_vp_local_sum(ctx, records())

@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, exit codes, canonical JSON."""
 
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radical_ram import chartab, cli, oracle
+from radical_ram import chartab, cli, conductor, oracle
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc
 
@@ -100,8 +107,8 @@ def test_analyze_global_index_examples(capsys):
 def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
     real = cli.conductor_json
 
-    def corrupted(ctx):
-        payload = real(ctx)
+    def corrupted(ctx, characters):
+        payload = real(ctx, characters)
         payload["v_p_disc"]["agree"] = False
         return payload
 
@@ -109,6 +116,99 @@ def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "2", "3")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
+    """Text output reads the conductor buckets only: it must not need the
+    character table or any per-character conductor."""
+    golden = (Path(__file__).parent / "golden" / "analyze-2-2401.out").read_text()
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("text analyze must not build per-character data")
+
+    monkeypatch.setattr(chartab, "character_table", forbidden)
+    monkeypatch.setattr(conductor, "character_table", forbidden)
+    monkeypatch.setattr(conductor, "artin_conductor", forbidden)
+    code, out, _ = run(capsys, "analyze", "2", "2401")
+    assert code == 0
+    assert out == golden
+
+
+def _census_moved(monkeypatch):
+    """count_by of (3,2,1) with one character moved from bucket (0, 2)
+    to bucket (0, 1), as conductor sees it."""
+    real = conductor.count_by
+    small = GroupDesc(3, 2, 1)
+
+    def moved(k, t, G):
+        n = real(k, t, G)
+        if G == small and (k, t) == (0, 2):
+            return n - 1
+        if G == small and (k, t) == (0, 1):
+            return n + 1
+        return n
+
+    monkeypatch.setattr(conductor, "count_by", moved)
+
+
+def test_analyze_detects_a_census_moved_between_buckets(capsys, monkeypatch):
+    assert run(capsys, "analyze", "10", "9")[0] == 0  # 3 is UNIT with s = 1
+    _census_moved(monkeypatch)
+    code, _, err = run(capsys, "analyze", "10", "9")
+    assert code == 3 and "internal inconsistency" in err
+    code, _, err = run(capsys, "analyze", "10", "9", "--json")
+    assert code == 3 and "internal inconsistency" in err
+
+
+def _run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@st.composite
+def radical_inputs(draw):
+    """(a, m) with every prime of m odd and at most 13, each to a power
+    r <= 3; a is a signed product of small prime powers, so some draws
+    violate the hypotheses (a = +-1, a perfect power, v_p(a) % p = 0)."""
+    odd = st.sampled_from((3, 5, 7, 11, 13))
+    m_part = draw(st.dictionaries(odd, st.integers(1, 3), min_size=1, max_size=2))
+    a_part = draw(st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(1, 4), max_size=3))
+    sign = draw(st.sampled_from((1, -1)))
+    m = math.prod(q**r for q, r in m_part.items())
+    a = sign * math.prod(q**e for q, e in a_part.items())
+    return a, m
+
+
+DISC_LINE = re.compile(r"^  v_(\d+)\(disc\): sum=(\d+), closed=(\d+), different=(\d+), agree=(true|false)$", re.M)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(radical_inputs(), st.data())
+def test_analyze_text_json_and_prime_blocks_agree(am, data):
+    a, m = am
+    code, text = _run_quiet("analyze", str(a), str(m))
+    assert code in (0, 2)
+    json_code, out = _run_quiet("analyze", str(a), str(m), "--json")
+    assert json_code == code
+    if code == 2:
+        return
+    report = json.loads(out)
+    from_json = {
+        b["p"]: tuple(b["conductors"]["v_p_disc"][key] for key in ("sum", "closed", "different", "agree"))
+        for b in report["primes"]
+        if "conductors" in b
+    }
+    from_text = {
+        int(p): (int(x), int(y), int(z), agree == "true")
+        for p, x, y, z, agree in DISC_LINE.findall(text)
+    }
+    assert from_text == from_json
+    p = data.draw(st.sampled_from([b["p"] for b in report["primes"]]))
+    code, out = _run_quiet("analyze", str(a), str(m), "--prime", str(p), "--json")
+    assert code == 0
+    assert json.loads(out) == next(b for b in report["primes"] if b["p"] == p)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +314,49 @@ def test_verify_catches_one_negated_value(capsys, monkeypatch):
     assert rows.keys() == clean.keys()
     hit = {("oracle", "quotient_lift"), ("oracle", "row_orthogonality")}
     assert all(rows[key] == clean[key] for key in rows if key not in hit)
+
+
+def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
+    _census_moved(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "1", "--json")
+    assert code == 3
+    row = _verify_rows(out)[("unit_checks", "conductor_two_routes")]
+    assert row["status"] == "fail"
+    assert "(level 0, prim_degree 1): 1 characters, census 2" in row["detail"]
+
+
+def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):
+    """A non-assertion exception inside a check is that check's fail row,
+    named by its type; the report is still printed."""
+    argv = ("verify", "--p", "3", "--r", "1", "--json")
+
+    def all_rows(out):
+        return [row for entry in json.loads(out)["groups"] for row in cli._iter_check_rows(entry)]
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    clean = all_rows(out)
+
+    def broken(ctx):
+        raise ValueError("no closed subtotals")
+
+    monkeypatch.setattr(conductor, "disc_subtotals_closed", broken)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    rows = all_rows(out)
+    assert len(rows) == len(clean)
+    hit = 0
+    for row, before in zip(rows, clean):
+        if row["name"] == "conductor_level_subtotals":
+            hit += 1
+            assert row == {
+                "name": "conductor_level_subtotals",
+                "status": "fail",
+                "detail": "ValueError: no closed subtotals",
+            }
+        else:
+            assert row == before
+    assert hit == 3  # unit checks of (3,1,0) and (3,1,1), Eisenstein of (3,1,1)
 
 
 def test_verify_usage_errors(capsys):

@@ -7,17 +7,21 @@ parameter sets, and sweep the dual/triple-route identities across every
 wild context the rest of the suite uses.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from radical_ram import conductor
-from radical_ram.chartab import character_table
+from radical_ram.chartab import character_table, count_by
 from radical_ram.conductor import (
     ConductorRecord,
     artin_conductor,
+    bucket_conductor,
     c_exp_closed,
     c_exp_definitional,
+    census_mismatch,
+    conductor_buckets,
     conductor_checks,
     conductor_json,
     conductor_table,
@@ -235,6 +239,77 @@ def test_disc_vp_global_preconditions():
         disc_vp_global(15, 2, 3)  # composite m outside the stated scope
     with pytest.raises(AssertionError):
         disc_vp_global(9, 2, 5)  # p = 5 is unramified here: no wild data
+
+
+# ---------------------------------------------------------------------------
+# The bucket route analyze reads.
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
+def test_records_equal_their_buckets(ctx):
+    buckets = conductor_buckets(ctx)
+    records = conductor_table(ctx)
+    G = ctx.group()
+    assert list(buckets) == [
+        (k, t) for k in range(G.s + 1) for t in range(G.r + 1) if count_by(k, t, G)
+    ]
+    for rec in records:
+        assert buckets[rec.character.level, rec.character.prim_degree] == (rec.c_exp, rec.f_val)
+    assert census_mismatch(G, [rec.character for rec in records]) is None
+    assert disc_vp_local_sum(ctx) == disc_vp_local_sum(ctx, records)
+
+
+def test_bucket_conductor_trivial_only_at_level_and_degree_zero():
+    ctx = unit_ctx(3, 2, 1)
+    filt = upper_filtration(ctx)
+    assert bucket_conductor(ctx, 0, 0, filt) == (Fraction(-1), 0)
+    assert bucket_conductor(ctx, 0, 1, filt) == (Fraction(0), 1)
+    assert bucket_conductor(ctx, 1, 1, filt) == (Fraction(1, 2), 3)
+
+
+def test_bucket_conductor_rejects_a_foreign_filtration():
+    with pytest.raises(AssertionError):
+        bucket_conductor(unit_ctx(3, 1, 1), 0, 1, upper_filtration(unit_ctx(3, 2, 1)))
+
+
+def test_census_mismatch_names_the_bucket():
+    G = unit_ctx(3, 2, 1).group()
+    table = character_table(G)
+    assert census_mismatch(G, table) is None
+    assert census_mismatch(G, table[1:]) == "(level 0, prim_degree 0): 0 characters, census 1"
+    stray = replace(table[0], prim_degree=5)
+    assert census_mismatch(G, [stray] + table[1:]) == (
+        "(level 0, prim_degree 0): 0 characters, census 1"
+    )
+    assert census_mismatch(G, table + [stray]) == "characters outside the census: [(0, 5)]"
+
+
+def test_conductor_json_text_mode_has_no_rows():
+    ctx = unit_ctx(3, 2, 1)
+    assert conductor_json(ctx, False) == {"v_p_disc": conductor_json(ctx)["v_p_disc"]}
+
+
+def test_conductor_json_rejects_a_character_outside_the_buckets(monkeypatch):
+    ctx = unit_ctx(3, 2, 1)
+    table = character_table(ctx.group())
+    stray = replace(table[-1], prim_degree=ctx.r + 1)
+    monkeypatch.setattr(conductor, "character_table", lambda G: table + [stray])
+    with pytest.raises(AssertionError, match="outside the census"):
+        conductor_json(ctx)
+
+
+def test_two_routes_catches_a_record_off_its_bucket(monkeypatch):
+    ctx = unit_ctx(3, 2, 1)
+    real = conductor.conductor_table
+
+    def shifted(ctx):
+        records = real(ctx)
+        return records[:-1] + [replace(records[-1], f_val=records[-1].f_val + 1)]
+
+    monkeypatch.setattr(conductor, "conductor_table", shifted)
+    row = conductor_checks(ctx)[0]
+    assert row["name"] == "conductor_two_routes" and row["status"] == "fail"
+    assert "bucket (1, 2)" in row["detail"]
 
 
 def test_tame_and_unramified_differents():
