@@ -88,7 +88,7 @@ def _count_by_summary(G):
     return rows
 
 
-def prime_block(gpd, characters=True):
+def prime_block(gpd, characters):
     """One per-prime report block; the wild cases carry the filtrations,
     the character census and the conductor/discriminant data, with the
     per-character conductor rows only if `characters` is set."""
@@ -113,7 +113,7 @@ def prime_block(gpd, characters=True):
     return block
 
 
-def build_report(a, m, characters=True):
+def build_report(a, m, characters):
     """The full analyze report: one prime_block per prime, computed in a
     plain loop in prime order (the work holds the GIL, so threads would
     not run it any faster).  Text output needs no per-character rows."""

@@ -136,11 +136,10 @@ def bucket_conductor(ctx, lev, pr, filt):
     return c_clo, f_val
 
 
-def conductor_buckets(ctx, filt=None):
+def conductor_buckets(ctx):
     """{(level, prim_degree): (c, f)} over the non-empty buckets of the
     census, in (level, prim_degree) order."""
-    if filt is None:
-        filt = upper_filtration(ctx)
+    filt = upper_filtration(ctx)
     G = ctx.group()
     return {
         (k, t): bucket_conductor(ctx, k, t, filt)
@@ -151,14 +150,13 @@ def conductor_buckets(ctx, filt=None):
 
 
 def artin_conductor(chi, ctx, filt=None):
-    """Conductor record for chi: its bucket's (c, f), which must also be
-    deg(chi) * (1 + c)."""
+    """Conductor record for chi: its bucket's (c, f).  The bucket's f is
+    deg * (1 + c) for the degree of chi's level, which must be chi's."""
     if filt is None:
         filt = upper_filtration(ctx)
     assert chi.group == ctx.group()
-    c, f = bucket_conductor(ctx, chi.level, chi.prim_degree, filt)
-    assert chi.degree * (1 + c) == f, f"deg {chi.degree} does not fit level {chi.level}"
-    return ConductorRecord(chi, c, f)
+    assert chi.degree == _degree(ctx.p, chi.level), f"deg {chi.degree} does not fit level {chi.level}"
+    return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, filt))
 
 
 def conductor_table(ctx):
