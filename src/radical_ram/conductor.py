@@ -154,7 +154,7 @@ def artin_conductor(chi, ctx, filt=None):
     deg * (1 + c) for the degree of chi's level, which must be chi's."""
     if filt is None:
         filt = upper_filtration(ctx)
-    assert chi.group == ctx.group()
+    assert chi.group == filt.group  # bucket_conductor checks filt.group == ctx.group()
     assert chi.degree == _degree(ctx.p, chi.level), f"deg {chi.degree} does not fit level {chi.level}"
     return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, filt))
 
