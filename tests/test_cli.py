@@ -161,6 +161,7 @@ def test_analyze_detects_a_census_moved_between_buckets(capsys, monkeypatch):
 
 
 def _run_quiet(*argv):
+    """run() without capsys, which hypothesis cannot reset between examples."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
