@@ -18,10 +18,15 @@ from functools import lru_cache
 from sympy import isprime
 
 
+@lru_cache(maxsize=None)
+def _is_prime(p):
+    return isprime(p)
+
+
 def vp(n, p):
     """Largest k with p^k | n; n = 0 has no finite valuation and is
     rejected, so callers handle 0 explicitly."""
-    if not isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"vp: {p} is not prime")
     if n == 0:
         raise ValueError("vp: the valuation of 0 is infinite")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import CycInt, discrete_log, unit_decomp
+from .arith import CycInt, discrete_log, unit_decomp, vp
 from .holomorph import GroupDesc, all_classes, class_count
 
 
@@ -106,23 +106,16 @@ def linear_exponent(twist, u, G):
     return (ta * a * d.principal_order + tb * b * d.torsion_order) % m0
 
 
-def _trivial_on_level(twist, t, G):
-    """Whether psi_twist restricts trivially to G(p^r)^t."""
-    d = unit_decomp(G.p, G.r)
-    if t >= G.r:
-        return True
-    if t == 0:
-        gens = [d.torsion_gen, d.principal_gen]
-    else:
-        gens = [pow(d.principal_gen, G.p ** (t - 1), G.pr)]
-    return all(linear_exponent(twist, g, G) == 0 for g in gens)
+def prim_degree(twist, G):
+    """The least t with psi_twist trivial on G(p^r)^t.
 
-
-def _prim_degree_scan(twist, G):
-    for t in range(G.r + 1):
-        if _trivial_on_level(twist, t, G):
-            return t
-    raise AssertionError("unreachable: every twist is trivial on the trivial level")
+    By linear_exponent, psi_(a, b) is trivial on G(p^r)^t (t >= 1) iff
+    p^(r-t) | b, and on the torsion generator iff a = 0.  So the answer
+    is 0 for the trivial twist, 1 for b = 0, else r - v_p(b)."""
+    a, b = twist
+    if b == 0:
+        return 0 if a == 0 else 1
+    return G.r - vp(b, G.p)
 
 
 @lru_cache(maxsize=None)
@@ -135,12 +128,12 @@ def character_table(G):
     for a in range(p - 1):
         for b in range(p ** (r - 1)):
             tw = (a, b)
-            out.append(Character(G, "linear", tw, 1, 0, _prim_degree_scan(tw, G)))
+            out.append(Character(G, "linear", tw, 1, 0, prim_degree(tw, G)))
     for k in range(1, s + 1):
         deg = p ** (k - 1) * (p - 1)
         for b in range(p ** (r - k)):
             tw = (0, b)
-            pd = max(k, _prim_degree_scan(tw, G))
+            pd = max(k, prim_degree(tw, G))
             out.append(Character(G, "induced", tw, deg, k, pd))
     assert len(out) == class_count(G)
     assert sum(chi.degree**2 for chi in out) == G.order

@@ -19,13 +19,14 @@ library disagrees with itself and the output cannot be trusted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from sympy import isprime
 
-from .chartab import character_json, count_by, value_profiles
-from .conductor import conductor_checks, conductor_json
+from .chartab import character_json, character_table, count_by, value_profiles
+from .conductor import census_mismatch, conductor_checks, conductor_json
 from .holomorph import GroupDesc, class_count
 from .oracle import DEFAULT_MAX_ORDER, resolve_max_order, verification_report
 from .ramfil import (
@@ -56,9 +57,172 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# ---------------------------------------------------------------------------
+# canonical JSON
+
+BLOCK_CHARS = 1 << 16  # about 64 kB per write
+BATCH = 512  # list items rendered by one template
+_INDENT = "  "
+_INF = float("inf")
+
+
+def _float_str(o):
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key_str(k):
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_str(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+# encoders of the exact leaf types a template takes; None is a literal
+_LEAF = {
+    int: int.__repr__,
+    str: _quote,
+    float: _float_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _template(col, level, columns):
+    """One str.format template for the values in `col` (one position
+    across the items of a batch) at indent `level`, or None when they do
+    not share one shape: exact int/str/float/bool/None leaves, lists or
+    tuples of one length, dicts with one set of str keys.  Each leaf
+    position is appended to `columns` as a lazily encoded column."""
+    types = set(map(type, col))
+    if len(types) != 1:
+        return None
+    t = types.pop()
+    if t is type(None):
+        return "null"
+    if t in _LEAF:
+        columns.append(map(_LEAF[t], col))
+        return "{}"
+    if t is dict:
+        keys = list(col[0])
+        if any(type(k) is not str for k in keys):
+            return None
+        keys.sort()
+        labels = [_quote(k).replace("{", "{{").replace("}", "}}") + ": " for k in keys]
+        opening, closing = "{{", "}}"
+    elif t is list or t is tuple:
+        keys = range(len(col[0]))
+        labels = [""] * len(keys)
+        opening, closing = "[", "]"
+    else:
+        return None
+    if set(map(len, col)) != {len(keys)}:
+        return None
+    if not keys:
+        return opening + closing
+    inner = "\n" + _INDENT * (level + 1)
+    parts = []
+    for key, label in zip(keys, labels):
+        try:
+            part = _template(list(map(itemgetter(key), col)), level + 1, columns)
+        except KeyError:  # same number of keys, not the same keys
+            return None
+        if part is None:
+            return None
+        parts.append(label + part)
+    return opening + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closing
+
+
+def write_canonical(obj, write):
+    """Pass to `write` what json.dumps gives for obj with sort_keys=True,
+    indent=2 and default=str, plus a newline, in blocks of about
+    BLOCK_CHARS characters.
+
+    The walk is the stdlib encoder's, except that a list is taken BATCH
+    items at a time, and a batch whose items share one shape is rendered
+    with one template whose leaf columns are encoded at C speed."""
+    buf = []
+    append = buf.append
+    counted = size = 0
+
+    def spill():
+        nonlocal counted, size
+        size += sum(map(len, buf[counted:]))
+        counted = len(buf)
+        if size >= BLOCK_CHARS:
+            write("".join(buf))
+            buf.clear()
+            counted = size = 0
+
+    def encode(o, level):
+        if isinstance(o, str):
+            append(_quote(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float_str(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = "\n" + _INDENT * (level + 1)
+            sep, comma = "[" + inner, "," + inner
+            for start in range(0, len(o), BATCH):
+                batch = o[start:start + BATCH]
+                columns = []
+                template = _template(batch, level + 1, columns)
+                if template is None:
+                    for item in batch:
+                        append(sep)
+                        sep = comma
+                        encode(item, level + 1)
+                else:
+                    rows = map(template.format, *columns) if columns else [template.format()] * len(batch)
+                    append(sep + comma.join(rows))
+                    sep = comma
+                spill()
+            append("\n" + _INDENT * level + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = "\n" + _INDENT * (level + 1)
+            sep, comma = "{" + inner, "," + inner
+            for key, value in sorted(o.items()):
+                append(sep + _quote(_key_str(key)) + ": ")
+                sep = comma
+                encode(value, level + 1)
+            append("\n" + _INDENT * level + "}")
+        else:
+            encode(str(o), level)
+
+    encode(obj, 0)
+    append("\n")
+    write("".join(buf))
+
+
 def canonical_json(obj):
-    """Byte-stable encoding: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"
+    """Write obj's canonical JSON to the current sys.stdout."""
+    write_canonical(obj, sys.stdout.write)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +336,7 @@ def cmd_analyze(args):
                 "validation": {"ok": False, "violations": violations},
                 "primes": [],
             }
-            sys.stdout.write(canonical_json(report))
+            canonical_json(report)
         else:
             for v in violations:
                 sys.stdout.write(f"violation: {v}\n")
@@ -197,7 +361,7 @@ def cmd_analyze(args):
         payload = report
 
     if args.json:
-        sys.stdout.write(canonical_json(payload))
+        canonical_json(payload)
     else:
         sys.stdout.write(f"x^{args.m} - ({args.a})\nvalidation: ok\n")
         blocks = [payload] if args.prime is not None else report["primes"]
@@ -305,11 +469,7 @@ def cmd_verify(args, parser):
 
     ok = n_fail == 0
     if args.json:
-        sys.stdout.write(
-            canonical_json(
-                {"max_order": max_order, "groups": results, "ok": ok}
-            )
-        )
+        canonical_json({"max_order": max_order, "groups": results, "ok": ok})
     else:
         sys.stdout.write(
             f"{n_pass} checks passed, {n_fail} failed, {n_skip} groups skipped\n"
@@ -357,13 +517,18 @@ def cmd_chartab(args, parser):
         parser.error(f"s must lie in 0..r (got s={args.s}, r={args.r})")
 
     try:
-        payload = chartab_payload(GroupDesc(args.p, args.r, args.s))
+        G = GroupDesc(args.p, args.r, args.s)
+        payload = chartab_payload(G)
     except AssertionError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INCONSISTENT
+    mismatch = census_mismatch(G, character_table(G))
+    if mismatch is not None:
+        sys.stderr.write(f"internal inconsistency: character table against census: {mismatch}\n")
+        return EXIT_INCONSISTENT
 
     if args.json:
-        sys.stdout.write(canonical_json(payload))
+        canonical_json(payload)
         return EXIT_OK
 
     g = payload["group"]

@@ -6,7 +6,7 @@ for them.  unit_ctx/eis_ctx are the synthetic wild contexts the suites
 sweep.
 """
 
-from radical_ram.arith import unit_decomp
+from radical_ram.arith import unit_decomp, vp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
 from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
 
@@ -59,3 +59,14 @@ def brute_orbits(G):
 SMALL = [GroupDesc(3, 1, 1), GroupDesc(3, 2, 1), GroupDesc(3, 2, 2),
          GroupDesc(3, 3, 1), GroupDesc(3, 3, 3), GroupDesc(5, 1, 1),
          GroupDesc(5, 2, 2), GroupDesc(7, 1, 1), GroupDesc(3, 2, 0)]
+
+
+def off_by_one_prim_degree(real):
+    """`real` (chartab.prim_degree) made one too large where p | b != 0,
+    that is r - v_p(b) off by one: the fault the checks that consume the
+    primitive degree must catch."""
+    def mutated(twist, G):
+        t = real(twist, G)
+        b = twist[1]
+        return t + 1 if b and vp(b, G.p) >= 1 else t
+    return mutated

@@ -23,6 +23,7 @@ from radical_ram.chartab import (
     induced_coefficient,
     linear_exponent,
     null_subgroup,
+    prim_degree,
     rou_sum,
     rou_sum_closed,
     subgroup_contains,
@@ -237,7 +238,7 @@ def test_level_and_prim_pinned():
 
 @pytest.mark.parametrize("G", SMALL)
 def test_linear_prim_degree_closed_rule(G):
-    # The scan must reproduce the arithmetic rule: trivial twist -> 0,
+    # The table must follow the arithmetic rule: trivial twist -> 0,
     # pure torsion twist -> 1, otherwise r - v_p(principal exponent).
     for chi in character_table(G):
         if chi.kind != "linear":
@@ -249,6 +250,37 @@ def test_linear_prim_degree_closed_rule(G):
             assert chi.prim_degree == 1
         else:
             assert chi.prim_degree == 0
+
+
+def prim_degree_scan(twist, G):
+    """The least level t whose generators psi_twist maps to 1, found by
+    discrete logs: G(p^r)^0 is generated by the torsion and principal
+    generators, G(p^r)^t (1 <= t < r) by principal_gen^(p^(t-1)), and
+    G(p^r)^r is trivial."""
+    d = unit_decomp(G.p, G.r)
+    for t in range(G.r):
+        if t == 0:
+            gens = [d.torsion_gen, d.principal_gen]
+        else:
+            gens = [pow(d.principal_gen, G.p ** (t - 1), G.pr)]
+        if all(linear_exponent(twist, g, G) == 0 for g in gens):
+            return t
+    return G.r
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_prim_degree_closed_form_matches_scan(p, r):
+    """Every linear twist, and every induced row of every level (s = r
+    has them all), against the elementwise discrete-log scan."""
+    G = GroupDesc(p, r, r)
+    scans = {}
+    for chi in character_table(G):
+        if chi.twist not in scans:
+            scans[chi.twist] = prim_degree_scan(chi.twist, G)
+            assert prim_degree(chi.twist, G) == scans[chi.twist]
+        assert chi.prim_degree == max(chi.level, scans[chi.twist])
+    assert len(scans) == twist_order(G)
 
 
 @pytest.mark.parametrize("G", SMALL)

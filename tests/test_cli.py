@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radical_ram
 from radical_ram import chartab, cli, conductor, oracle
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc
+
+from helpers import off_by_one_prim_degree
 
 
 def run(capsys, *argv):
@@ -326,6 +330,75 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
     assert "(level 0, prim_degree 1): 1 characters, census 2" in row["detail"]
 
 
+@pytest.fixture
+def prim_degree_off_by_one(monkeypatch):
+    """chartab.prim_degree off by one where p | b, with no table or oracle
+    result cached from before or after the mutation."""
+    caches = (chartab.character_table, oracle._kernel_trivial_census, oracle.frobenius_induction_check)
+    for fn in caches:
+        fn.cache_clear()
+    monkeypatch.setattr(chartab, "prim_degree", off_by_one_prim_degree(chartab.prim_degree))
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+PRIM_DEGREE_ARGVS = [
+    ["verify", "--p", "3", "--r", "3", "--s", "1", "--json"],
+    ["analyze", "2", "27", "--json"],
+    ["chartab", "3", "3", "1", "--json"],
+]
+
+
+def _assert_prim_degree_caught(argv, code, out):
+    assert code == 3
+    if argv[0] == "verify":
+        assert _verify_rows(out)[("oracle", "null_subgroup_scan")]["status"] == "fail"
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", PRIM_DEGREE_ARGVS)
+def test_wrong_prim_degree_is_caught(capsys, prim_degree_off_by_one, argv):
+    """verify's elementwise null-subgroup scan and the census checks of
+    analyze --json and chartab each catch a closed-form primitive degree
+    that is off by one."""
+    code, out, _ = run(capsys, *argv)
+    _assert_prim_degree_caught(argv, code, out)
+
+
+MUTATED_RUNS = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import chartab
+from radical_ram.cli import main
+from helpers import off_by_one_prim_degree
+chartab.prim_degree = off_by_one_prim_degree(chartab.prim_degree)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs.append([main(argv), out.getvalue()])
+sys.stdout.write(json.dumps(runs))
+"""
+
+
+def test_wrong_prim_degree_is_caught_under_O():
+    """The same mutation under `python -O`, in one process for all three
+    runs, since an -O interpreter may find no optimized bytecode for
+    sympy and compile it on every start."""
+    src = Path(radical_ram.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", MUTATED_RUNS, json.dumps(PRIM_DEGREE_ARGVS)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(PRIM_DEGREE_ARGVS)
+    for argv, (code, out) in zip(PRIM_DEGREE_ARGVS, runs):
+        _assert_prim_degree_caught(argv, code, out)
+
+
 def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):
     """A non-assertion exception inside a check is that check's fail row,
     named by its type; the report is still printed."""
@@ -394,6 +467,17 @@ def test_chartab_json_byte_identical(capsys):
     _, out1, _ = run(capsys, "chartab", "3", "2", "1", "--json")
     _, out2, _ = run(capsys, "chartab", "3", "2", "1", "--json")
     assert out1 == out2
+
+
+def test_chartab_checks_its_census(capsys, monkeypatch):
+    """A table whose (level, prim_degree) histogram is not the census
+    exits 3 and prints nothing."""
+    _census_moved(monkeypatch)
+    for argv in (("chartab", "3", "2", "1", "--json"), ("chartab", "3", "2", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "internal inconsistency: character table against census" in err
+    assert run(capsys, "chartab", "3", "2", "2", "--json")[0] == 0
 
 
 def test_chartab_usage_errors(capsys):
