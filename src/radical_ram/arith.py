@@ -12,21 +12,230 @@ rows, because every checking module can import it from here.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
+from math import gcd, isqrt, prod
 
-from sympy import isprime
+
+class ResourceLimitError(RuntimeError):
+    """A computation was asked for more work than its documented bound:
+    a brute-force pass over too many elements, or a factorization that
+    spent its Pollard-Brent budget."""
+
+
+DEFAULT_MAX_ORDER = 200000
+
+
+def resolve_max_order(max_order=None):
+    """The largest group order a brute-force pass may enumerate: the
+    argument, else env RADICAL_RAM_MAX_ORDER, else DEFAULT_MAX_ORDER."""
+    if max_order is not None:
+        return max_order
+    env = os.environ.get("RADICAL_RAM_MAX_ORDER")
+    return int(env) if env else DEFAULT_MAX_ORDER
+
+
+# ---------------------------------------------------------------------------
+# Primes, integer roots and factoring, in exact integer arithmetic.
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for q in range(2, isqrt(n - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    return tuple(compress(range(n), sieve))
+
+
+TRIAL_LIMIT = 1000
+_TRIAL_PRIMES = _primes_below(TRIAL_LIMIT)
+# The first 13 primes as Miller-Rabin bases decide primality below
+# MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015); from MR_BOUND on, is_prime runs Baillie-PSW.
+_MR_BASES = _TRIAL_PRIMES[:13]
+MR_BOUND = 3317044064679887385961981
+# Pollard-Brent steps one factorint call may take in all.
+FACTOR_BUDGET = 1 << 18
+
+
+def _strong_probable_prime(n, b):
+    """Miller-Rabin for odd n > b: is n a strong probable prime to base b?"""
+    d = n - 1
+    t = (d & -d).bit_length() - 1
+    x = pow(b, d >> t, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(t - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """The strong Lucas test with Selfridge's parameters, for odd n > 1
+    that is not a perfect square: D is the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1, Q = (1 - D)/4, and n + 1 = d * 2^t with d
+    odd.  n passes if U_d = 0 or V_(d 2^k) = 0 mod n for some k < t."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    t = (d & -d).bit_length() - 1
+    # U_k, V_k, Q^k mod n by the binary ladder on the bits of d >> t (P = 1)
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d >> t)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(t - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)
-def _is_prime(p):
-    return isprime(p)
+def is_prime(n):
+    """Primality by trial division by the primes below TRIAL_LIMIT, then
+    Miller-Rabin on the first 13 prime bases below MR_BOUND, where that
+    is a proof, and Baillie-PSW (a base-2 strong probable-prime test and
+    a strong Lucas test, Baillie and Wagstaff 1980) from there on, which
+    has no known counterexample."""
+    if n < 2:
+        return False
+    for q in _TRIAL_PRIMES:
+        if n % q == 0:
+            return n == q
+        if q * q > n:
+            return True
+    if n < MR_BOUND:
+        return all(_strong_probable_prime(n, b) for b in _MR_BASES)
+    return (_strong_probable_prime(n, 2) and isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
+
+
+def integer_nthroot(y, n):
+    """(x, exact): x = floor(y^(1/n)) for y >= 0 and n >= 1, exact when
+    x^n == y.  Integer Newton iteration falls from 2^ceil(bits/n), which
+    is at least the root, to the floor of the root."""
+    if y < 0 or n < 1:
+        raise ValueError(f"integer_nthroot: bad arguments y={y}, n={n}")
+    if y < 2:
+        return y, True
+    if y.bit_length() <= n:  # y < 2^n, so the root lies in [1, 2)
+        return 1, y == 1
+    x = 1 << -(-y.bit_length() // n)
+    while (t := ((n - 1) * x + y // x ** (n - 1)) // n) < x:
+        x = t
+    return x, x**n == y
+
+
+def _rho_divisor(n, budget):
+    """(d, budget left): a proper divisor d of the odd composite n by
+    Pollard's rho with Brent's cycle search and batched gcds (Brent
+    1980), trying c = 1, 2, ... until one splits n; each step of
+    x -> x^2 + c costs one unit of budget, so the loop ends."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise ResourceLimitError(
+                    f"factorint: Pollard-Brent budget of {FACTOR_BUDGET} steps spent "
+                    f"on a {len(str(n))}-digit cofactor")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
+def factorint(n):
+    """{prime: exponent} of n >= 1, checked: the product of the prime
+    powers is n and each prime passes is_prime, else AssertionError.
+    Raises ResourceLimitError once the factors left after trial division
+    by the primes below TRIAL_LIMIT need more than FACTOR_BUDGET
+    Pollard-Brent steps to split."""
+    if n < 1:
+        raise ValueError(f"factorint: n = {n} must be positive")
+    out = {}
+    m = n
+    for q in _TRIAL_PRIMES:
+        if q * q > m:
+            break
+        if m % q == 0:
+            k = 0
+            while m % q == 0:
+                m //= q
+                k += 1
+            out[q] = k
+    # Now m is 1, a prime, or free of primes below TRIAL_LIMIT, so a
+    # divisor of m below TRIAL_LIMIT^2 is prime.  Split down to one prime
+    # factor of m, strip all of its powers, repeat.
+    budget = FACTOR_BUDGET
+    while m > 1:
+        c = m
+        while c >= TRIAL_LIMIT * TRIAL_LIMIT and not is_prime(c):
+            d, budget = _rho_divisor(c, budget)
+            c = min(d, c // d)
+        if m % c:
+            raise AssertionError(f"factorint({n}): the split-off factor {c} does not divide {m}")
+        k = 0
+        while m % c == 0:
+            m //= c
+            k += 1
+        out[c] = k
+    if prod(q**k for q, k in out.items()) != n or not all(map(is_prime, out)):
+        raise AssertionError(f"factorint({n}) gave {out}, which is not its prime factorization")
+    return out
 
 
 def vp(n, p):
     """Largest k with p^k | n; n = 0 has no finite valuation and is
     rejected, so callers handle 0 explicitly."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"vp: {p} is not prime")
     if n == 0:
         raise ValueError("vp: the valuation of 0 is infinite")
@@ -71,7 +280,7 @@ class UnitGroupDecomp:
     def __init__(self, p, r):
         if p == 2:
             raise ValueError("unit_decomp: p = 2 unsupported")
-        if not isprime(p) or r < 1:
+        if not is_prime(p) or r < 1:
             raise ValueError(f"unit_decomp: bad arguments p={p}, r={r}")
         self.p = p
         self.r = r
@@ -123,7 +332,7 @@ def compute_s(a, p, r):
     Fermat gives v_p(a^{p-1} - 1) >= 1, so s lands in [0, r].  Working
     mod p^{r+1} keeps a^{p-1} from blowing up for large a.
     """
-    if r < 1 or not isprime(p) or p == 2:
+    if r < 1 or not is_prime(p) or p == 2:
         raise ValueError(f"compute_s: bad arguments p={p}, r={r}")
     if a % p == 0:
         raise ValueError(f"compute_s: p={p} divides a={a}")
@@ -341,10 +550,6 @@ class CycInt:
 
 # ---------------------------------------------------------------------------
 # Named self-checks.
-
-
-class ResourceLimitError(RuntimeError):
-    """A brute-force pass was asked to enumerate more elements than allowed."""
 
 
 def run_checks(checks):

@@ -13,7 +13,9 @@ Three subcommands:
 Exit codes: 0 success; 1 malformed command line; 2 the input violates
 the hypotheses (odd m, non-power a, valuation condition) — the report
 lists each violation; 3 an internal cross-check failed, meaning the
-library disagrees with itself and the output cannot be trusted.
+library disagrees with itself and the output cannot be trusted; 4 a
+resource limit was hit (a radicand or exponent whose factorization needs
+more than arith.FACTOR_BUDGET Pollard-Brent steps).
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from sympy import isprime
-
+from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, is_prime, resolve_max_order
 from .chartab import character_json, character_table, count_by, value_profiles
 from .conductor import census_mismatch, conductor_checks, conductor_json
 from .holomorph import GroupDesc, class_count
-from .oracle import DEFAULT_MAX_ORDER, resolve_max_order, verification_report
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INCONSISTENT = 3
+EXIT_RESOURCE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,7 +329,16 @@ def _print_block(block, out):
 
 
 def cmd_analyze(args):
-    violations = validate(args.m, args.a)
+    try:
+        violations = validate(args.m, args.a)
+        report = None if violations else build_report(args.a, args.m, args.json)
+    except ResourceLimitError as exc:
+        sys.stderr.write(f"resource limit: {exc}\n")
+        return EXIT_RESOURCE
+    except AssertionError as exc:
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        return EXIT_INCONSISTENT
+
     if violations:
         if args.json:
             report = {
@@ -341,12 +351,6 @@ def cmd_analyze(args):
             for v in violations:
                 sys.stdout.write(f"violation: {v}\n")
         return EXIT_VIOLATION
-
-    try:
-        report = build_report(args.a, args.m, args.json)
-    except AssertionError as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
-        return EXIT_INCONSISTENT
 
     if args.prime is not None:
         blocks = [b for b in report["primes"] if b["p"] == args.prime]
@@ -389,6 +393,8 @@ def _context_check_rows(ctx):
 
 def verify_sweep(ps, rs, s_filter, max_order):
     """Oracle reports plus named self-checks for every group in range."""
+    from .oracle import verification_report  # numpy is needed by verify only
+
     results = []
     for p in ps:
         for r in rs:
@@ -425,7 +431,7 @@ def _iter_check_rows(entry):
 
 
 def cmd_verify(args, parser):
-    if args.p is not None and (args.p % 2 == 0 or not isprime(args.p)):
+    if args.p is not None and (args.p % 2 == 0 or not is_prime(args.p)):
         parser.error(f"--p must be an odd prime (got {args.p})")
     if args.r is not None and args.r < 1:
         parser.error("--r must be at least 1")
@@ -509,7 +515,7 @@ def _fmt_value(coe, exp):
 
 
 def cmd_chartab(args, parser):
-    if args.p % 2 == 0 or not isprime(args.p):
+    if args.p % 2 == 0 or not is_prime(args.p):
         parser.error(f"p must be an odd prime (got {args.p})")
     if args.r < 1:
         parser.error("r must be at least 1")

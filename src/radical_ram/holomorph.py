@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import vp
+from .arith import is_prime, vp
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,10 @@ class GroupDesc:
     s: int
 
     def __post_init__(self):
-        assert self.p % 2 == 1 and self.p >= 3, "p must be an odd prime"
-        assert 1 <= self.r, "r must be >= 1"
-        assert 0 <= self.s <= self.r, "s must lie in [0, r]"
+        if self.p == 2 or not is_prime(self.p):
+            raise ValueError(f"GroupDesc: p = {self.p} must be an odd prime")
+        if not 0 <= self.s <= self.r or self.r < 1:
+            raise ValueError(f"GroupDesc: need r >= 1 and 0 <= s <= r (got r={self.r}, s={self.s})")
 
     @property
     def order(self):

@@ -16,18 +16,19 @@ cyclic coordinate.  Element index convention: e = unit_index * p^s + i.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._kernels import orbit_roots
-from .arith import (
+from .arith import (  # DEFAULT_MAX_ORDER is re-exported
+    DEFAULT_MAX_ORDER,
     CycInt,
     ResourceLimitError,
     _reduction_rows,
     discrete_log,
+    resolve_max_order,
     run_checks,
     unit_decomp,
     vp,
@@ -43,16 +44,6 @@ from .chartab import (
     zeta_order,
 )
 from .holomorph import GroupDesc, all_classes, class_count, conj_class_of, element
-
-DEFAULT_MAX_ORDER = 200000
-
-
-def resolve_max_order(max_order=None):
-    if max_order is not None:
-        return max_order
-    env = os.environ.get("RADICAL_RAM_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
-
 
 # ---------------------------------------------------------------- elements
 

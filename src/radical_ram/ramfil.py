@@ -35,9 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, integer_nthroot, isprime
-
-from .arith import compute_s, run_checks, vp
+from .arith import compute_s, factorint, integer_nthroot, is_prime, run_checks, vp
 from .chartab import (
     SubgroupDesc,
     subgroup_eq,
@@ -145,8 +143,12 @@ class PrimeLocalContext:
 def wild_context(p, r, s, case, vp_a):
     """The UNIT or EISENSTEIN context at p with wild depth s (s = r in
     the Eisenstein case): p^(r-s) primes above p, each with residue
-    degree 1 and ramification index e = p^s * phi(p^r)."""
-    assert case == UNIT or (case == EISENSTEIN and s == r)
+    degree 1 and ramification index e = p^s * phi(p^r).  Raises
+    ValueError unless GroupDesc(p, r, s) exists and the case is UNIT,
+    or EISENSTEIN with s = r."""
+    GroupDesc(p, r, s)
+    if not (case == UNIT or (case == EISENSTEIN and s == r)):
+        raise ValueError(f"wild_context: case {case} with s={s}, r={r}")
     g = p ** (r - s)
     e = p**s * p ** (r - 1) * (p - 1)
     return PrimeLocalContext(p, r, vp_a, case, s, g, e, 1)
@@ -161,7 +163,7 @@ def classify_prime(p, m, a):
     exactly 1 (Bezout), which forces the Eisenstein case with s = r.
     Any other p-power part violates the standing hypothesis.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"classify_prime: p = {p} is not prime")
     if a in (0, 1, -1):
         raise ValueError(f"classify_prime: degenerate a = {a}")

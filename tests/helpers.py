@@ -11,6 +11,10 @@ from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
 from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
 
 
+# (p, r, s) that name no group: p not an odd prime, r < 1, or s outside [0, r]
+BAD_GROUPS = [(9, 1, 0), (4, 1, 0), (2, 1, 0), (1, 1, 0), (15, 2, 1), (3, 0, 0), (3, 1, 2), (3, 2, -1)]
+
+
 def unit_ctx(p, r, s):
     return wild_context(p, r, s, UNIT, 0)
 

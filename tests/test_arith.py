@@ -5,19 +5,32 @@ against exhaustive oracles over all residues at desk scale before any
 closed formula downstream is trusted.
 """
 
+from math import gcd, isqrt, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radical_ram import arith
 from radical_ram.arith import (
+    FACTOR_BUDGET,
+    MR_BOUND,
+    TRIAL_LIMIT,
     CycInt,
+    ResourceLimitError,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     compute_s,
     cyclotomic_poly,
     discrete_log,
+    factorint,
+    integer_nthroot,
+    is_prime,
     reduction_degree,
     smallest_primitive_root,
     unit_decomp,
     vp,
 )
+from radical_ram.ramfil import _perfect_power_root
 
 
 # ---------------------------------------------------------------------- vp
@@ -47,6 +60,180 @@ def test_vp_multiplicative_and_ultrametric(n, m, p):
         assert vp(n + m, p) >= lo
         if vp(n, p) != vp(m, p):
             assert vp(n + m, p) == lo
+
+
+# ------------------------------------------------- primes, roots, factoring
+#
+# The references are deliberately naive: trial division by every
+# integer, and roots by linear search.  is_prime.__wrapped__ is the
+# uncached test, so a sweep does not fill the memo.
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    prime = is_prime.__wrapped__
+    assert [n for n in range(10**5) if prime(n)] == [n for n in range(10**5) if trial_division_is_prime(n)]
+
+
+SMALL_PRIMES = [n for n in range(10**5) if trial_division_is_prime(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10**5, 10**10))
+def test_is_prime_matches_trial_division_up_to_1e10(n):
+    # every composite below 10^10 has a prime factor below 10^5
+    expected = all(n % q for q in SMALL_PRIMES if q * q <= n)
+    assert is_prime.__wrapped__(n) == expected
+
+
+# (n, its prime factors, k): n is a strong pseudoprime to each of the
+# first k prime bases
+STRONG_PSEUDOPRIMES = [
+    (2047, [23, 89], 1),
+    (3215031751, [151, 751, 28351], 4),
+    (3825123056546413051, [149491, 747451, 34233211], 9),
+    (318665857834031151167461, [399165290221, 798330580441], 12),
+    (3317044064679887385961981, [1287836182261, 2575672364521], 13),
+]
+
+
+@pytest.mark.parametrize("n,factors,k", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_composite(n, factors, k):
+    assert prod(factors) == n
+    assert all(_strong_probable_prime(n, b) for b in arith._MR_BASES[:k])
+    assert not is_prime.__wrapped__(n)
+
+
+def test_least_pseudoprime_to_all_13_bases_goes_through_baillie_psw(monkeypatch):
+    """MR_BOUND itself fools Miller-Rabin on all 13 bases, so only the
+    Baillie-PSW branch can reject it: the Lucas step must run, and say no."""
+    n = MR_BOUND
+    assert all(_strong_probable_prime(n, b) for b in arith._MR_BASES)
+    verdicts = []
+
+    def spy(m):
+        verdicts.append(_strong_lucas_probable_prime(m))
+        return verdicts[-1]
+
+    monkeypatch.setattr(arith, "_strong_lucas_probable_prime", spy)
+    assert not is_prime.__wrapped__(n)
+    assert verdicts == [False]
+
+
+@pytest.mark.parametrize("n", [561, 41041])
+def test_carmichael_numbers(n):
+    # Fermat's test passes for every base prime to n; the strong test fails
+    assert all(pow(b, n - 1, n) == 1 for b in range(2, 200) if gcd(b, n) == 1)
+    assert not _strong_probable_prime(n, 2)
+    assert not is_prime.__wrapped__(n)
+
+
+@pytest.mark.parametrize("n", [5459, 5777])
+def test_strong_lucas_pseudoprimes(n):
+    assert not trial_division_is_prime(n)
+    assert _strong_lucas_probable_prime(n)
+    assert not _strong_probable_prime(n, 2)
+    assert not is_prime.__wrapped__(n)
+
+
+def test_strong_lucas_step_passes_every_odd_prime():
+    assert all(_strong_lucas_probable_prime(q) for q in SMALL_PRIMES[1:2000])
+    # and is not vacuous: it rejects most odd composites
+    composites = [n for n in range(9, 20000, 2) if not trial_division_is_prime(n) and isqrt(n) ** 2 != n]
+    assert [n for n in composites if _strong_lucas_probable_prime(n)] == [5459, 5777, 10877, 16109, 18971]
+
+
+@pytest.mark.parametrize("e", [89, 127, 521])
+def test_mersenne_primes(e):
+    assert is_prime.__wrapped__(2**e - 1)
+
+
+def test_mersenne_composites():
+    assert not is_prime.__wrapped__(2**67 - 1)  # 193707721 * 761838257287
+    assert not is_prime.__wrapped__((2**89 - 1) * (2**127 - 1))
+    assert not is_prime.__wrapped__((2**521 - 1) ** 2)
+
+
+SMALL_KNOWN_PRIMES = [3, 5, 7, 997, 1009, 65537, 1000003, 1000033, 2**31 - 1]
+LARGE_KNOWN_PRIMES = [10**12 + 39, 2**61 - 1, 2**89 - 1, 2**521 - 1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.sampled_from(SMALL_KNOWN_PRIMES), st.integers(1, 4), max_size=4),
+       st.none() | st.sampled_from(LARGE_KNOWN_PRIMES))
+def test_factorint_round_trips_products_of_known_primes(powers, large):
+    """Products of small primes times at most one large one: rho has to
+    find only factors below 2^31, well inside FACTOR_BUDGET."""
+    if large is not None:
+        powers[large] = 1
+    n = prod(q**k for q, k in powers.items())
+    assert factorint(n) == powers
+
+
+def test_factorint_needs_rho():
+    # no factor below TRIAL_LIMIT, and n is far above its square
+    assert factorint(1000003 * 1000033**2 * 999983) == {999983: 1, 1000003: 1, 1000033: 2}
+    assert factorint(1) == {}
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+def test_factorint_budget_is_a_resource_limit():
+    # a 45-digit semiprime with two 23-digit factors
+    p, q = 10**22 + 9, 3 * 10**22 + 29
+    assert is_prime(p) and is_prime(q) and len(str(p * q)) == 45
+    n = p * q
+    with pytest.raises(ResourceLimitError, match=f"budget of {FACTOR_BUDGET} steps"):
+        factorint(n)
+
+
+def test_factorint_checks_its_result(monkeypatch):
+    """A splitting step that returns a non-divisor is caught by an
+    explicit raise, so also under python -O."""
+    monkeypatch.setattr(arith, "_rho_divisor", lambda c, budget: (1009, budget))
+    with pytest.raises(AssertionError, match="does not divide"):
+        factorint(1000003 * 1000033)
+
+
+def brute_nthroot(y, n):
+    x = 0
+    while (x + 1) ** n <= y:
+        x += 1
+    return x, x**n == y
+
+
+def test_integer_nthroot_against_linear_search():
+    for n in range(1, 12):
+        for y in range(0, 1500):
+            assert integer_nthroot(y, n) == brute_nthroot(y, n), (y, n)
+    with pytest.raises(ValueError):
+        integer_nthroot(-8, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**30), st.integers(2, 40), st.integers(-1, 1))
+def test_integer_nthroot_around_exact_powers(x, n, d):
+    y = x**n + d
+    root, exact = integer_nthroot(y, n)
+    assert root**n <= y < (root + 1) ** n
+    assert exact == (root**n == y)
+
+
+def test_perfect_power_root_with_negative_radicands():
+    for q in (3, 5, 7):
+        powers = {b**q: b for b in range(-20, 21)}
+        for a in range(-3000, 3001):
+            assert _perfect_power_root(a, q) == powers.get(a), (a, q)
+    assert _perfect_power_root(-(2**65), 5) == -(2**13)
+    assert _perfect_power_root(-(2**65) - 1, 5) is None
+    assert _perfect_power_root(-(10**40 + 1) ** 7, 7) == -(10**40 + 1)
+
+
+def test_trial_limit_covers_the_miller_rabin_bases():
+    assert arith._MR_BASES == tuple(SMALL_PRIMES[:13]) and TRIAL_LIMIT > arith._MR_BASES[-1]
 
 
 # ------------------------------------------------------------ unit groups

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radical_ram
-from radical_ram import chartab, cli, conductor, oracle
+from radical_ram import arith, chartab, cli, conductor, oracle
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc
 
@@ -120,6 +121,29 @@ def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "2", "3")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+SEMIPRIME_45 = (10**22 + 9) * (3 * 10**22 + 29)  # two 23-digit prime factors
+
+
+@pytest.mark.parametrize("a,m", [(2, SEMIPRIME_45), (SEMIPRIME_45, 3)], ids=["exponent", "radicand"])
+def test_analyze_factoring_budget_exits_4(capsys, a, m):
+    """A number rho cannot split within arith.FACTOR_BUDGET steps is a
+    resource limit: exit 4, one line on stderr, nothing on stdout."""
+    for argv in (["analyze", str(a), str(m)], ["analyze", str(a), str(m), "--json"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert err.startswith("resource limit: factorint: Pollard-Brent budget") and err.count("\n") == 1
+
+
+def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
+    """A split that does not divide is an internal inconsistency."""
+    monkeypatch.setattr(arith, "_rho_divisor", lambda c, budget: (1009, budget))
+    code, out, err = run(capsys, "analyze", "2", str(1000003 * 1000033))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: factorint(")
 
 
 def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
@@ -386,8 +410,7 @@ sys.stdout.write(json.dumps(runs))
 
 def test_wrong_prim_degree_is_caught_under_O():
     """The same mutation under `python -O`, in one process for all three
-    runs, since an -O interpreter may find no optimized bytecode for
-    sympy and compile it on every start."""
+    runs, which share one start-up and one warm-up of the caches."""
     src = Path(radical_ram.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
     proc = subprocess.run([sys.executable, "-O", "-c", MUTATED_RUNS, json.dumps(PRIM_DEGREE_ARGVS)],
@@ -490,6 +513,58 @@ def test_chartab_usage_errors(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_usage_error(capsys)
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# import path
+
+
+def _run_python(code, *args):
+    src = Path(radical_ram.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "RADICAL_RAM_MAX_ORDER"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+IMPORTS_AFTER_ANALYZE = """
+import contextlib, io, json, sys
+import radical_ram.cli
+loaded = [sorted({"sympy", "numpy"} & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = radical_ram.cli.main(["analyze", "2", "2401"])
+loaded.append(sorted({"sympy", "numpy"} & set(sys.modules)))
+sys.stdout.write(json.dumps([code, loaded]))
+"""
+
+
+def test_cli_imports_neither_sympy_nor_numpy():
+    """numpy is imported by verify only, and sympy not at all."""
+    assert json.loads(_run_python(IMPORTS_AFTER_ANALYZE)) == [0, [[], []]]
+
+
+GOLDEN_WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+from radical_ram.cli import main
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        outs.append([main(argv), buf.getvalue()])
+sys.stdout.write(json.dumps(outs))
+"""
+
+
+def test_golden_cases_run_without_sympy():
+    golden = Path(__file__).parent / "golden"
+    cases = json.loads((golden / "cases.json").read_text())
+    names = ["analyze-2-27-json", "chartab-3-2-1-json", "verify-p3-r2-json"]
+    outs = json.loads(_run_python(GOLDEN_WITHOUT_SYMPY, json.dumps([cases[n]["argv"] for n in names])))
+    for name, (code, out) in zip(names, outs):
+        assert code == cases[name]["exit"], name
+        assert out.encode() == (golden / f"{name}.out").read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

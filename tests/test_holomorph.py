@@ -23,7 +23,7 @@ from radical_ram.holomorph import (
     mul,
 )
 
-from helpers import SMALL, brute_orbits, elements
+from helpers import BAD_GROUPS, SMALL, brute_orbits, elements
 
 
 # ------------------------------------------------------------- group law
@@ -71,6 +71,12 @@ def test_group_axioms_random(G, data):
     a, b, c = draw_el("a"), draw_el("b"), draw_el("c")
     assert mul(mul(a, b, G), c, G) == mul(a, mul(b, c, G), G)
     assert mul(a, inv(a, G), G) == identity(G)
+
+
+@pytest.mark.parametrize("p,r,s", BAD_GROUPS)
+def test_group_desc_rejects_bad_parameters(p, r, s):
+    with pytest.raises(ValueError):
+        GroupDesc(p, r, s)
 
 
 def test_element_rejects_nonunit():
