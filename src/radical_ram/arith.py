@@ -247,23 +247,9 @@ def vp(n, p):
     return k
 
 
-def _factor_small(n):
-    """Trial-division factorization; plenty for p - 1 with desk-scale p."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def smallest_primitive_root(p):
     """The smallest g in (1, p) generating (Z/p)^*."""
-    qs = list(_factor_small(p - 1))
+    qs = list(factorint(p - 1))
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g

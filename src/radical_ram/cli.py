@@ -32,13 +32,11 @@ from .holomorph import GroupDesc, class_count
 from .ramfil import (
     EISENSTEIN,
     UNIT,
+    HypothesisError,
     PrimeLocalContext,
     filtration_json,
     global_ram,
-    lower_filtration,
     ramification_checks,
-    upper_filtration,
-    validate,
     wild_context,
 )
 
@@ -264,8 +262,8 @@ def prime_block(gpd, characters):
         "context": _context_json(ctx),
         "e_global": gpd.e_global,
         "filtration": {
-            "upper": filtration_json(upper_filtration(ctx)),
-            "lower": filtration_json(lower_filtration(ctx)),
+            "upper": filtration_json(ctx.upper),
+            "lower": filtration_json(ctx.lower),
         },
     }
     if ctx.case in (UNIT, EISENSTEIN):
@@ -279,9 +277,8 @@ def prime_block(gpd, characters):
 
 
 def build_report(a, m, characters):
-    """The full analyze report: one prime_block per prime, computed in a
-    plain loop in prime order (the work holds the GIL, so threads would
-    not run it any faster).  Text output needs no per-character rows."""
+    """The full analyze report: one prime_block per prime, in prime
+    order.  Text output needs no per-character rows."""
     return {
         "input": {"a": a, "m": m},
         "validation": {"ok": True, "violations": []},
@@ -330,27 +327,24 @@ def _print_block(block, out):
 
 def cmd_analyze(args):
     try:
-        violations = validate(args.m, args.a)
-        report = None if violations else build_report(args.a, args.m, args.json)
+        report = build_report(args.a, args.m, args.json)
+    except HypothesisError as exc:
+        if args.json:
+            canonical_json({
+                "input": {"a": args.a, "m": args.m},
+                "validation": {"ok": False, "violations": exc.violations},
+                "primes": [],
+            })
+        else:
+            for v in exc.violations:
+                sys.stdout.write(f"violation: {v}\n")
+        return EXIT_VIOLATION
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except AssertionError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INCONSISTENT
-
-    if violations:
-        if args.json:
-            report = {
-                "input": {"a": args.a, "m": args.m},
-                "validation": {"ok": False, "violations": violations},
-                "primes": [],
-            }
-            canonical_json(report)
-        else:
-            for v in violations:
-                sys.stdout.write(f"violation: {v}\n")
-        return EXIT_VIOLATION
 
     if args.prime is not None:
         blocks = [b for b in report["primes"] if b["p"] == args.prime]

@@ -41,8 +41,6 @@ from .ramfil import (
     classify_prime,
     different_sum,
     frac_str,
-    lower_filtration,
-    upper_filtration,
 )
 
 
@@ -139,30 +137,26 @@ def bucket_conductor(ctx, lev, pr, filt):
 def conductor_buckets(ctx):
     """{(level, prim_degree): (c, f)} over the non-empty buckets of the
     census, in (level, prim_degree) order."""
-    filt = upper_filtration(ctx)
     G = ctx.group()
     return {
-        (k, t): bucket_conductor(ctx, k, t, filt)
+        (k, t): bucket_conductor(ctx, k, t, ctx.upper)
         for k in range(G.s + 1)
         for t in range(G.r + 1)
         if count_by(k, t, G)
     }
 
 
-def artin_conductor(chi, ctx, filt=None):
+def artin_conductor(chi, ctx):
     """Conductor record for chi: its bucket's (c, f).  The bucket's f is
     deg * (1 + c) for the degree of chi's level, which must be chi's."""
-    if filt is None:
-        filt = upper_filtration(ctx)
-    assert chi.group == filt.group  # bucket_conductor checks filt.group == ctx.group()
+    assert chi.group == ctx.upper.group  # bucket_conductor checks it is ctx.group()
     assert chi.degree == _degree(ctx.p, chi.level), f"deg {chi.degree} does not fit level {chi.level}"
-    return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, filt))
+    return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, ctx.upper))
 
 
 def conductor_table(ctx):
     """ConductorRecords for the full character table, in table order."""
-    filt = upper_filtration(ctx)
-    return [artin_conductor(chi, ctx, filt) for chi in character_table(ctx.group())]
+    return [artin_conductor(chi, ctx) for chi in character_table(ctx.group())]
 
 
 def census_mismatch(G, characters):
@@ -317,7 +311,7 @@ def conductor_json(ctx, characters=True):
     buckets = conductor_buckets(ctx)
     sum_route = _census_sum(ctx, buckets)
     closed_route = disc_vp_local_closed(ctx)
-    diff_route = different_sum(lower_filtration(ctx))
+    diff_route = different_sum(ctx.lower)
     out = {
         "v_p_disc": {
             "sum": sum_route,
@@ -364,7 +358,7 @@ def conductor_checks(ctx):
     def three_routes():
         a = disc_vp_local_sum(ctx, records())
         b = disc_vp_local_closed(ctx)
-        c = different_sum(lower_filtration(ctx))
+        c = different_sum(ctx.lower)
         return a == b == c, f"sum={a} closed={b} different={c}"
 
     def subtotals():

@@ -22,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import orbit_roots
-from .arith import (  # DEFAULT_MAX_ORDER is re-exported
-    DEFAULT_MAX_ORDER,
+from .arith import (
     CycInt,
     ResourceLimitError,
     _reduction_rows,

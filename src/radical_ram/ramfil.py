@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import compute_s, factorint, integer_nthroot, is_prime, run_checks, vp
 from .chartab import (
@@ -72,6 +73,15 @@ def _perfect_power_root(a, q):
     if not exact:
         return None
     return root if a > 0 else -root
+
+
+class HypothesisError(ValueError):
+    """The input violates the standing hypotheses; .violations lists
+    validate's strings."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = violations
 
 
 def validate(m, a):
@@ -122,6 +132,10 @@ class PrimeLocalContext:
     vp_a is the valuation of a BEFORE normalization; s is the wild depth
     (meaningful for UNIT, and equal to r for EISENSTEIN).  g / f_res are
     None in the cases where the artifact does not track them.
+
+    upper and lower are the context's filtrations, built on first use
+    and kept as long as the context lives.  A build that raises is not
+    kept, so the next read builds (and raises) again.
     """
 
     p: int
@@ -138,6 +152,14 @@ class PrimeLocalContext:
         if self.case in (UNIT, EISENSTEIN):
             return GroupDesc(self.p, self.r, self.s)
         return None
+
+    @cached_property
+    def upper(self):
+        return upper_filtration(self)
+
+    @cached_property
+    def lower(self):
+        return lower_filtration(self)
 
 
 def wild_context(p, r, s, case, vp_a):
@@ -458,11 +480,11 @@ def _assert_lower_claims(ctx, low):
 
 
 def lower_filtration(ctx):
-    """Lower-numbering filtration: the psi-image of the canonical upper
-    one.  All breaks must come out integral, and the closed lower-index
-    pairs of the standard families must hold as membership statements;
-    either failing is an internal inconsistency, not an input error."""
-    up = upper_filtration(ctx)
+    """Lower-numbering filtration: the psi-image of ctx.upper.  All
+    breaks must come out integral, and the closed lower-index pairs of
+    the standard families must hold as membership statements; either
+    failing is an internal inconsistency, not an input error."""
+    up = ctx.upper
     if ctx.case in (UNRAMIFIED, TAME):
         return Filtration(None, LOWER, up.steps)
     low = psi_transform(up)
@@ -581,7 +603,7 @@ def global_ram(m, a):
     """
     violations = validate(m, a)
     if violations:
-        raise ValueError("; ".join(violations))
+        raise HypothesisError(violations)
     out = []
     primes = sorted(set(factorint(m)) | set(factorint(abs(a))))
     for p in primes:
@@ -608,10 +630,9 @@ def unit_corner_note(ctx):
     last break), so they are not tight.  The canonical filtration's last
     positive upper break is 1/(p-1).  Returns a note string, or None."""
     if ctx.case == UNIT and ctx.r == 1 and ctx.s == 1:
-        up = upper_filtration(ctx)
         return (
             f"r=s=1 corner at p={ctx.p}: closed tail pairs are non-tight "
-            f"(trivial group); canonical last upper break {frac_str(last_break(up))}"
+            f"(trivial group); canonical last upper break {frac_str(last_break(ctx.upper))}"
         )
     return None
 
@@ -636,8 +657,7 @@ def _roundtrip_grid(low, up, p):
 
 def herbrand_roundtrip_check(ctx):
     """psi and phi are mutually inverse, exactly, on a dense grid."""
-    up = upper_filtration(ctx)
-    low = lower_filtration(ctx)
+    up, low = ctx.upper, ctx.lower
     if ctx.case in (UNRAMIFIED, TAME):
         return True
     for u in _roundtrip_grid(low, up, ctx.p):
@@ -664,7 +684,7 @@ def tower_step_check(ctx):
     whose break equals step_break(i)."""
     if ctx.case not in (UNIT, EISENSTEIN) or ctx.s == 0:
         return True
-    low = lower_filtration(ctx)
+    low = ctx.lower
     p, s = ctx.p, ctx.s
     for i in range(1, s + 1):
         h_prev = SubgroupDesc(s - i + 1, 1)
@@ -686,9 +706,8 @@ def cyclotomic_quotient_check(ctx):
     if ctx.case not in (UNIT, EISENSTEIN):
         return True
     G = ctx.group()
-    up = upper_filtration(ctx)
-    q = quotient_filtration(up, SubgroupDesc(G.s, G.r))
-    expected = upper_filtration(wild_context(ctx.p, ctx.r, 0, UNIT, 0))
+    q = quotient_filtration(ctx.upper, SubgroupDesc(G.s, G.r))
+    expected = wild_context(ctx.p, ctx.r, 0, UNIT, 0).upper
     if len(q.steps) != len(expected.steps):
         return False
     for (b1, h1), (b2, h2) in zip(q.steps, expected.steps):
@@ -705,7 +724,7 @@ def ramification_checks(ctx):
     """Named self-checks for the verification report."""
 
     def integral():
-        low = lower_filtration(ctx)  # asserts integrality + printed claims
+        low = ctx.lower  # asserts integrality + printed claims
         return all(b.denominator == 1 for b, _ in low.steps), ""
 
     checks = run_checks([

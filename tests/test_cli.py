@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, canonical JSON."""
 
+import ast
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radical_ram
-from radical_ram import arith, chartab, cli, conductor, oracle
+from radical_ram import arith, chartab, cli, conductor, oracle, ramfil
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc
 
@@ -121,6 +122,27 @@ def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "2", "3")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_analyze_derives_each_prime_once(capsys, monkeypatch):
+    """analyze 2 2401 has one tame prime (2) and one wild prime (7).  Each
+    gets one upper and one lower filtration, the input is validated once,
+    and factorint runs on m in validate, then on m and |a| in global_ram."""
+    counts = {}
+    for name in ("upper_filtration", "lower_filtration", "validate", "factorint"):
+        real = getattr(ramfil, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        for module in (ramfil, cli, conductor):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    for argv in (["analyze", "2", "2401"], ["analyze", "2", "2401", "--json"]):
+        counts.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert counts == {"upper_filtration": 2, "lower_filtration": 2, "validate": 1, "factorint": 3}
 
 
 SEMIPRIME_45 = (10**22 + 9) * (3 * 10**22 + 29)  # two 23-digit prime factors
@@ -542,6 +564,24 @@ sys.stdout.write(json.dumps([code, loaded]))
 def test_cli_imports_neither_sympy_nor_numpy():
     """numpy is imported by verify only, and sympy not at all."""
     assert json.loads(_run_python(IMPORTS_AFTER_ANALYZE)) == [0, [[], []]]
+
+
+def test_src_modules_use_every_name_they_import():
+    """Every name a module imports is read somewhere in it.  __init__.py
+    imports names to re-export them and is exempt."""
+    unused = []
+    for path in sorted(Path(radical_ram.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 GOLDEN_WITHOUT_SYMPY = """

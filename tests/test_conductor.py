@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from radical_ram import conductor
+from radical_ram import conductor, ramfil
 from radical_ram.chartab import character_table, count_by
 from radical_ram.conductor import (
     ConductorRecord,
@@ -37,6 +37,7 @@ from radical_ram.ramfil import (
     classify_prime,
     different_sum,
     lower_filtration,
+    ramification_checks,
     upper_filtration,
 )
 
@@ -360,6 +361,24 @@ def test_conductor_checks_table_failure_fails_every_row(monkeypatch):
     assert [row["status"] for row in rows] == ["fail"] * 3
     assert all(row["detail"] == "conductor mismatch" for row in rows)
     assert len(calls) == 3
+
+
+def test_failed_filtration_build_is_not_cached(monkeypatch):
+    """A lower filtration whose printed claims fail is not kept on its
+    context: every check that reads it builds it again and reports its
+    own fail row."""
+
+    def broken(filt, index, sd):
+        raise AssertionError("claim broken")
+
+    monkeypatch.setattr(ramfil, "_claim", broken)
+    ctx = unit_ctx(3, 2, 1)
+    rows = {row["name"]: row for row in ramification_checks(ctx) + conductor_checks(ctx)}
+    for name in ("lower_breaks_integral", "herbrand_roundtrip", "tower_step_breaks",
+                 "discriminant_three_routes"):
+        assert rows[name]["status"] == "fail"
+        assert "claim broken" in rows[name]["detail"]
+    assert "lower" not in vars(ctx)
 
 
 def test_conductor_json_shape():

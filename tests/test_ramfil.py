@@ -547,8 +547,9 @@ def test_global_ram_prime_power_m():
 
 
 def test_global_ram_rejects_violations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         global_ram(3, 8)
+    assert exc.value.violations == validate(3, 8)
 
 
 def test_filtration_json_shape():
