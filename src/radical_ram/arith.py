@@ -30,11 +30,17 @@ DEFAULT_MAX_ORDER = 200000
 
 def resolve_max_order(max_order=None):
     """The largest group order a brute-force pass may enumerate: the
-    argument, else env RADICAL_RAM_MAX_ORDER, else DEFAULT_MAX_ORDER."""
+    argument, else env RADICAL_RAM_MAX_ORDER, else DEFAULT_MAX_ORDER.
+    An env value that is not an integer raises ValueError."""
     if max_order is not None:
         return max_order
     env = os.environ.get("RADICAL_RAM_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"RADICAL_RAM_MAX_ORDER must be an integer (got {env!r})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ contains every root needed by the brute-force induction sums.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,6 +223,26 @@ def count_by(k, t, G):
     return (p - 1) * p ** (t - k - 1)
 
 
+def census(G):
+    """{(level, prim_degree): count_by} over the non-empty buckets, in
+    (level, prim_degree) order: everything a conductor reads of the table."""
+    return {(k, t): n for k in range(G.s + 1) for t in range(G.r + 1) if (n := count_by(k, t, G))}
+
+
+def census_mismatch(G, characters):
+    """None when the (level, prim_degree) histogram of `characters` is
+    the closed census count_by, else the first bucket that differs."""
+    seen = Counter((chi.level, chi.prim_degree) for chi in characters)
+    for k in range(G.s + 1):
+        for t in range(G.r + 1):
+            n, want = seen.pop((k, t), 0), count_by(k, t, G)
+            if n != want:
+                return f"(level {k}, prim_degree {t}): {n} characters, census {want}"
+    if seen:
+        return f"characters outside the census: {sorted(seen)}"
+    return None
+
+
 def rou_sum(s_prime, p, r):
     """Sum over all units tau mod p^r of zeta_{p^{s'}}^tau, computed by
     honest summation in Z[zeta_{p^r(p-1)}]."""
@@ -241,16 +262,14 @@ def rou_sum_closed(s_prime, p, r):
     return 0
 
 
-def value_profiles(G, classes=None, table=None):
+def value_profiles(G):
     """Factorized value data for fast exact linear algebra: per character,
     an integer coefficient and a twist exponent (mod phi(p^r)) on every
     class.  chi(class j) = coeffs[j] * zeta_{m0}^{exps[j]} exactly.
     Rows of one level share their coefficient list and rows of one twist
     their exponent list; callers must treat both as read-only."""
-    if classes is None:
-        classes = all_classes(G)
-    if table is None:
-        table = character_table(G)
+    classes = all_classes(G)
+    table = character_table(G)
     # the linear_exponent formula, with each class's discrete log taken once
     d = unit_decomp(G.p, G.r)
     m0 = twist_order(G)

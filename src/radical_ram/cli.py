@@ -21,19 +21,20 @@ more than arith.FACTOR_BUDGET Pollard-Brent steps).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, is_prime, resolve_max_order
-from .chartab import character_json, character_table, count_by, value_profiles
-from .conductor import census_mismatch, conductor_checks, conductor_json
+from .chartab import census, census_mismatch, character_json, character_table, twist_order
+from .chartab import value_profiles
+from .conductor import conductor_checks, conductor_json
 from .holomorph import GroupDesc, class_count
 from .ramfil import (
     EISENSTEIN,
     UNIT,
     HypothesisError,
-    PrimeLocalContext,
     filtration_json,
     global_ram,
     ramification_checks,
@@ -228,27 +229,8 @@ def canonical_json(obj):
 # analyze
 
 
-def _context_json(ctx: PrimeLocalContext):
-    return {
-        "p": ctx.p,
-        "r": ctx.r,
-        "vp_a": ctx.vp_a,
-        "case": ctx.case,
-        "s": ctx.s,
-        "g": ctx.g,
-        "e": ctx.e,
-        "f_res": ctx.f_res,
-    }
-
-
 def _count_by_summary(G):
-    rows = []
-    for k in range(G.s + 1):
-        for t in range(G.r + 1):
-            n = count_by(k, t, G)
-            if n:
-                rows.append({"level": k, "prim_degree": t, "count": n})
-    return rows
+    return [{"level": k, "prim_degree": t, "count": n} for (k, t), n in census(G).items()]
 
 
 def prime_block(gpd, characters):
@@ -259,7 +241,7 @@ def prime_block(gpd, characters):
     block = {
         "p": ctx.p,
         "case": ctx.case,
-        "context": _context_json(ctx),
+        "context": dataclasses.asdict(ctx),
         "e_global": gpd.e_global,
         "filtration": {
             "upper": filtration_json(ctx.upper),
@@ -339,12 +321,6 @@ def cmd_analyze(args):
             for v in exc.violations:
                 sys.stdout.write(f"violation: {v}\n")
         return EXIT_VIOLATION
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
-        return EXIT_RESOURCE
-    except AssertionError as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
-        return EXIT_INCONSISTENT
 
     if args.prime is not None:
         blocks = [b for b in report["primes"] if b["p"] == args.prime]
@@ -372,8 +348,7 @@ def cmd_analyze(args):
         if "conductors" in b and not b["conductors"]["v_p_disc"]["agree"]
     ]
     if bad:
-        sys.stderr.write(f"internal inconsistency: disagreement at p in {bad}\n")
-        return EXIT_INCONSISTENT
+        raise AssertionError(f"disagreement at p in {bad}")
     return EXIT_OK
 
 
@@ -396,16 +371,13 @@ def verify_sweep(ps, rs, s_filter, max_order):
                 if s > r:
                     continue
                 G = GroupDesc(p, r, s)
+                group = {"p": p, "r": r, "s": s, "order": G.order}
                 if G.order > max_order:
-                    results.append(
-                        {
-                            "group": {"p": p, "r": r, "s": s, "order": G.order},
-                            "skipped": f"order {G.order} exceeds bound {max_order}",
-                        }
-                    )
+                    skipped = f"order {G.order} exceeds bound {max_order}"
+                    results.append({"group": group, "skipped": skipped})
                     continue
                 entry = {
-                    "group": {"p": p, "r": r, "s": s, "order": G.order},
+                    "group": group,
                     "oracle": verification_report(G, max_order),
                     "unit_checks": _context_check_rows(wild_context(p, r, s, UNIT, 0)),
                 }
@@ -434,15 +406,14 @@ def cmd_verify(args, parser):
     if args.s is not None and args.r is not None and args.s > args.r:
         parser.error(f"--s {args.s} exceeds --r {args.r}")
 
-    max_order = resolve_max_order(args.max_order)
+    try:
+        max_order = resolve_max_order(args.max_order)
+    except ValueError as exc:
+        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        return EXIT_USAGE
     ps = [args.p] if args.p is not None else [3, 5, 7]
     rs = [args.r] if args.r is not None else [1, 2, 3]
-
-    try:
-        results = verify_sweep(ps, rs, args.s, max_order)
-    except AssertionError as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
-        return EXIT_INCONSISTENT
+    results = verify_sweep(ps, rs, args.s, max_order)
 
     n_pass = n_fail = n_skip = 0
     for entry in results:
@@ -485,7 +456,7 @@ def chartab_payload(G):
     classes, table, profiles = value_profiles(G)
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},
-        "root_of_unity_order": G.p ** (G.r - 1) * (G.p - 1),
+        "root_of_unity_order": twist_order(G),
         "classes": [
             {"u": c.representative.u, "beta": c.beta, "alpha": c.alpha, "size": c.size}
             for c in classes
@@ -516,16 +487,11 @@ def cmd_chartab(args, parser):
     if not 0 <= args.s <= args.r:
         parser.error(f"s must lie in 0..r (got s={args.s}, r={args.r})")
 
-    try:
-        G = GroupDesc(args.p, args.r, args.s)
-        payload = chartab_payload(G)
-    except AssertionError as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
-        return EXIT_INCONSISTENT
+    G = GroupDesc(args.p, args.r, args.s)
+    payload = chartab_payload(G)
     mismatch = census_mismatch(G, character_table(G))
     if mismatch is not None:
-        sys.stderr.write(f"internal inconsistency: character table against census: {mismatch}\n")
-        return EXIT_INCONSISTENT
+        raise AssertionError(f"character table against census: {mismatch}")
 
     if args.json:
         canonical_json(payload)
@@ -592,14 +558,22 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a resource limit or an internal inconsistency
+    raised by any of them is exit 4 or 3, with one line on stderr."""
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "verify":
-        return cmd_verify(args, args._sub)
-    assert args.command == "chartab"
-    return cmd_chartab(args, args._sub)
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "verify":
+            return cmd_verify(args, args._sub)
+        return cmd_chartab(args, args._sub)
+    except ResourceLimitError as exc:
+        sys.stderr.write(f"resource limit: {exc}\n")
+        return EXIT_RESOURCE
+    except AssertionError as exc:
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

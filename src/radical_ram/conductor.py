@@ -13,8 +13,8 @@ conductor exponent c(chi) is
     match a third, directly printed integer form.
 
 Since c(chi) depends on (level, primitive degree) alone, the checked
-value is computed once per non-empty (level, primitive degree) bucket of
-the closed census count_by (bucket_conductor); a character's record is
+value is computed once per (level, primitive degree) bucket of the
+closed census chartab.census (bucket_conductor); a character's record is
 its bucket's.  analyze reads the buckets; verify builds the per-character
 table and checks it against them.
 
@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import run_checks
-from .chartab import SubgroupDesc, character_table, count_by, null_subgroup, subgroup_contains
+from .chartab import SubgroupDesc, census, census_mismatch, character_table, count_by
+from .chartab import null_subgroup, subgroup_contains
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -135,15 +136,9 @@ def bucket_conductor(ctx, lev, pr, filt):
 
 
 def conductor_buckets(ctx):
-    """{(level, prim_degree): (c, f)} over the non-empty buckets of the
-    census, in (level, prim_degree) order."""
-    G = ctx.group()
-    return {
-        (k, t): bucket_conductor(ctx, k, t, ctx.upper)
-        for k in range(G.s + 1)
-        for t in range(G.r + 1)
-        if count_by(k, t, G)
-    }
+    """{(level, prim_degree): (c, f)} over the buckets of the census, in
+    (level, prim_degree) order."""
+    return {(k, t): bucket_conductor(ctx, k, t, ctx.upper) for k, t in census(ctx.group())}
 
 
 def artin_conductor(chi, ctx):
@@ -157,23 +152,6 @@ def artin_conductor(chi, ctx):
 def conductor_table(ctx):
     """ConductorRecords for the full character table, in table order."""
     return [artin_conductor(chi, ctx) for chi in character_table(ctx.group())]
-
-
-def census_mismatch(G, characters):
-    """None when the (level, prim_degree) histogram of `characters` is
-    the closed census count_by, else the first bucket that differs."""
-    seen = {}
-    for chi in characters:
-        key = (chi.level, chi.prim_degree)
-        seen[key] = seen.get(key, 0) + 1
-    for k in range(G.s + 1):
-        for t in range(G.r + 1):
-            n, want = seen.pop((k, t), 0), count_by(k, t, G)
-            if n != want:
-                return f"(level {k}, prim_degree {t}): {n} characters, census {want}"
-    if seen:
-        return f"characters outside the census: {sorted(seen)}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +169,7 @@ def disc_vp_local_sum(ctx, records=None):
 
 def _census_sum(ctx, buckets):
     G = ctx.group()
-    return sum(count_by(k, t, G) * _degree(ctx.p, k) * f for (k, t), (_, f) in buckets.items())
+    return sum(n * _degree(ctx.p, k) * buckets[k, t][1] for (k, t), n in census(G).items())
 
 
 def disc_vp_local_closed(ctx):

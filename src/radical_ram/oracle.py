@@ -94,19 +94,33 @@ def classes_bruteforce(G, max_order=None):
     return [np.sort(seg) for seg in np.split(order, cuts)]
 
 
-def _closed_class_index(G, classes=None):
+def _unit_alphas(G, units):
+    """The congruence level min(v_p(u - 1), r) of each unit (r for u = 1)."""
+    return np.array([min(vp(u - 1, G.p), G.r) if u != 1 else G.r for u in units])
+
+
+def _induced_coeffs(k, alpha, beta, p):
+    """The integer factor of a level-k induced character at depths
+    (alpha, beta), elementwise: p^(k-1)(p-1) where both reach k, -p^(k-1)
+    where alpha reaches k and beta is k-1, else 0.  Written out here, apart
+    from chartab, because it is what the checks below test chartab against."""
+    out = np.zeros(np.shape(beta), dtype=np.int64)
+    out[(alpha >= k) & (beta >= k)] = p ** (k - 1) * (p - 1)
+    out[(alpha >= k) & (beta == k - 1)] = -(p ** (k - 1))
+    return out
+
+
+def _closed_class_index(G):
     """For every element, the index of its closed-form class; also returns
     the class list used."""
-    if classes is None:
-        classes = all_classes(G)
+    classes = all_classes(G)
     units = unit_list(G)
     uidx = {u: j for j, u in enumerate(units)}
     lookup = np.full((len(units), G.s + 1), -1, dtype=np.int64)
     for n, c in enumerate(classes):
         lookup[uidx[c.representative.u], c.beta] = n
     I, U = element_grid(G)
-    alpha_u = np.array([min(vp(u - 1, G.p), G.r) if u != 1 else G.r for u in units])
-    cap = np.minimum(alpha_u, G.s)
+    cap = np.minimum(_unit_alphas(G, units), G.s)
     beta = np.minimum(_vp_capped(G.ps, G.p, G.s)[I], np.repeat(cap, G.ps))
     cidx = lookup[np.repeat(np.arange(len(units)), G.ps), beta]
     assert (cidx >= 0).all()
@@ -144,9 +158,8 @@ class DenseClassFunction:
     values: dict
 
     @staticmethod
-    def from_character(chi, G, classes=None):
-        classes = all_classes(G) if classes is None else classes
-        return DenseClassFunction(G, {c.key: char_value(chi, c, G) for c in classes})
+    def from_character(chi, G):
+        return DenseClassFunction(G, {c.key: char_value(chi, c, G) for c in all_classes(G)})
 
     def value(self, cls):
         return self.values[cls.key]
@@ -223,7 +236,7 @@ def frobenius_induction_check(p, r):
             return False, {"class_key": list(map(int, c.key)), "honest": got, "closed": closed}
     if zeta_order(big) <= 500:
         f = induce_from_cyclic(big)
-        g = DenseClassFunction.from_character(chi, big, classes)
+        g = DenseClassFunction.from_character(chi, big)
         for c in classes:
             if f.value(c) != g.value(c):
                 return False, {"class_key": list(map(int, c.key)), "reason": "big-ring mismatch"}
@@ -256,23 +269,14 @@ def _lift_check_detail(G, k):
     # The twist-independent integer factor must agree elementwise between a
     # level-k row upstairs and the pullback of the level-k row downstairs.
     I, U = element_grid(big)
-    units = unit_list(big)
-    alpha_u = np.array([min(vp(u - 1, G.p), G.r) if u != 1 else G.r for u in units])
-    alpha = np.repeat(alpha_u, big.ps)
+    alpha = np.repeat(_unit_alphas(big, unit_list(big)), big.ps)
     vp_big = _vp_capped(big.ps, G.p, big.s)[I]
     vp_small = _vp_capped(G.ps, G.p, G.s)[I % G.ps]
     beta_big = np.minimum(vp_big, np.minimum(alpha, big.s))
     beta_small = np.minimum(vp_small, np.minimum(alpha, G.s))
 
-    def coeff(beta):
-        deep = (alpha >= k) & (beta >= k)
-        crit = (alpha >= k) & (beta == k - 1)
-        out = np.zeros(len(I), dtype=np.int64)
-        out[deep] = G.p ** (k - 1) * (G.p - 1)
-        out[crit] = -(G.p ** (k - 1))
-        return out
-
-    mismatch = np.flatnonzero(coeff(beta_big) != coeff(beta_small))
+    coeff_big = _induced_coeffs(k, alpha, beta_big, G.p)
+    mismatch = np.flatnonzero(coeff_big != _induced_coeffs(k, alpha, beta_small, G.p))
     if len(mismatch):
         e = int(mismatch[0])
         return False, {"k": k, "element": [int(I[e]), int(U[e])]}
@@ -332,14 +336,6 @@ def orthogonality_check(G):
     ea = a_c * d.principal_order % m0
     eb = b_c * d.torsion_order % m0
 
-    def coeffs_at(k):
-        out = np.zeros(len(classes), dtype=np.int64)
-        deep = (alpha >= k) & (beta >= k)
-        crit = (alpha >= k) & (beta == k - 1)
-        out[deep] = p ** (k - 1) * (p - 1)
-        out[crit] = -(p ** (k - 1))
-        return out
-
     def binned_ok(weights, da, db, target):
         exps = (da * ea + db * eb) % m0
         vec = np.zeros(m0, dtype=np.int64)
@@ -349,7 +345,7 @@ def orthogonality_check(G):
         red = vec @ R
         return red[0] == target and not red[1:].any()
 
-    induced = {k: sizes * coeffs_at(k) for k in range(1, s + 1)}
+    induced = {k: sizes * _induced_coeffs(k, alpha, beta, p) for k in range(1, s + 1)}
 
     for da in range(p - 1):
         for db in range(p ** (r - 1)):
@@ -362,7 +358,7 @@ def orthogonality_check(G):
 
     for k1 in range(1, s + 1):
         for k2 in range(k1, s + 1):
-            w = sizes * coeffs_at(k1) * coeffs_at(k2)
+            w = induced[k1] * _induced_coeffs(k2, alpha, beta, p)
             for db in range(p ** (r - 1)):
                 # equal-level rows coincide precisely when the difference
                 # twist dies on the inducing subgroup
@@ -374,7 +370,7 @@ def orthogonality_check(G):
     # exact inner product, pair by pair
     if len(classes) <= 12:
         table = character_table(G)
-        funcs = [DenseClassFunction.from_character(chi, G, classes) for chi in table]
+        funcs = [DenseClassFunction.from_character(chi, G) for chi in table]
         n = zeta_order(G)
         for i, f in enumerate(funcs):
             for j, g in enumerate(funcs):
@@ -404,8 +400,8 @@ def null_subgroup_scan_check(G):
     the only shape the ramification filtration can probe anyway."""
     import math
 
-    classes, table, profiles = value_profiles(G)
-    _, cidx = _closed_class_index(G, classes)
+    _, table, profiles = value_profiles(G)
+    _, cidx = _closed_class_index(G)
     I, U = element_grid(G)
     d = unit_decomp(G.p, G.r)
     m0 = twist_order(G)

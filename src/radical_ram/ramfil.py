@@ -360,7 +360,7 @@ def _eisenstein_upper_entries(p, r):
 def upper_filtration(ctx):
     """Canonical upper-numbering ramification filtration of the local
     Galois group at ctx.p."""
-    if ctx.case == UNRAMIFIED:
+    if ctx.e == 1:  # unramified, or tame with m | v_p(a): trivial inertia
         return Filtration(None, UPPER, ())
     if ctx.case == TAME:
         return Filtration(None, UPPER, ((Fraction(0), CyclicInertia(ctx.e)),))
@@ -379,62 +379,55 @@ def upper_filtration(ctx):
 # --- Herbrand transforms ---------------------------------------------------
 
 
-def herbrand_phi(filt, u):
-    """phi(u) = integral_0^u dt / [G_0 : G_t] for a LOWER filtration.
-
-    Piecewise linear with slope |G_t| / |G_0| on each step (slope
-    1/|G_0| above the last break); exact in rationals.
-    """
-    assert filt.numbering == LOWER
-    u = Fraction(u)
-    assert u >= 0
+def _herbrand(filt, x, numbering, rate):
+    """integral_0^x rate(|G_t|, |G_0|) dt along a filtration in
+    `numbering`: piecewise linear with one slope per step (the trivial
+    group's above the last break); exact in rationals."""
+    assert filt.numbering == numbering
+    x = Fraction(x)
+    assert x >= 0
     base = order_at(filt, 0)
     total = Fraction(0)
     prev = Fraction(0)
     for b, h in filt.steps:
-        slope = Fraction(_step_order(h, filt.group), base)
-        if u <= b:
-            return total + (u - prev) * slope
+        slope = rate(_step_order(h, filt.group), base)
+        if x <= b:
+            return total + (x - prev) * slope
         total += (b - prev) * slope
         prev = b
-    return total + (u - prev) * Fraction(1, base)
+    return total + (x - prev) * rate(1, base)
+
+
+def herbrand_phi(filt, u):
+    """phi(u) = integral_0^u dt / [G_0 : G_t] for a LOWER filtration:
+    slope |G_t| / |G_0| on each step."""
+    return _herbrand(filt, u, LOWER, lambda order, base: Fraction(order, base))
 
 
 def herbrand_psi(filt, v):
     """psi(v) = integral_0^v [G^0 : G^w] dw for an UPPER filtration; the
     exact inverse of herbrand_phi on the matching lower filtration."""
-    assert filt.numbering == UPPER
-    v = Fraction(v)
-    assert v >= 0
-    base = order_at(filt, 0)
-    total = Fraction(0)
-    prev = Fraction(0)
-    for b, h in filt.steps:
-        step = Fraction(base, _step_order(h, filt.group))
-        if v <= b:
-            return total + (v - prev) * step
-        total += (b - prev) * step
-        prev = b
-    return total + (v - prev) * base
+    return _herbrand(filt, v, UPPER, lambda order, base: Fraction(base, order))
+
+
+def _transform(filt, source, target, herbrand):
+    """The `target` filtration with the breaks of `filt` sent through
+    `herbrand` and the groups unchanged."""
+    assert filt.numbering == source
+    entries = [(herbrand(filt, b), h) for b, h in filt.steps]
+    if filt.group is None:
+        return Filtration(None, target, tuple(entries))
+    return canonicalize(filt.group, target, entries)
 
 
 def psi_transform(filt):
-    """UPPER filtration -> the matching LOWER one (breaks through psi,
-    groups unchanged)."""
-    assert filt.numbering == UPPER
-    entries = [(herbrand_psi(filt, b), h) for b, h in filt.steps]
-    if filt.group is None:
-        return Filtration(None, LOWER, tuple(entries))
-    return canonicalize(filt.group, LOWER, entries)
+    """UPPER filtration -> the matching LOWER one (breaks through psi)."""
+    return _transform(filt, UPPER, LOWER, herbrand_psi)
 
 
 def phi_transform(filt):
     """LOWER filtration -> the matching UPPER one (breaks through phi)."""
-    assert filt.numbering == LOWER
-    entries = [(herbrand_phi(filt, b), h) for b, h in filt.steps]
-    if filt.group is None:
-        return Filtration(None, UPPER, tuple(entries))
-    return canonicalize(filt.group, UPPER, entries)
+    return _transform(filt, LOWER, UPPER, herbrand_phi)
 
 
 # --- printed lower-index membership checks ---------------------------------
@@ -656,16 +649,14 @@ def _roundtrip_grid(low, up, p):
 
 
 def herbrand_roundtrip_check(ctx):
-    """psi and phi are mutually inverse, exactly, on a dense grid."""
+    """psi and phi are mutually inverse, exactly: psi(phi(u)) = u on a
+    grid that proves it everywhere (_roundtrip_grid), and both are
+    increasing bijections of [0, oo), so phi(psi(v)) = v follows."""
     up, low = ctx.upper, ctx.lower
     if ctx.case in (UNRAMIFIED, TAME):
         return True
     for u in _roundtrip_grid(low, up, ctx.p):
-        v = herbrand_phi(low, u)
-        if herbrand_psi(up, v) != u:
-            return False
-        w = herbrand_psi(up, v)
-        if herbrand_phi(low, w) != v:
+        if herbrand_psi(up, herbrand_phi(low, u)) != u:
             return False
     # Breaks must correspond both ways.
     for b, h in up.steps:

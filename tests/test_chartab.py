@@ -17,6 +17,7 @@ from radical_ram.chartab import (
     canonical_monomial,
     char_monomial,
     char_value,
+    census,
     character_json,
     character_table,
     count_by,
@@ -294,6 +295,7 @@ def test_count_by_matches_histogram(G):
         for t in range(G.r + 1):
             assert count_by(k, t, G) == hist.get((k, t), 0), (k, t)
     assert sum(hist.values()) == class_count(G)
+    assert list(census(G).items()) == sorted(hist.items())
 
 
 def test_count_by_examples():

@@ -49,6 +49,14 @@ def test_analyze_basic(capsys):
     assert "sum=7, closed=7, different=7, agree=true" in out
 
 
+@pytest.mark.parametrize("a,m", [(40, 3), (2, 1)])
+def test_analyze_tame_prime_with_trivial_inertia_prints_trivial(capsys, a, m):
+    code, out, _ = run(capsys, "analyze", str(a), str(m))
+    assert code == 0
+    block = out.split("prime 2: TAME")[1].split("prime ")[0]
+    assert "upper filtration: (trivial)" in block and "lower filtration: (trivial)" in block
+
+
 def test_analyze_perfect_power_rejected(capsys):
     code, out, _ = run(capsys, "analyze", "8", "3")
     assert code == 2
@@ -160,6 +168,33 @@ def test_analyze_factoring_budget_exits_4(capsys, a, m):
         assert err.startswith("resource limit: factorint: Pollard-Brent budget") and err.count("\n") == 1
 
 
+RAISING_STAGES = [
+    (["analyze", "2", "9"], "build_report"),
+    (["verify", "--p", "3", "--r", "1"], "verify_sweep"),
+    (["chartab", "3", "1", "1"], "chartab_payload"),
+]
+
+
+@pytest.mark.parametrize("argv,stage", RAISING_STAGES, ids=[argv[0] for argv, _ in RAISING_STAGES])
+@pytest.mark.parametrize(
+    "exc,code,err",
+    [
+        (AssertionError("x"), 3, "internal inconsistency: x\n"),
+        (arith.ResourceLimitError("y"), 4, "resource limit: y\n"),
+    ],
+    ids=["inconsistent", "resource"],
+)
+def test_every_subcommand_maps_exceptions_to_exit_codes(capsys, monkeypatch, argv, stage, exc, code, err):
+    """cli.main maps an internal inconsistency to exit 3 and a resource
+    limit to exit 4, for every subcommand, with one line on stderr."""
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, stage, raising)
+    assert run(capsys, *argv) == (code, "", err)
+
+
 def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
     """A split that does not divide is an internal inconsistency."""
     monkeypatch.setattr(arith, "_rho_divisor", lambda c, budget: (1009, budget))
@@ -186,8 +221,8 @@ def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
 
 def _census_moved(monkeypatch):
     """count_by of (3,2,1) with one character moved from bucket (0, 2)
-    to bucket (0, 1), as conductor sees it."""
-    real = conductor.count_by
+    to bucket (0, 1), in chartab, the census's one home."""
+    real = chartab.count_by
     small = GroupDesc(3, 2, 1)
 
     def moved(k, t, G):
@@ -198,7 +233,7 @@ def _census_moved(monkeypatch):
             return n + 1
         return n
 
-    monkeypatch.setattr(conductor, "count_by", moved)
+    monkeypatch.setattr(chartab, "count_by", moved)
 
 
 def test_analyze_detects_a_census_moved_between_buckets(capsys, monkeypatch):
@@ -291,6 +326,13 @@ def test_verify_respects_max_order(capsys):
     )
     assert code == 0
     assert "SKIP" in out and "exceeds bound 1000" in out
+
+
+def test_verify_bad_env_bound_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", "abc")
+    code, out, err = run(capsys, "verify", "--p", "3", "--r", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "RADICAL_RAM_MAX_ORDER" in err
 
 
 def test_verify_env_bound(capsys, monkeypatch):

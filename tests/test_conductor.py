@@ -13,14 +13,13 @@ from fractions import Fraction
 import pytest
 
 from radical_ram import conductor, ramfil
-from radical_ram.chartab import character_table, count_by
+from radical_ram.chartab import census_mismatch, character_table, count_by
 from radical_ram.conductor import (
     ConductorRecord,
     artin_conductor,
     bucket_conductor,
     c_exp_closed,
     c_exp_definitional,
-    census_mismatch,
     conductor_buckets,
     conductor_checks,
     conductor_json,

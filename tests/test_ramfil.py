@@ -337,6 +337,16 @@ def test_unramified_and_tame_filtrations():
     assert low.numbering == LOWER and different_sum(low) == 4  # classical tame e - 1
 
 
+@pytest.mark.parametrize("p,m,a", [(2, 3, 40), (2, 1, 2)])
+def test_tame_prime_with_trivial_inertia_has_no_step(p, m, a):
+    """m | v_p(a) makes e = 1: the filtration is trivial, like an
+    unramified prime's, not a step of order 1."""
+    ctx = classify_prime(p, m, a)
+    assert ctx.case == TAME and ctx.e == 1
+    assert ctx.upper.steps == () and ctx.lower.steps == ()
+    assert different_sum(ctx.lower) == 0
+
+
 # ---------------------------------------------------------------------------
 # Herbrand transforms.
 
