@@ -19,7 +19,6 @@ import numpy as np
 def orbit_roots(perms):
     """Component label (minimal member index) for each element."""
     perms = np.ascontiguousarray(perms, dtype=np.int64)
-    assert perms.ndim == 2
     labels = np.arange(perms.shape[1], dtype=np.int64)
     # include inverse permutations so min-labels flow both ways along edges
     directed = list(perms)

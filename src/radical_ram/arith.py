@@ -6,8 +6,9 @@ root of unity: an element of Z[zeta_N] is carried as an integer vector on
 the group ring of mu_N and compared after reduction modulo the N-th
 cyclotomic polynomial.
 
-It also holds the one runner that turns named self-checks into report
-rows, because every checking module can import it from here.
+It also holds ensure, the one way a cross-check fails, and the one
+runner that turns named self-checks into report rows, because every
+checking module can import them from here.
 """
 
 from __future__ import annotations
@@ -30,17 +31,22 @@ DEFAULT_MAX_ORDER = 200000
 
 def resolve_max_order(max_order=None):
     """The largest group order a brute-force pass may enumerate: the
-    argument, else env RADICAL_RAM_MAX_ORDER, else DEFAULT_MAX_ORDER.
-    An env value that is not an integer raises ValueError."""
-    if max_order is not None:
-        return max_order
-    env = os.environ.get("RADICAL_RAM_MAX_ORDER")
-    if not env:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"RADICAL_RAM_MAX_ORDER must be an integer (got {env!r})") from None
+    argument (verify's --max-order), else env RADICAL_RAM_MAX_ORDER, else
+    DEFAULT_MAX_ORDER.  A bound below 1 or an env value that is not an
+    integer raises ValueError naming its source."""
+    source = "--max-order"
+    if max_order is None:
+        env = os.environ.get("RADICAL_RAM_MAX_ORDER")
+        if not env:
+            return DEFAULT_MAX_ORDER
+        source = "RADICAL_RAM_MAX_ORDER"
+        try:
+            max_order = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer (got {env!r})") from None
+    if max_order < 1:
+        raise ValueError(f"{source} must be at least 1 (got {max_order})")
+    return max_order
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +232,14 @@ def factorint(n):
         while c >= TRIAL_LIMIT * TRIAL_LIMIT and not is_prime(c):
             d, budget = _rho_divisor(c, budget)
             c = min(d, c // d)
-        if m % c:
-            raise AssertionError(f"factorint({n}): the split-off factor {c} does not divide {m}")
+        ensure(m % c == 0, "factorint({}): the split-off factor {} does not divide {}", n, c, m)
         k = 0
         while m % c == 0:
             m //= c
             k += 1
         out[c] = k
-    if prod(q**k for q, k in out.items()) != n or not all(map(is_prime, out)):
-        raise AssertionError(f"factorint({n}) gave {out}, which is not its prime factorization")
+    ensure(prod(q**k for q, k in out.items()) == n and all(map(is_prime, out)),
+           "factorint({}) gave {}, which is not its prime factorization", n, out)
     return out
 
 
@@ -295,7 +300,7 @@ class UnitGroupDecomp:
                     logs[u] = (a, b)
                     u = (u * self.principal_gen) % self.modulus
                 t = (t * self.torsion_gen) % self.modulus
-            assert len(logs) == self.torsion_order * self.principal_order
+            ensure(len(logs) == self.torsion_order * self.principal_order)
             self._logs = logs
         return self._logs
 
@@ -333,7 +338,6 @@ def compute_s(a, p, r):
     if t == 0:
         return 0
     v = vp(t, p)
-    assert 1 <= v <= r
     return r + 1 - v
 
 
@@ -356,7 +360,6 @@ def cyclotomic_poly(n):
     for d in range(1, n):
         if n % d == 0:
             num = _polydiv_exact(num, list(cyclotomic_poly(d)))
-    assert num[-1] == 1
     return tuple(num)
 
 
@@ -365,7 +368,6 @@ def _polydiv_exact(num, den):
     divisor must be monic here, and the remainder must vanish."""
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
-    assert den[-1] == 1
     quot = [0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
         c = num[k + dd]
@@ -373,7 +375,7 @@ def _polydiv_exact(num, den):
             quot[k] = c
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    ensure(all(c == 0 for c in num), "non-exact polynomial division")
     return quot
 
 
@@ -415,7 +417,7 @@ class CycInt:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.order
+        ensure(len(self.coeffs) == self.order)
 
     # -- constructors -------------------------------------------------------
 
@@ -542,6 +544,14 @@ class CycInt:
 
 # ---------------------------------------------------------------------------
 # Named self-checks.
+
+
+def ensure(ok, template="", *args):
+    """Raise AssertionError(template.format(*args)) unless ok: the one
+    way a cross-check fails, also under python -O.  The message is
+    formatted only on failure."""
+    if not ok:
+        raise AssertionError(template.format(*args))
 
 
 def run_checks(checks):

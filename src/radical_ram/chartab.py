@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import CycInt, discrete_log, unit_decomp, vp
+from .arith import CycInt, discrete_log, ensure, unit_decomp, vp
 from .holomorph import GroupDesc, all_classes, class_count
 
 
@@ -136,8 +136,8 @@ def character_table(G):
             tw = (0, b)
             pd = max(k, prim_degree(tw, G))
             out.append(Character(G, "induced", tw, deg, k, pd))
-    assert len(out) == class_count(G)
-    assert sum(chi.degree**2 for chi in out) == G.order
+    ensure(len(out) == class_count(G))
+    ensure(sum(chi.degree**2 for chi in out) == G.order)
     return out
 
 
@@ -246,7 +246,7 @@ def census_mismatch(G, characters):
 def rou_sum(s_prime, p, r):
     """Sum over all units tau mod p^r of zeta_{p^{s'}}^tau, computed by
     honest summation in Z[zeta_{p^r(p-1)}]."""
-    assert 0 <= s_prime <= r
+    ensure(0 <= s_prime <= r)
     n = p**r * (p - 1)
     step = n // p**s_prime
     pairs = [(1, tau * step) for tau in range(p**r) if tau % p]

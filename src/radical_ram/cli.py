@@ -26,7 +26,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, is_prime, resolve_max_order
+from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, ensure, is_prime, resolve_max_order
 from .chartab import census, census_mismatch, character_json, character_table, twist_order
 from .chartab import value_profiles
 from .conductor import conductor_checks, conductor_json
@@ -347,8 +347,7 @@ def cmd_analyze(args):
         for b in report["primes"]
         if "conductors" in b and not b["conductors"]["v_p_disc"]["agree"]
     ]
-    if bad:
-        raise AssertionError(f"disagreement at p in {bad}")
+    ensure(not bad, "disagreement at p in {}", bad)
     return EXIT_OK
 
 
@@ -490,8 +489,7 @@ def cmd_chartab(args, parser):
     G = GroupDesc(args.p, args.r, args.s)
     payload = chartab_payload(G)
     mismatch = census_mismatch(G, character_table(G))
-    if mismatch is not None:
-        raise AssertionError(f"character table against census: {mismatch}")
+    ensure(mismatch is None, "character table against census: {}", mismatch)
 
     if args.json:
         canonical_json(payload)

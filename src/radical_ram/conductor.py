@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import run_checks
+from .arith import ensure, run_checks
 from .chartab import SubgroupDesc, census, census_mismatch, character_table, count_by
 from .chartab import null_subgroup, subgroup_contains
 from .ramfil import (
@@ -55,7 +55,7 @@ class ConductorRecord:
 def c_exp_definitional(chi, filt):
     """Largest break b of the canonical upper filtration with G^b not
     inside the null subgroup of chi; -1 for the trivial character."""
-    assert filt.numbering == UPPER and filt.group == chi.group
+    ensure(filt.numbering == UPPER and filt.group == chi.group)
     return _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
 
 
@@ -66,19 +66,19 @@ def _c_definitional(gr, trivial, filt):
     for b, h in filt.steps:
         if not subgroup_contains(gr, h, filt.group):
             best = max(best, b)
-    assert best >= 0, "a nontrivial character must be detected by some break"
+    ensure(best >= 0, "a nontrivial character must be detected by some break")
     return best
 
 
 def _c_closed(case, p, lev, pr):
     if lev == 0:
         return Fraction(pr - 1)
-    assert 1 <= lev <= pr
+    ensure(1 <= lev <= pr)
     if case == UNIT:
         if lev < pr:
             return Fraction(pr - 1)
         return Fraction(pr - 1) + Fraction(1, p - 1)
-    assert case == EISENSTEIN
+    ensure(case == EISENSTEIN)
     if lev + 2 <= pr:
         return Fraction(pr - 1)
     return Fraction(lev) + Fraction(1, p - 1)
@@ -119,19 +119,17 @@ def bucket_conductor(ctx, lev, pr, filt):
     Disagreement is an internal inconsistency (it would falsify either
     the filtration canonicalization or the closed conductor data), hence
     an AssertionError."""
-    assert ctx.case in (UNIT, EISENSTEIN)
+    ensure(ctx.case in (UNIT, EISENSTEIN))
     G = ctx.group()
-    assert filt.numbering == UPPER and filt.group == G
+    ensure(filt.numbering == UPPER and filt.group == G)
     c_def = _c_definitional(SubgroupDesc(G.s - lev, pr), (lev, pr) == (0, 0), filt)
     c_clo = _c_closed(ctx.case, ctx.p, lev, pr)
-    assert c_def == c_clo, (
-        f"conductor mismatch at p={ctx.p} r={ctx.r} s={ctx.s} {ctx.case}: "
-        f"definitional {c_def} != closed {c_clo} for lev={lev}, pr={pr}"
-    )
+    ensure(c_def == c_clo, "conductor mismatch at p={0.p} r={0.r} s={0.s} {0.case}: "
+           "definitional {1} != closed {2} for lev={3}, pr={4}", ctx, c_def, c_clo, lev, pr)
     f = _degree(ctx.p, lev) * (1 + c_clo)
-    assert f.denominator == 1 and f >= 0, f"Artin conductor {f} must be a non-negative integer"
+    ensure(f.denominator == 1 and f >= 0, "Artin conductor {} must be a non-negative integer", f)
     f_val = int(f)
-    assert f_val == _f_printed(ctx.case, ctx.p, lev, pr)
+    ensure(f_val == _f_printed(ctx.case, ctx.p, lev, pr))
     return c_clo, f_val
 
 
@@ -144,8 +142,8 @@ def conductor_buckets(ctx):
 def artin_conductor(chi, ctx):
     """Conductor record for chi: its bucket's (c, f).  The bucket's f is
     deg * (1 + c) for the degree of chi's level, which must be chi's."""
-    assert chi.group == ctx.upper.group  # bucket_conductor checks it is ctx.group()
-    assert chi.degree == _degree(ctx.p, chi.level), f"deg {chi.degree} does not fit level {chi.level}"
+    ensure(chi.group == ctx.upper.group)  # bucket_conductor checks it is ctx.group()
+    ensure(chi.degree == _degree(ctx.p, chi.level), "deg {} does not fit level {}", chi.degree, chi.level)
     return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, ctx.upper))
 
 
@@ -180,7 +178,7 @@ def disc_vp_local_closed(ctx):
                      - p (p^(2r-3)+1)/(p+1), evaluated in exact
     rationals because p^(2r-3) is a negative power at r = 1; the result
     must still be an integer."""
-    assert ctx.case in (UNIT, EISENSTEIN)
+    ensure(ctx.case in (UNIT, EISENSTEIN))
     p, r, s = ctx.p, ctx.r, ctx.s
     if ctx.case == UNIT:
         val = Fraction(p**s * (r * p**r - (r + 1) * p ** (r - 1))) + Fraction(
@@ -192,7 +190,7 @@ def disc_vp_local_closed(ctx):
             + Fraction(p) * Fraction(p ** (2 * r) - 1, p + 1)
             - Fraction(p) * (Fraction(p) ** (2 * r - 3) + 1) / (p + 1)
         )
-    assert val.denominator == 1 and val >= 0, f"closed discriminant {val} must be an integer"
+    ensure(val.denominator == 1 and val >= 0, "closed discriminant {} must be an integer", val)
     return int(val)
 
 
@@ -206,7 +204,7 @@ def disc_subtotals(ctx):
       near_boundary  the excess on lev = pr - 1 (Eisenstein only).
 
     Every character's deg * f splits exactly across these buckets."""
-    assert ctx.case in (UNIT, EISENSTEIN)
+    ensure(ctx.case in (UNIT, EISENSTEIN))
     p, r, s = ctx.p, ctx.r, ctx.s
     G = ctx.group()
     linear = sum(count_by(0, t, G) * t for t in range(r + 1))
@@ -236,7 +234,7 @@ def disc_subtotals(ctx):
 
 def disc_subtotals_closed(ctx):
     """Closed forms of the four partial sums."""
-    assert ctx.case in (UNIT, EISENSTEIN)
+    ensure(ctx.case in (UNIT, EISENSTEIN))
     p, r, s = ctx.p, ctx.r, ctx.s
     linear = r * p**r - (r + 1) * p ** (r - 1)
     main = Fraction((p**s - 1) * linear) + Fraction(p ** (2 * s) - 1, p + 1)
@@ -247,7 +245,7 @@ def disc_subtotals_closed(ctx):
         boundary = Fraction(p) * Fraction(p ** (2 * s) - 1, p + 1)
         near = Fraction(p - 1) * Fraction(p ** (2 * s - 2) - 1, p + 1)
     out = {"linear": Fraction(linear), "induced_main": main, "boundary": boundary, "near_boundary": near}
-    assert all(v.denominator == 1 for v in out.values())
+    ensure(all(v.denominator == 1 for v in out.values()))
     return {k: int(v) for k, v in out.items()}
 
 
@@ -259,8 +257,8 @@ def disc_vp_global(m, a, p):
     p^r [r p^r - (r+1) p^(r-1)] + 2 (p^(r+s) - p^(r-s))/(p+1).
     Eisenstein case: totally ramified, global = local."""
     ctx = classify_prime(p, m, a)
-    assert ctx.case in (UNIT, EISENSTEIN), f"no wild data at p = {p}"
-    assert p**ctx.r == m, "the global closed form is stated for m = p^r"
+    ensure(ctx.case in (UNIT, EISENSTEIN), "no wild data at p = {}", p)
+    ensure(p**ctx.r == m, "the global closed form is stated for m = p^r")
     local = disc_vp_local_closed(ctx)
     if ctx.case == EISENSTEIN:
         return local
@@ -269,10 +267,8 @@ def disc_vp_global(m, a, p):
     closed = Fraction(p**r * (r * p**r - (r + 1) * p ** (r - 1))) + Fraction(
         2 * (p ** (r + s) - p ** (r - s)), p + 1
     )
-    assert closed.denominator == 1 and int(closed) == total, (
-        f"global discriminant routes disagree at p={p}, r={r}, s={s}: "
-        f"{total} vs {closed}"
-    )
+    ensure(closed.denominator == 1 and int(closed) == total,
+           "global discriminant routes disagree at p={}, r={}, s={}: {} vs {}", p, r, s, total, closed)
     return total
 
 
@@ -302,8 +298,7 @@ def conductor_json(ctx, characters=True):
         G = ctx.group()
         table = character_table(G)
         mismatch = census_mismatch(G, table)
-        if mismatch is not None:
-            raise AssertionError(f"character table against census at p={ctx.p}: {mismatch}")
+        ensure(mismatch is None, "character table against census at p={}: {}", ctx.p, mismatch)
         rows = {key: (frac_str(c), f) for key, (c, f) in buckets.items()}
         out["characters"] = []
         for chi in table:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, vp
+from .arith import ensure, is_prime, vp
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def all_classes(G):
         for beta in range(cap + 1):
             out.append(conj_class_of(HolomorphElement(pow(p, beta) % G.ps, u), G))
     out.sort(key=lambda c: (c.alpha, c.beta, c.representative.u))
-    assert sum(c.size for c in out) == G.order
+    ensure(sum(c.size for c in out) == G.order)
     return out
 
 
@@ -140,8 +140,7 @@ def class_count(G):
     """p^{r-1}(p-1) + p^{r-s}(p^s - 1)/(p-1) — one class per unit plus one
     more for each extra depth the cyclic part can take under that unit."""
     p, r, s = G.p, G.r, G.s
-    extra, num = divmod(p**s - 1, p - 1)
-    assert num == 0
+    extra = (p**s - 1) // (p - 1)
     return p ** (r - 1) * (p - 1) + p ** (r - s) * extra
 
 

@@ -27,6 +27,7 @@ from .arith import (
     ResourceLimitError,
     _reduction_rows,
     discrete_log,
+    ensure,
     resolve_max_order,
     run_checks,
     unit_decomp,
@@ -123,7 +124,7 @@ def _closed_class_index(G):
     cap = np.minimum(_unit_alphas(G, units), G.s)
     beta = np.minimum(_vp_capped(G.ps, G.p, G.s)[I], np.repeat(cap, G.ps))
     cidx = lookup[np.repeat(np.arange(len(units)), G.ps), beta]
-    assert (cidx >= 0).all()
+    ensure((cidx >= 0).all())
     return classes, cidx
 
 
@@ -179,7 +180,7 @@ def induction_formula_at(G, i, u):
 def induce_from_cyclic(G):
     """Induction to the full group of the faithful cyclic character; only
     meaningful when the cyclic part has full length s = r."""
-    assert G.s == G.r
+    ensure(G.s == G.r)
     values = {}
     for c in all_classes(G):
         rep = c.representative
@@ -216,7 +217,7 @@ def frobenius_induction_check(p, r):
     """
     big = GroupDesc(p, r, r)
     rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
-    assert len(rows) == 1 and rows[0].twist == (0, 0)
+    ensure(len(rows) == 1 and rows[0].twist == (0, 0))
     chi = rows[0]
     classes = all_classes(big)
     for c in classes:
@@ -263,7 +264,7 @@ def _kernel_trivial_census(G):
 
 
 def _lift_check_detail(G, k):
-    assert 1 <= k <= G.s
+    ensure(1 <= k <= G.s)
     big = GroupDesc(G.p, G.r, G.r)
 
     # The twist-independent integer factor must agree elementwise between a
@@ -287,10 +288,12 @@ def _lift_check_detail(G, k):
     big_rows = {c.twist: c for c in character_table(big) if c.level == k and c.kind == "induced"}
     if set(small_rows) != set(big_rows):
         return False, {"k": k, "reason": "twist sets differ"}
+    # a class's pullback does not depend on the twist: take it once per class
+    pulled = [(c, conj_class_of(element(G, c.representative.i % G.ps, c.representative.u), G))
+              for c in all_classes(big)]
     for tw, chi_big in big_rows.items():
         chi_small = small_rows[tw]
-        for c in all_classes(big):
-            down = conj_class_of(element(G, c.representative.i % G.ps, c.representative.u), G)
+        for c, down in pulled:
             if char_monomial(chi_big, c, big) != char_monomial(chi_small, down, G):
                 return False, {"k": k, "twist": list(tw), "class_key": list(map(int, c.key))}
 
@@ -341,7 +344,7 @@ def orthogonality_check(G):
         vec = np.zeros(m0, dtype=np.int64)
         np.add.at(vec, exps, weights)
         # weights stay far inside int64: sizes*degrees^2 over one group
-        assert int(np.abs(vec).sum()) * max_r < 2**62
+        ensure(int(np.abs(vec).sum()) * max_r < 2**62)
         red = vec @ R
         return red[0] == target and not red[1:].any()
 

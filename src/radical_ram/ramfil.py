@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import compute_s, factorint, integer_nthroot, is_prime, run_checks, vp
+from .arith import compute_s, ensure, factorint, integer_nthroot, is_prime, run_checks, vp
 from .chartab import (
     SubgroupDesc,
     subgroup_eq,
@@ -195,11 +195,9 @@ def classify_prime(p, m, a):
         if v == 0:
             return PrimeLocalContext(p, 0, 0, UNRAMIFIED, 0, None, 1, None)
         e = m // math.gcd(m, v)
-        assert e % p != 0, "tame index must be prime to p"
         return PrimeLocalContext(p, 0, v, TAME, 0, None, e, None)
 
-    # p | m, so p is odd and r >= 1.
-    assert p % 2 == 1
+    # p | m, so r >= 1 (p = 2 is rejected by GroupDesc and compute_s).
     if v > 0 and v % p != 0:
         # Bezout twist: some a^x * p^(y*p^r) has valuation exactly 1, and
         # it generates the same radical extension locally.
@@ -207,7 +205,6 @@ def classify_prime(p, m, a):
     if v % p**r == 0:
         # Includes v = 0.  Strip the p-part; what remains is a unit at p.
         a_unit = a // p**v
-        assert a_unit % p != 0 and a_unit not in (0,)
         if a_unit in (1, -1):
             raise ValueError(
                 f"classify_prime: a = {a} is a pure {p}-power, excluded by validate"
@@ -263,11 +260,11 @@ def canonicalize(G, numbering, entries):
     decreasing orders, integer breaks in lower numbering, break
     denominators dividing p - 1 in upper numbering.
     """
-    assert numbering in (UPPER, LOWER)
+    ensure(numbering in (UPPER, LOWER))
     kept = []
     for b, h in entries:
         b = Fraction(b)
-        assert b >= 0, f"negative break {b}"
+        ensure(b >= 0, "negative break {}", b)
         h = subgroup_normal_form(h, G)
         if subgroup_order(h, G) == 1:
             continue
@@ -281,20 +278,17 @@ def canonicalize(G, numbering, entries):
             continue
         if merged:
             bp, hp = merged[-1]
-            assert b > bp, f"conflicting groups at break {b}"
+            ensure(b > bp, "conflicting groups at break {}", b)
         merged.append((b, h))
 
     orders = [subgroup_order(h, G) for _, h in merged]
-    assert all(o1 > o2 for o1, o2 in zip(orders, orders[1:])), (
-        "filtration orders must strictly decrease: " + repr(merged)
-    )
+    ensure(all(o1 > o2 for o1, o2 in zip(orders, orders[1:])),
+           "filtration orders must strictly decrease: {!r}", merged)
     for b, _ in merged:
         if numbering == LOWER:
-            assert b.denominator == 1, f"lower break {b} is not an integer"
+            ensure(b.denominator == 1, "lower break {} is not an integer", b)
         else:
-            assert (G.p - 1) % b.denominator == 0, (
-                f"upper break {b} has denominator not dividing p-1"
-            )
+            ensure((G.p - 1) % b.denominator == 0, "upper break {} has denominator not dividing p-1", b)
     return Filtration(G, numbering, tuple(merged))
 
 
@@ -302,7 +296,7 @@ def value_at(filt, t):
     """Group of the filtration at index t (None encodes the trivial group
     above the last break)."""
     t = Fraction(t)
-    assert t >= 0
+    ensure(t >= 0)
     for b, h in filt.steps:
         if t <= b:
             return h
@@ -368,11 +362,11 @@ def upper_filtration(ctx):
     if ctx.case == UNIT:
         entries = _unit_upper_entries(G.p, G.r, G.s)
     else:
-        assert ctx.case == EISENSTEIN and ctx.s == ctx.r
+        ensure(ctx.case == EISENSTEIN and ctx.s == ctx.r)
         entries = _eisenstein_upper_entries(G.p, G.r)
     filt = canonicalize(G, UPPER, entries)
-    assert filt.steps and filt.steps[0][0] == 0
-    assert _step_order(filt.steps[0][1], G) == ctx.e, "break-0 group must be inertia"
+    ensure(filt.steps and filt.steps[0][0] == 0)
+    ensure(_step_order(filt.steps[0][1], G) == ctx.e, "break-0 group must be inertia")
     return filt
 
 
@@ -383,9 +377,9 @@ def _herbrand(filt, x, numbering, rate):
     """integral_0^x rate(|G_t|, |G_0|) dt along a filtration in
     `numbering`: piecewise linear with one slope per step (the trivial
     group's above the last break); exact in rationals."""
-    assert filt.numbering == numbering
+    ensure(filt.numbering == numbering)
     x = Fraction(x)
-    assert x >= 0
+    ensure(x >= 0)
     base = order_at(filt, 0)
     total = Fraction(0)
     prev = Fraction(0)
@@ -413,7 +407,7 @@ def herbrand_psi(filt, v):
 def _transform(filt, source, target, herbrand):
     """The `target` filtration with the breaks of `filt` sent through
     `herbrand` and the groups unchanged."""
-    assert filt.numbering == source
+    ensure(filt.numbering == source)
     entries = [(herbrand(filt, b), h) for b, h in filt.steps]
     if filt.group is None:
         return Filtration(None, target, tuple(entries))
@@ -436,13 +430,11 @@ def phi_transform(filt):
 def _claim(filt, index, sd):
     """The filtration's value at the (integer) index equals sd."""
     index = Fraction(index)
-    assert index.denominator == 1, f"claimed lower index {index} not integral"
+    ensure(index.denominator == 1, "claimed lower index {} not integral", index)
     got = value_at(filt, index)
     if got is None:
         got = trivial_subgroup(filt.group)
-    assert subgroup_eq(got, sd, filt.group), (
-        f"lower index {index}: value {got} != claimed {sd}"
-    )
+    ensure(subgroup_eq(got, sd, filt.group), "lower index {}: value {} != claimed {}", index, got, sd)
 
 
 def _assert_lower_claims(ctx, low):
@@ -460,7 +452,6 @@ def _assert_lower_claims(ctx, low):
             base = Fraction((p - 1) * (p ** (2 * s) - 1), p + 1)
             _claim(low, base + p ** (2 * s) * (p**j - 1), SubgroupDesc(0, s + j))
     else:
-        assert ctx.case == EISENSTEIN and s == r
         _claim(low, p - 1, SubgroupDesc(r, 1))
         for i in range(1, r - 1):
             _claim(low, Fraction(2 * p ** (2 * i) + p - 1, p + 1), SubgroupDesc(r - i + 1, i + 1))
@@ -492,17 +483,17 @@ def step_break(i, case, p):
     """The unique lower break of the i-th layer of the p^s-tower over
     Q_p(zeta_p): 1 + p(p^{i-1} - 1) in the unit case, p^i in the
     Eisenstein case."""
-    assert i >= 1
+    ensure(i >= 1)
     if case == UNIT:
         return 1 + p * (p ** (i - 1) - 1)
-    assert case == EISENSTEIN
+    ensure(case == EISENSTEIN)
     return p**i
 
 
 def subgroup_filtration(filt, H):
     """Lower filtration of a subgroup: lower numbering restricts, so the
     breaks stay put and each group is intersected with H."""
-    assert filt.numbering == LOWER and filt.group is not None
+    ensure(filt.numbering == LOWER and filt.group is not None)
     G = filt.group
     entries = [(b, subgroup_intersect(h, H, G)) for b, h in filt.steps]
     return canonicalize(G, LOWER, entries)
@@ -518,27 +509,26 @@ def quotient_filtration(filt, N):
     GroupDesc(p, N.y, min(s - N.x, N.y)) and its descriptors are taken
     there.
     """
-    assert filt.numbering == UPPER and filt.group is not None
+    ensure(filt.numbering == UPPER and filt.group is not None)
     G = filt.group
     N = subgroup_normal_form(N, G)
-    assert N.y >= 1, "quotient by the full unit part is out of scope"
+    ensure(N.y >= 1, "quotient by the full unit part is out of scope")
     if not filt.steps:
         return Filtration(GroupDesc(G.p, max(N.y, 1), 0), UPPER, ())
     top = filt.steps[0][1]
     # Normality of N in the top group: conjugating (j, t) in N by (i, u)
     # moves the cyclic coordinate by i(1 - t), and v_p(i(1-t)) >= s - x
     # needs x_top - N.x <= N.y.
-    assert top.x - N.x <= N.y, f"{N} is not normal in the top group {top}"
+    ensure(top.x - N.x <= N.y, "{} is not normal in the top group {}", N, top)
     newG = GroupDesc(G.p, N.y, min(G.s - N.x, N.y))
     n_order = subgroup_order(N, G)
     entries = []
     for b, h in filt.steps:
         image = SubgroupDesc(max(h.x, N.x) - N.x, h.y)
         product = SubgroupDesc(max(h.x, N.x), min(h.y, N.y))
-        assert subgroup_order(product, G) % n_order == 0
-        assert subgroup_order(subgroup_normal_form(image, newG), newG) == (
-            subgroup_order(product, G) // n_order
-        )
+        ensure(subgroup_order(product, G) % n_order == 0)
+        ensure(subgroup_order(subgroup_normal_form(image, newG), newG)
+               == subgroup_order(product, G) // n_order)
         entries.append((b, image))
     return canonicalize(newG, UPPER, entries)
 
@@ -546,7 +536,7 @@ def quotient_filtration(filt, N):
 def different_sum(filt):
     """Valuation of the different: sum over integers i >= 0 of
     (|G_i| - 1), taken along a LOWER filtration."""
-    assert filt.numbering == LOWER
+    ensure(filt.numbering == LOWER)
     total = 0
     prev_floor = -1
     for b, h in filt.steps:

@@ -335,6 +335,19 @@ def test_verify_bad_env_bound_is_a_usage_error(capsys, monkeypatch):
     assert err.count("\n") == 1 and "RADICAL_RAM_MAX_ORDER" in err
 
 
+@pytest.mark.parametrize("env,flag", [(None, "0"), (None, "-3"), ("-5", None), ("0", None)])
+def test_verify_nonpositive_bound_is_a_usage_error(capsys, monkeypatch, env, flag):
+    """A bound below 1 would skip every group and pass vacuously."""
+    monkeypatch.delenv("RADICAL_RAM_MAX_ORDER", raising=False)
+    if env is not None:
+        monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", env)
+    argv = ["verify", "--p", "3"] + (["--max-order", flag] if flag is not None else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert ("--max-order" if flag is not None else "RADICAL_RAM_MAX_ORDER") in err
+
+
 def test_verify_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", "50")
     code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "2")
@@ -486,6 +499,58 @@ def test_wrong_prim_degree_is_caught_under_O():
         _assert_prim_degree_caught(argv, code, out)
 
 
+CHECKS_UNDER_O = """
+import contextlib, io, json, sys
+from fractions import Fraction
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import conductor
+from radical_ram.chartab import SubgroupDesc, subgroup_normal_form
+from radical_ram.cli import main
+from radical_ram.holomorph import GroupDesc
+from radical_ram.ramfil import LOWER, UNIT, canonicalize, quotient_filtration, wild_context
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError:
+        return True
+    return False
+
+raised = [
+    raises(conductor.disc_vp_global, 15, 2, 3),
+    raises(canonicalize, GroupDesc(3, 1, 1), LOWER, [(Fraction(1, 2), SubgroupDesc(1, 1))]),
+    raises(quotient_filtration, wild_context(3, 2, 2, UNIT, 0).upper, SubgroupDesc(0, 1)),
+]
+
+def subgroup_contains(big, small, G):  # y compared strictly: a broken containment test
+    a, b = subgroup_normal_form(big, G), subgroup_normal_form(small, G)
+    return a.x >= b.x and a.y < b.y
+
+conductor.subgroup_contains = subgroup_contains
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        runs.append([main(argv), err.getvalue()])
+sys.stdout.write(json.dumps([raised, runs]))
+"""
+
+
+def test_cross_checks_fail_under_O():
+    """Under python -O, preconditions still raise, and a broken
+    definitional conductor route still ends in exit 3."""
+    src = Path(radical_ram.__file__).parents[1]
+    argvs = [["verify", "--p", "3", "--r", "2"], ["analyze", "2", "9"]]
+    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    raised, ((verify_code, _), (analyze_code, analyze_err)) = json.loads(proc.stdout)
+    assert raised == [True, True, True]
+    assert (verify_code, analyze_code) == (3, 3)
+    assert analyze_err.startswith("internal inconsistency: conductor mismatch")
+
+
 def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):
     """A non-assertion exception inside a check is that check's fail row,
     named by its type; the report is still printed."""
@@ -624,6 +689,21 @@ def test_src_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_src_has_no_assert_statement():
+    """Every check fails through arith.ensure, which python -O keeps, and
+    ensure is the one raise of AssertionError; an assert statement would
+    vanish under -O."""
+    asserts, raises = [], []
+    for path in sorted(Path(radical_ram.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node):
+                raises.append(path.name)
+    assert asserts == []
+    assert raises == ["arith.py"]
 
 
 GOLDEN_WITHOUT_SYMPY = """

@@ -8,7 +8,7 @@ import pytest
 from radical_ram import oracle
 from radical_ram.arith import CycInt
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
-from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes
+from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
 from radical_ram.oracle import (
     DenseClassFunction,
     ResourceLimitError,
@@ -170,6 +170,24 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
 )
 def test_lift_check(G, k):
     assert lift_check(G, k)
+
+
+def test_lift_check_pulls_each_class_back_once(monkeypatch):
+    """Each level's lift check pulls every upstairs class down to G once,
+    however many twists the level has."""
+    G = GroupDesc(3, 3, 2)
+    pulled = []
+    real = oracle.conj_class_of
+
+    def counting(g, H):
+        if H == G:
+            pulled.append(g)
+        return real(g, H)
+
+    monkeypatch.setattr(oracle, "conj_class_of", counting)
+    for k in range(1, G.s + 1):
+        assert lift_check(G, k)
+    assert len(pulled) == G.s * class_count(GroupDesc(3, 3, 3))
 
 
 # ---------------------------------------------------------- inner products
