@@ -6,9 +6,10 @@ root of unity: an element of Z[zeta_N] is carried as an integer vector on
 the group ring of mu_N and compared after reduction modulo the N-th
 cyclotomic polynomial.
 
-It also holds ensure, the one way a cross-check fails, and the one
-runner that turns named self-checks into report rows, because every
-checking module can import them from here.
+It also holds ensure, the one way a cross-check fails, the one runner
+that turns named self-checks into report rows, and Rows, the lazily
+generated list of per-character output, because every checking module
+can import them from here.
 """
 
 from __future__ import annotations
@@ -552,6 +553,29 @@ def ensure(ok, template="", *args):
     formatted only on failure."""
     if not ok:
         raise AssertionError(template.format(*args))
+
+
+class Rows:
+    """A list of output rows generated while it is read: `length` items,
+    known before the first is made, from a fresh iterator `make()` on
+    every pass.  A pass that ends after more or fewer items than
+    `length` fails ensure once the iterator is spent, so a stream that
+    disagrees with its stated size cannot end in a silent pass."""
+
+    __slots__ = ("length", "make")
+
+    def __init__(self, length, make):
+        self.length = length
+        self.make = make
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        n = 0
+        for n, item in enumerate(self.make(), 1):
+            yield item
+        ensure(n == self.length, "streamed {} rows where {} were stated", n, self.length)
 
 
 def run_checks(checks):

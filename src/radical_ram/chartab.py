@@ -87,6 +87,11 @@ class Character:
     def is_trivial(self):
         return self.kind == "linear" and self.twist == (0, 0)
 
+    @property
+    def row(self):
+        """The (kind, twist, degree, level, prim_degree) tuple of table_rows."""
+        return (self.kind, self.twist, self.degree, self.level, self.prim_degree)
+
 
 def twist_order(G):
     """phi(p^r): the order of the root-of-unity group the twists live in."""
@@ -119,23 +124,28 @@ def prim_degree(twist, G):
     return G.r - vp(b, G.p)
 
 
-@lru_cache(maxsize=None)
-def character_table(G):
-    """The full table, deterministically ordered by (level, twist).
-
-    Cached per group; callers must treat the list as read-only."""
+def table_rows(G):
+    """The table in (level, twist) order, one (kind, twist, degree, level,
+    prim_degree) tuple per character, from integers alone: a fresh
+    generator on every call, so a whole table need never be held."""
     p, r, s = G.p, G.r, G.s
-    out = []
     for a in range(p - 1):
         for b in range(p ** (r - 1)):
             tw = (a, b)
-            out.append(Character(G, "linear", tw, 1, 0, prim_degree(tw, G)))
+            yield "linear", tw, 1, 0, prim_degree(tw, G)
     for k in range(1, s + 1):
         deg = p ** (k - 1) * (p - 1)
         for b in range(p ** (r - k)):
             tw = (0, b)
-            pd = max(k, prim_degree(tw, G))
-            out.append(Character(G, "induced", tw, deg, k, pd))
+            yield "induced", tw, deg, k, max(k, prim_degree(tw, G))
+
+
+@lru_cache(maxsize=None)
+def character_table(G):
+    """table_rows as Characters: the whole table, for verify and the tests.
+
+    Cached per group; callers must treat the list as read-only."""
+    out = [Character(G, *row) for row in table_rows(G)]
     ensure(len(out) == class_count(G))
     ensure(sum(chi.degree**2 for chi in out) == G.order)
     return out
@@ -229,10 +239,11 @@ def census(G):
     return {(k, t): n for k in range(G.s + 1) for t in range(G.r + 1) if (n := count_by(k, t, G))}
 
 
-def census_mismatch(G, characters):
-    """None when the (level, prim_degree) histogram of `characters` is
-    the closed census count_by, else the first bucket that differs."""
-    seen = Counter((chi.level, chi.prim_degree) for chi in characters)
+def census_mismatch(G, rows):
+    """None when the (level, prim_degree) histogram of `rows`, table_rows
+    tuples, is the closed census count_by, else the first bucket that
+    differs."""
+    seen = Counter(row[3:] for row in rows)
     for k in range(G.s + 1):
         for t in range(G.r + 1):
             n, want = seen.pop((k, t), 0), count_by(k, t, G)
@@ -262,6 +273,29 @@ def rou_sum_closed(s_prime, p, r):
     return 0
 
 
+def class_exponents(G, classes):
+    """(ea, eb): the linear_exponent formula split per class, with each
+    class's discrete log taken once, so that psi_(ta, tb) is
+    zeta_{m0}^((ta * ea[j] + tb * eb[j]) % m0) on class j."""
+    d = unit_decomp(G.p, G.r)
+    m0 = twist_order(G)
+    logs = [discrete_log(c.representative.u, d) for c in classes]
+    return [a * d.principal_order % m0 for a, _ in logs], [b * d.torsion_order % m0 for _, b in logs]
+
+
+def exponent_row(twist, ea, eb, m0):
+    """The twist's exponent (mod m0) on every class, from class_exponents."""
+    ta, tb = twist
+    return [(ta * x + tb * y) % m0 for x, y in zip(ea, eb)]
+
+
+def coefficient_row(k, classes, p):
+    """The integer coefficient of every level-k character on every class."""
+    if k == 0:
+        return [1] * len(classes)
+    return [induced_coefficient(k, c.alpha, c.beta, p) for c in classes]
+
+
 def value_profiles(G):
     """Factorized value data for fast exact linear algebra: per character,
     an integer coefficient and a twist exponent (mod phi(p^r)) on every
@@ -270,31 +304,28 @@ def value_profiles(G):
     their exponent list; callers must treat both as read-only."""
     classes = all_classes(G)
     table = character_table(G)
-    # the linear_exponent formula, with each class's discrete log taken once
-    d = unit_decomp(G.p, G.r)
+    ea, eb = class_exponents(G, classes)
     m0 = twist_order(G)
-    logs = [discrete_log(c.representative.u, d) for c in classes]
-    ea = [a * d.principal_order % m0 for a, _ in logs]
-    eb = [b * d.torsion_order % m0 for _, b in logs]
     exp_cache = {}
     coeff_cache = {}
     profiles = []
     for chi in table:
         if chi.twist not in exp_cache:
-            ta, tb = chi.twist
-            exp_cache[chi.twist] = [(ta * x + tb * y) % m0 for x, y in zip(ea, eb)]
+            exp_cache[chi.twist] = exponent_row(chi.twist, ea, eb, m0)
         if chi.level not in coeff_cache:
-            coeff_cache[chi.level] = [char_coefficient(chi, c) for c in classes]
+            coeff_cache[chi.level] = coefficient_row(chi.level, classes, G.p)
         profiles.append((coeff_cache[chi.level], exp_cache[chi.twist]))
     return classes, table, profiles
 
 
-def character_json(chi):
+def character_json(row):
+    """The JSON object of one table_rows tuple (a Character's is its .row)."""
+    kind, twist, degree, level, prim = row
     return {
-        "kind": chi.kind,
-        "k": chi.level,
-        "twist": list(chi.twist),
-        "degree": chi.degree,
-        "level": chi.level,
-        "prim_degree": chi.prim_degree,
+        "kind": kind,
+        "k": level,
+        "twist": list(twist),
+        "degree": degree,
+        "level": level,
+        "prim_degree": prim,
     }

@@ -23,14 +23,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, ensure, is_prime, resolve_max_order
-from .chartab import census, census_mismatch, character_json, character_table, twist_order
-from .chartab import value_profiles
+from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, Rows, ensure, is_prime, resolve_max_order
+from .chartab import census, census_mismatch, character_json, class_exponents, coefficient_row
+from .chartab import exponent_row, table_rows, twist_order
 from .conductor import conductor_checks, conductor_json
-from .holomorph import GroupDesc, class_count
+from .holomorph import GroupDesc, all_classes, class_count
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -62,6 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 BLOCK_CHARS = 1 << 16  # about 64 kB per write
 BATCH = 512  # list items rendered by one template
+BATCH_CELLS = 1 << 14  # values (leaves and containers) in one batch
+WIDE = 64  # lists this long whose elements share one shape render by element
 _INDENT = "  "
 _INF = float("inf")
 
@@ -92,19 +95,20 @@ def _key_str(k):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-# encoders of the exact leaf types a template takes; None is a literal
+# the exact leaf types a template takes, each with its placeholder and
+# its encoder (None: %d formats the int itself); None is a literal
 _LEAF = {
-    int: int.__repr__,
-    str: _quote,
-    float: _float_str,
-    bool: {True: "true", False: "false"}.__getitem__,
+    int: ("%d", None),
+    str: ("%s", _quote),
+    float: ("%s", _float_str),
+    bool: ("%s", {True: "true", False: "false"}.__getitem__),
 }
 
 
 def _template(col, level, columns):
-    """One str.format template for the values in `col` (one position
-    across the items of a batch) at indent `level`, or None when they do
-    not share one shape: exact int/str/float/bool/None leaves, lists or
+    """One %-format template for the values in `col` (one position across
+    the items of a batch) at indent `level`, or None when they do not
+    share one shape: exact int/str/float/bool/None leaves, lists or
     tuples of one length, dicts with one set of str keys.  Each leaf
     position is appended to `columns` as a lazily encoded column."""
     types = set(map(type, col))
@@ -114,15 +118,16 @@ def _template(col, level, columns):
     if t is type(None):
         return "null"
     if t in _LEAF:
-        columns.append(map(_LEAF[t], col))
-        return "{}"
+        placeholder, encode = _LEAF[t]
+        columns.append(col if encode is None else map(encode, col))
+        return placeholder
     if t is dict:
         keys = list(col[0])
         if any(type(k) is not str for k in keys):
             return None
         keys.sort()
-        labels = [_quote(k).replace("{", "{{").replace("}", "}}") + ": " for k in keys]
-        opening, closing = "{{", "}}"
+        labels = [_quote(k).replace("%", "%%") + ": " for k in keys]
+        opening, closing = "{", "}"
     elif t is list or t is tuple:
         keys = range(len(col[0]))
         labels = [""] * len(keys)
@@ -134,6 +139,11 @@ def _template(col, level, columns):
     if not keys:
         return opening + closing
     inner = "\n" + _INDENT * (level + 1)
+    if opening == "[" and len(keys) >= WIDE:
+        wide = _wide_column(col, level, inner)
+        if wide is not None:
+            columns.append(wide)
+            return "%s"
     parts = []
     for key, label in zip(keys, labels):
         try:
@@ -146,14 +156,51 @@ def _template(col, level, columns):
     return opening + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closing
 
 
+def _wide_column(col, level, inner):
+    """The lists in `col`, of one length n, each rendered whole, when all
+    their elements share one shape: n copies of the elements' one
+    template make the lists' template, so a batch costs no Python work
+    per position.  None otherwise."""
+    n = len(col[0])
+    flat = list(chain.from_iterable(col))
+    columns = []
+    part = _template(flat, level + 1, columns)
+    if part is None:
+        return None
+    template = "[" + inner + ("," + inner).join([part] * n) + "\n" + _INDENT * level + "]"
+    args = chain.from_iterable(zip(*columns))  # each element's leaves, in order
+    return (template % tuple(islice(args, n * len(columns))) for _ in col)
+
+
+def _size(o):
+    """The number of values in o: its leaves and its containers."""
+    if isinstance(o, dict):
+        return 1 + sum(map(_size, o.values()))
+    if isinstance(o, (list, tuple)):
+        return 1 + sum(map(_size, o))
+    return 1
+
+
+def _next_batch(items):
+    """The next items of a list iterator to render together: at most
+    BATCH of them, and about BATCH_CELLS values in all, by the size of
+    the first."""
+    for first in items:
+        n = min(BATCH, max(1, BATCH_CELLS // _size(first)))
+        return [first, *islice(items, n - 1)]
+    return []
+
+
 def write_canonical(obj, write):
     """Pass to `write` what json.dumps gives for obj with sort_keys=True,
     indent=2 and default=str, plus a newline, in blocks of about
-    BLOCK_CHARS characters.
+    BLOCK_CHARS characters.  A Rows is written as the list of its items,
+    which are generated one batch at a time, so it is never held whole.
 
-    The walk is the stdlib encoder's, except that a list is taken BATCH
-    items at a time, and a batch whose items share one shape is rendered
-    with one template whose leaf columns are encoded at C speed."""
+    The walk is the stdlib encoder's, except that a list is taken one
+    batch at a time (_next_batch), and a batch whose items share one
+    shape is rendered with one template whose leaf columns are encoded
+    at C speed."""
     buf = []
     append = buf.append
     counted = size = 0
@@ -180,14 +227,15 @@ def write_canonical(obj, write):
             append(int.__repr__(o))
         elif isinstance(o, float):
             append(_float_str(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
+        elif isinstance(o, (list, tuple, Rows)):
+            items = iter(o)
+            batch = _next_batch(items)
+            if not batch:
                 append("[]")
                 return
             inner = "\n" + _INDENT * (level + 1)
             sep, comma = "[" + inner, "," + inner
-            for start in range(0, len(o), BATCH):
-                batch = o[start:start + BATCH]
+            while batch:
                 columns = []
                 template = _template(batch, level + 1, columns)
                 if template is None:
@@ -196,10 +244,11 @@ def write_canonical(obj, write):
                         sep = comma
                         encode(item, level + 1)
                 else:
-                    rows = map(template.format, *columns) if columns else [template.format()] * len(batch)
+                    rows = map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(batch)
                     append(sep + comma.join(rows))
                     sep = comma
                 spill()
+                batch = _next_batch(items)
             append("\n" + _INDENT * level + "]")
         elif isinstance(o, dict):
             if not o:
@@ -236,7 +285,8 @@ def _count_by_summary(G):
 def prime_block(gpd, characters):
     """One per-prime report block; the wild cases carry the filtrations,
     the character census and the conductor/discriminant data, with the
-    per-character conductor rows only if `characters` is set."""
+    per-character conductor rows (a Rows stream) only if `characters` is
+    set."""
     ctx = gpd.context
     block = {
         "p": ctx.p,
@@ -258,13 +308,16 @@ def prime_block(gpd, characters):
     return block
 
 
-def build_report(a, m, characters):
+def build_report(a, m, characters, prime=None):
     """The full analyze report: one prime_block per prime, in prime
-    order.  Text output needs no per-character rows."""
+    order.  Per-character rows go in when `characters` is set (text
+    output needs none), and then only in `prime`'s block if it is given:
+    --prime prints that block alone."""
     return {
         "input": {"a": a, "m": m},
         "validation": {"ok": True, "violations": []},
-        "primes": [prime_block(gpd, characters) for gpd in global_ram(m, a)],
+        "primes": [prime_block(gpd, characters and prime in (None, gpd.context.p))
+                   for gpd in global_ram(m, a)],
     }
 
 
@@ -309,7 +362,7 @@ def _print_block(block, out):
 
 def cmd_analyze(args):
     try:
-        report = build_report(args.a, args.m, args.json)
+        report = build_report(args.a, args.m, args.json, args.prime)
     except HypothesisError as exc:
         if args.json:
             canonical_json({
@@ -451,8 +504,31 @@ def cmd_verify(args, parser):
 # chartab
 
 
+def chartab_values(G):
+    """(classes, n, value_row) for G's table of n characters, once its
+    census is checked.  value_row(row) is one table_rows row's values, a
+    (coefficient, exponent) pair per class, the exponent 0 where the
+    coefficient is: from its level's coefficient list, kept per level, and
+    its twist's exponent list, made for the row."""
+    mismatch = census_mismatch(G, table_rows(G))
+    ensure(mismatch is None, "character table against census: {}", mismatch)
+    classes = all_classes(G)
+    ea, eb = class_exponents(G, classes)
+    m0 = twist_order(G)
+    coeffs = [coefficient_row(k, classes, G.p) for k in range(G.s + 1)]
+    nonzero = [[1 if c else 0 for c in row] for row in coeffs]
+
+    def value_row(row):
+        level = row[3]
+        return list(zip(coeffs[level], map(mul, exponent_row(row[1], ea, eb, m0), nonzero[level])))
+
+    return classes, sum(census(G).values()), value_row
+
+
 def chartab_payload(G):
-    classes, table, profiles = value_profiles(G)
+    """chartab's JSON report.  Its characters and values are Rows, made
+    from table_rows one row at a time while they are written."""
+    classes, n, value_row = chartab_values(G)
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},
         "root_of_unity_order": twist_order(G),
@@ -460,11 +536,8 @@ def chartab_payload(G):
             {"u": c.representative.u, "beta": c.beta, "alpha": c.alpha, "size": c.size}
             for c in classes
         ],
-        "characters": [character_json(chi) for chi in table],
-        "values": [
-            [[coe, exp if coe else 0] for coe, exp in zip(coeffs, exps)]
-            for coeffs, exps in profiles
-        ],
+        "characters": Rows(n, lambda: map(character_json, table_rows(G))),
+        "values": Rows(n, lambda: map(value_row, table_rows(G))),
     }
 
 
@@ -487,31 +560,24 @@ def cmd_chartab(args, parser):
         parser.error(f"s must lie in 0..r (got s={args.s}, r={args.r})")
 
     G = GroupDesc(args.p, args.r, args.s)
-    payload = chartab_payload(G)
-    mismatch = census_mismatch(G, character_table(G))
-    ensure(mismatch is None, "character table against census: {}", mismatch)
-
     if args.json:
-        canonical_json(payload)
+        canonical_json(chartab_payload(G))
         return EXIT_OK
 
-    g = payload["group"]
-    m0 = payload["root_of_unity_order"]
+    classes, n, value_row = chartab_values(G)
     sys.stdout.write(
-        f"character table of C({g['p']}^{g['s']}) x| G({g['p']}^{g['r']}), "
-        f"order {g['order']}; z = root of unity of order {m0}\n"
+        f"character table of C({G.p}^{G.s}) x| G({G.p}^{G.r}), "
+        f"order {G.order}; z = root of unity of order {twist_order(G)}\n"
     )
     sys.stdout.write(
         "classes (u, beta, size): "
-        + "  ".join(f"({c['u']},{c['beta']},{c['size']})" for c in payload["classes"])
+        + "  ".join(f"({c.representative.u},{c.beta},{c.size})" for c in classes)
         + "\n"
     )
-    for chi, row in zip(payload["characters"], payload["values"]):
-        cells = "  ".join(_fmt_value(coe, exp) for coe, exp in row)
-        sys.stdout.write(
-            f"{chi['kind']:7s} twist={tuple(chi['twist'])} deg={chi['degree']} "
-            f"level={chi['level']}: {cells}\n"
-        )
+    for row in Rows(n, lambda: table_rows(G)):
+        kind, twist, degree, level, _ = row
+        cells = "  ".join(_fmt_value(coe, exp) for coe, exp in value_row(row))
+        sys.stdout.write(f"{kind:7s} twist={twist} deg={degree} level={level}: {cells}\n")
     return EXIT_OK
 
 

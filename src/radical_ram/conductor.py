@@ -15,8 +15,10 @@ conductor exponent c(chi) is
 Since c(chi) depends on (level, primitive degree) alone, the checked
 value is computed once per (level, primitive degree) bucket of the
 closed census chartab.census (bucket_conductor); a character's record is
-its bucket's.  analyze reads the buckets; verify builds the per-character
-table and checks it against them.
+its bucket's.  analyze reads the buckets: its JSON streams one row per
+chartab.table_rows tuple, each with its bucket's (c, f), and builds no
+Character.  verify builds the per-character table and checks it against
+the buckets.
 
 The p-valuation of the local discriminant is then obtained three ways:
 the conductor-discriminant sum (over the buckets, weighted by count_by,
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import ensure, run_checks
-from .chartab import SubgroupDesc, census, census_mismatch, character_table, count_by
-from .chartab import null_subgroup, subgroup_contains
+from .arith import Rows, ensure, run_checks
+from .chartab import SubgroupDesc, census, census_mismatch, character_json, character_table, count_by
+from .chartab import null_subgroup, subgroup_contains, table_rows
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -277,11 +279,10 @@ def disc_vp_global(m, a, p):
 
 
 def conductor_json(ctx, characters=True):
-    """The discriminant cross-check, plus the per-character conductor
-    rows (in table order, each its bucket's (c, f)) when `characters` is
-    set.  The character table is built only for those rows."""
-    from .chartab import character_json
-
+    """The discriminant cross-check, plus, when `characters` is set, the
+    per-character conductor rows: a Rows stream of {character, c, f}, one
+    per table_rows tuple in table order, each with its bucket's (c, f).
+    The rows' census is checked here, before anything is written."""
     buckets = conductor_buckets(ctx)
     sum_route = _census_sum(ctx, buckets)
     closed_route = disc_vp_local_closed(ctx)
@@ -296,15 +297,18 @@ def conductor_json(ctx, characters=True):
     }
     if characters:
         G = ctx.group()
-        table = character_table(G)
-        mismatch = census_mismatch(G, table)
+        mismatch = census_mismatch(G, table_rows(G))
         ensure(mismatch is None, "character table against census at p={}: {}", ctx.p, mismatch)
-        rows = {key: (frac_str(c), f) for key, (c, f) in buckets.items()}
-        out["characters"] = []
-        for chi in table:
-            c, f = rows[chi.level, chi.prim_degree]
-            out["characters"].append({"character": character_json(chi), "c": c, "f": f})
+        printed = {key: (frac_str(c), f) for key, (c, f) in buckets.items()}
+        out["characters"] = Rows(sum(census(G).values()), lambda: _conductor_rows(G, printed))
     return out
+
+
+def _conductor_rows(G, printed):
+    for row in table_rows(G):
+        cf = printed.get(row[3:])
+        ensure(cf is not None, "character {} outside the census", row)
+        yield {"character": character_json(row), "c": cf[0], "f": cf[1]}
 
 
 def conductor_checks(ctx):
@@ -317,7 +321,7 @@ def conductor_checks(ctx):
 
     def two_routes():
         recs = records()  # asserts definitional == closed per character
-        mismatch = census_mismatch(ctx.group(), [rec.character for rec in recs])
+        mismatch = census_mismatch(ctx.group(), (rec.character.row for rec in recs))
         if mismatch is not None:
             return False, f"character table against census: {mismatch}"
         buckets = conductor_buckets(ctx)

@@ -259,7 +259,7 @@ def _kernel_trivial_census(G):
         trivial = all(char_monomial(chi, conj_class_of(g, big), big) == deg for g in kernel)
         expected = chi.kind == "linear" or chi.level <= G.s
         if trivial != expected:
-            return False, {"character": character_json(chi), "trivial_on_kernel": trivial}
+            return False, {"character": character_json(chi.row), "trivial_on_kernel": trivial}
     return True, None
 
 
@@ -425,7 +425,7 @@ def null_subgroup_scan_check(G):
         sd = null_subgroup(chi)
 
         def fail(reason):
-            return False, {"character": character_json(chi), "reason": reason}
+            return False, {"character": character_json(chi.row), "reason": reason}
 
         # largest cyclic depth fully inside the scan result
         x_max = -1

@@ -84,7 +84,7 @@ class HypothesisError(ValueError):
         self.violations = violations
 
 
-def validate(m, a):
+def validate(m, a, factors_of_m=None):
     """Check the standing hypotheses; violations are data, not errors.
 
     Returns a list of human-readable violation strings (empty = ok):
@@ -93,6 +93,9 @@ def validate(m, a):
       - for every prime p | m, either p does not divide v_p(a) or
         p^{v_p(m)} divides v_p(a) (so the p-part can be normalized away
         or twisted to valuation exactly one).
+
+    A dict passed as factors_of_m receives factorint(m) once m is
+    factored, so that a caller does not factor m again.
     """
     violations = []
     if m < 1:
@@ -104,7 +107,10 @@ def validate(m, a):
     if violations:
         return violations
 
-    primes = sorted(factorint(m))
+    factors = factorint(m)
+    if factors_of_m is not None:
+        factors_of_m.update(factors)
+    primes = sorted(factors)
     for q in primes:
         root = _perfect_power_root(a, q)
         if root is not None:
@@ -584,11 +590,12 @@ def global_ram(m, a):
     e(p) = lcm(n / gcd(n, v_p(a)), e_local).  For tame primes the local
     index is already global.
     """
-    violations = validate(m, a)
+    factors_of_m = {}
+    violations = validate(m, a, factors_of_m)
     if violations:
         raise HypothesisError(violations)
     out = []
-    primes = sorted(set(factorint(m)) | set(factorint(abs(a))))
+    primes = sorted(set(factors_of_m) | set(factorint(abs(a))))
     for p in primes:
         ctx = classify_prime(p, m, a)
         if ctx.case == UNRAMIFIED:

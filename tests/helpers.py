@@ -74,3 +74,27 @@ def off_by_one_prim_degree(real):
         b = twist[1]
         return t + 1 if b and vp(b, G.p) >= 1 else t
     return mutated
+
+
+# Faults in the rows of chartab.table_rows: (fault, on every call).  The
+# trivial character moved to bucket (0, 1); one row more, just outside
+# the census; the last row dropped, on every call after the first (the
+# census check's), so that only the stream is short.
+ROW_FAULTS = {
+    "bucket-off": (lambda rows: [rows[0][:4] + (1,)] + rows[1:], True),
+    "outside-census": (lambda rows: rows + [rows[-1][:4] + (rows[-1][4] + 1,)], True),
+    "short-stream": (lambda rows: rows[:-1], False),
+}
+
+
+def faulty_table_rows(real, name):
+    """`real` (chartab.table_rows) with the fault ROW_FAULTS[name]."""
+    fault, every_call = ROW_FAULTS[name]
+    calls = []
+
+    def faulty(G):
+        calls.append(G)
+        rows = list(real(G))
+        return iter(fault(rows) if every_call or len(calls) > 1 else rows)
+
+    return faulty

@@ -407,7 +407,7 @@ def test_char_monomial_partitions_values_like_dense_equality(G):
 def test_character_json_shape():
     G = GroupDesc(3, 2, 2)
     chi = character_table(G)[-1]
-    assert character_json(chi) == {
+    assert character_json(chi.row) == {
         "kind": "induced",
         "k": 2,
         "twist": [0, 0],

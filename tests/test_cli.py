@@ -21,7 +21,7 @@ from radical_ram import arith, chartab, cli, conductor, oracle, ramfil
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc
 
-from helpers import off_by_one_prim_degree
+from helpers import ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree
 
 
 def run(capsys, *argv):
@@ -103,6 +103,41 @@ def test_analyze_prime_flag_is_exact_block(capsys):
     assert block == next(b for b in full["primes"] if b["p"] == 3)
 
 
+def test_analyze_prime_flag_streams_only_its_block(capsys, monkeypatch):
+    """--prime 3 of x^15 - 2 generates the character rows of the prime-3
+    block only: its census check and its stream, both read 3's table."""
+    full = json.loads(run(capsys, "analyze", "2", "15", "--json")[1])
+    real = conductor.table_rows
+    groups = []
+
+    def recorded(G):
+        groups.append(G.p)
+        return real(G)
+
+    monkeypatch.setattr(conductor, "table_rows", recorded)
+    code, out, _ = run(capsys, "analyze", "2", "15", "--prime", "3", "--json")
+    assert code == 0 and groups == [3, 3]
+    assert json.loads(out) == next(b for b in full["primes"] if b["p"] == 3)
+
+
+def test_analyze_prime_flag_still_checks_every_prime(capsys, monkeypatch):
+    """A discriminant disagreement at 5 exits 3 under --prime 3, after
+    printing 3's block."""
+    real = cli.conductor_json
+
+    def corrupted(ctx, characters):
+        payload = real(ctx, characters)
+        if ctx.p == 5:
+            payload["v_p_disc"]["agree"] = False
+        return payload
+
+    _, block, _ = run(capsys, "analyze", "2", "15", "--prime", "3", "--json")
+    monkeypatch.setattr(cli, "conductor_json", corrupted)
+    code, out, err = run(capsys, "analyze", "2", "15", "--prime", "3", "--json")
+    assert (code, out) == (3, block)
+    assert err == "internal inconsistency: disagreement at p in [5]\n"
+
+
 def test_analyze_irrelevant_prime(capsys):
     code, _, err = run(capsys, "analyze", "2", "3", "--prime", "7")
     assert code == 1
@@ -135,7 +170,7 @@ def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
 def test_analyze_derives_each_prime_once(capsys, monkeypatch):
     """analyze 2 2401 has one tame prime (2) and one wild prime (7).  Each
     gets one upper and one lower filtration, the input is validated once,
-    and factorint runs on m in validate, then on m and |a| in global_ram."""
+    and factorint runs once on m, in validate, and once on |a|."""
     counts = {}
     for name in ("upper_filtration", "lower_filtration", "validate", "factorint"):
         real = getattr(ramfil, name)
@@ -150,7 +185,7 @@ def test_analyze_derives_each_prime_once(capsys, monkeypatch):
     for argv in (["analyze", "2", "2401"], ["analyze", "2", "2401", "--json"]):
         counts.clear()
         assert run(capsys, *argv)[0] == 0
-        assert counts == {"upper_filtration": 2, "lower_filtration": 2, "validate": 1, "factorint": 3}
+        assert counts == {"upper_filtration": 2, "lower_filtration": 2, "validate": 1, "factorint": 2}
 
 
 SEMIPRIME_45 = (10**22 + 9) * (3 * 10**22 + 29)  # two 23-digit prime factors
@@ -171,11 +206,12 @@ def test_analyze_factoring_budget_exits_4(capsys, a, m):
 RAISING_STAGES = [
     (["analyze", "2", "9"], "build_report"),
     (["verify", "--p", "3", "--r", "1"], "verify_sweep"),
-    (["chartab", "3", "1", "1"], "chartab_payload"),
+    (["chartab", "3", "1", "1"], "chartab_values"),
+    (["chartab", "3", "1", "1", "--json"], "chartab_values"),
 ]
 
 
-@pytest.mark.parametrize("argv,stage", RAISING_STAGES, ids=[argv[0] for argv, _ in RAISING_STAGES])
+@pytest.mark.parametrize("argv,stage", RAISING_STAGES, ids=["analyze", "verify", "chartab", "chartab-json"])
 @pytest.mark.parametrize(
     "exc,code,err",
     [
@@ -205,18 +241,20 @@ def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
 
 def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
     """Text output reads the conductor buckets only: it must not need the
-    character table or any per-character conductor."""
+    character table or any per-character conductor.  JSON output streams
+    its rows from chartab.table_rows and builds neither either."""
     golden = (Path(__file__).parent / "golden" / "analyze-2-2401.out").read_text()
+    json_out = run(capsys, "analyze", "2", "2401", "--json")[1]
 
     def forbidden(*args, **kwargs):
-        raise RuntimeError("text analyze must not build per-character data")
+        raise RuntimeError("analyze must not build per-character data")
 
     monkeypatch.setattr(chartab, "character_table", forbidden)
+    monkeypatch.setattr(chartab, "Character", forbidden)
     monkeypatch.setattr(conductor, "character_table", forbidden)
     monkeypatch.setattr(conductor, "artin_conductor", forbidden)
-    code, out, _ = run(capsys, "analyze", "2", "2401")
-    assert code == 0
-    assert out == golden
+    assert run(capsys, "analyze", "2", "2401") == (0, golden, "")
+    assert run(capsys, "analyze", "2", "2401", "--json") == (0, json_out, "")
 
 
 def _census_moved(monkeypatch):
@@ -621,6 +659,63 @@ def test_chartab_json_byte_identical(capsys):
     assert out1 == out2
 
 
+FAULT_ARGVS = [["chartab", "3", "2", "1", "--json"], ["chartab", "3", "2", "1"], ["analyze", "10", "9", "--json"]]
+
+
+def _assert_row_fault_caught(name, argv, code, out, err):
+    assert code == 3, (name, argv)
+    if name == "short-stream":
+        assert err.startswith("internal inconsistency: streamed")
+        assert "were stated" in err
+    else:
+        assert out == "", (name, argv)
+        assert "against census" in err
+
+
+@pytest.mark.parametrize("name", ROW_FAULTS)
+@pytest.mark.parametrize("argv", FAULT_ARGVS, ids=" ".join)
+def test_row_faults_exit_3(capsys, monkeypatch, name, argv):
+    """A character moved to another bucket, a row outside the census,
+    and a short stream each exit 3 in every command that streams table
+    rows; the first two before anything is written."""
+    assert run(capsys, *argv)[0] == 0
+    faulty = faulty_table_rows(chartab.table_rows, name)
+    monkeypatch.setattr(cli, "table_rows", faulty)
+    monkeypatch.setattr(conductor, "table_rows", faulty)
+    _assert_row_fault_caught(name, argv, *run(capsys, *argv))
+
+
+ROW_FAULT_RUNS = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import chartab, cli, conductor
+from helpers import faulty_table_rows
+real = chartab.table_rows
+runs = []
+for name, argv in json.loads(sys.argv[1]):
+    cli.table_rows = conductor.table_rows = faulty_table_rows(real, name)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([cli.main(argv), out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(runs))
+"""
+
+
+def test_row_faults_exit_3_under_O():
+    """The same faults under python -O, in one process."""
+    cases = [[name, argv] for name in ROW_FAULTS for argv in FAULT_ARGVS]
+    src = Path(radical_ram.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", ROW_FAULT_RUNS, json.dumps(cases)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(cases)
+    for (name, argv), result in zip(cases, runs):
+        _assert_row_fault_caught(name, argv, *result)
+
+
 def test_chartab_checks_its_census(capsys, monkeypatch):
     """A table whose (level, prim_degree) histogram is not the census
     exits 3 and prints nothing."""
@@ -727,6 +822,40 @@ def test_golden_cases_run_without_sympy():
     for name, (code, out) in zip(names, outs):
         assert code == cases[name]["exit"], name
         assert out.encode() == (golden / f"{name}.out").read_bytes(), name
+
+
+PEAK_RSS = """
+import sys
+from radical_ram.cli import main
+
+class Discard:
+    def write(self, s):
+        return len(s)
+
+    def flush(self):
+        pass
+
+out, sys.stdout = sys.stdout, Discard()
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+out.write(f"{code} {peak_kb}\\n")
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+@pytest.mark.parametrize("argv,limit_mb", [
+    (["chartab", "11", "3", "3", "--json"], 100),  # 1,343 classes: 1.8 M values, 72 MB written
+    (["analyze", "2", "161051", "--json"], 60),  # 162,515 conductor rows, 54 MB written
+], ids=["chartab-11-3-3", "analyze-2-11^5"])
+def test_json_output_memory_does_not_grow_with_the_table(argv, limit_mb):
+    """Peak RSS of one process running the command, read by the process
+    itself as its VmHWM.  Not ru_maxrss: Linux carries into it the peak of
+    the image that exec replaced, here a fork of the test runner.  The
+    rows are streamed, so the peak stays far below the output size."""
+    code, kb = map(int, _run_python(PEAK_RSS, *argv).split())
+    assert code == 0
+    assert kb / 1024 < limit_mb
 
 
 # ---------------------------------------------------------------------------

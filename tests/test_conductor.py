@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from radical_ram import conductor, ramfil
-from radical_ram.chartab import census_mismatch, character_table, count_by
+from radical_ram import chartab, conductor, ramfil
+from radical_ram.chartab import census_mismatch, character_json, character_table, count_by, table_rows
 from radical_ram.conductor import (
     ConductorRecord,
     artin_conductor,
@@ -35,6 +35,7 @@ from radical_ram.ramfil import (
     PrimeLocalContext,
     classify_prime,
     different_sum,
+    frac_str,
     lower_filtration,
     ramification_checks,
     upper_filtration,
@@ -255,7 +256,7 @@ def test_records_equal_their_buckets(ctx):
     ]
     for rec in records:
         assert buckets[rec.character.level, rec.character.prim_degree] == (rec.c_exp, rec.f_val)
-    assert census_mismatch(G, [rec.character for rec in records]) is None
+    assert census_mismatch(G, [rec.character.row for rec in records]) is None
     assert disc_vp_local_sum(ctx) == disc_vp_local_sum(ctx, records)
 
 
@@ -275,13 +276,15 @@ def test_bucket_conductor_rejects_a_foreign_filtration():
 def test_census_mismatch_names_the_bucket():
     G = unit_ctx(3, 2, 1).group()
     table = character_table(G)
-    assert census_mismatch(G, table) is None
-    assert census_mismatch(G, table[1:]) == "(level 0, prim_degree 0): 0 characters, census 1"
-    stray = replace(table[0], prim_degree=5)
-    assert census_mismatch(G, [stray] + table[1:]) == (
+    rows = [chi.row for chi in table]
+    assert rows == list(table_rows(G))
+    assert census_mismatch(G, rows) is None
+    assert census_mismatch(G, rows[1:]) == "(level 0, prim_degree 0): 0 characters, census 1"
+    stray = replace(table[0], prim_degree=5).row
+    assert census_mismatch(G, [stray] + rows[1:]) == (
         "(level 0, prim_degree 0): 0 characters, census 1"
     )
-    assert census_mismatch(G, table + [stray]) == "characters outside the census: [(0, 5)]"
+    assert census_mismatch(G, rows + [stray]) == "characters outside the census: [(0, 5)]"
 
 
 def test_conductor_json_text_mode_has_no_rows():
@@ -289,13 +292,72 @@ def test_conductor_json_text_mode_has_no_rows():
     assert conductor_json(ctx, False) == {"v_p_disc": conductor_json(ctx)["v_p_disc"]}
 
 
+def test_conductor_json_builds_no_character(monkeypatch):
+    """The rows come from table_rows alone: no Character, no table."""
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("conductor_json must not build per-character objects")
+
+    ctx = unit_ctx(3, 2, 1)
+    expected = [
+        {"character": character_json(rec.character.row), "c": frac_str(rec.c_exp), "f": rec.f_val}
+        for rec in conductor_table(ctx)
+    ]
+    monkeypatch.setattr(conductor, "character_table", forbidden)
+    monkeypatch.setattr(chartab, "Character", forbidden)
+    rows = conductor_json(ctx)["characters"]
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+
+
+def _faulty_rows(monkeypatch, fault):
+    """conductor.table_rows with `fault(rows)` applied to the list of
+    rows from every call after the first (the census check's)."""
+    real = chartab.table_rows
+    calls = []
+
+    def faulty(G):
+        calls.append(G)
+        rows = list(real(G))
+        return iter(rows if len(calls) == 1 else fault(rows))
+
+    monkeypatch.setattr(conductor, "table_rows", faulty)
+
+
 def test_conductor_json_rejects_a_character_outside_the_buckets(monkeypatch):
     ctx = unit_ctx(3, 2, 1)
-    table = character_table(ctx.group())
-    stray = replace(table[-1], prim_degree=ctx.r + 1)
-    monkeypatch.setattr(conductor, "character_table", lambda G: table + [stray])
+    real = conductor.table_rows
+
+    def with_stray(G):
+        yield from real(G)
+        yield ("induced", (0, 0), 2, 1, ctx.r + 1)
+
+    monkeypatch.setattr(conductor, "table_rows", with_stray)
     with pytest.raises(AssertionError, match="outside the census"):
         conductor_json(ctx)
+
+
+def test_conductor_json_rejects_a_bucket_count_off(monkeypatch):
+    ctx = unit_ctx(3, 2, 1)
+    real = conductor.table_rows
+    monkeypatch.setattr(conductor, "table_rows", lambda G: (
+        row[:4] + (1,) if row[4] == 2 and row[3] == 0 and row[1] == (0, 1) else row for row in real(G)))
+    with pytest.raises(AssertionError, match=r"\(level 0, prim_degree 1\): 2 characters, census 1"):
+        conductor_json(ctx)
+
+
+def test_conductor_rows_check_their_stream(monkeypatch):
+    """A stream that differs from the census-checked rows fails while it
+    is read: a short one at its end, a row off the census at that row."""
+    ctx = unit_ctx(3, 2, 1)
+    _faulty_rows(monkeypatch, lambda rows: rows[:-1])
+    rows = conductor_json(ctx)["characters"]
+    with pytest.raises(AssertionError, match="streamed 8 rows where 9 were stated"):
+        list(rows)
+    _faulty_rows(monkeypatch, lambda rows: rows[:-1] + [rows[-1][:4] + (5,)])
+    rows = conductor_json(ctx)["characters"]
+    with pytest.raises(AssertionError, match=r"character \('induced', \(0, 2\), 2, 1, 5\) outside the census"):
+        list(rows)
 
 
 def test_two_routes_catches_a_record_off_its_bucket(monkeypatch):

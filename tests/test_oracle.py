@@ -155,7 +155,7 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
     ok, detail = oracle._kernel_trivial_census(G)
     assert not ok
     top = [chi for chi in character_table(big) if chi.level == 2]
-    assert detail == {"character": character_json(top[0]), "trivial_on_kernel": True}
+    assert detail == {"character": character_json(top[0].row), "trivial_on_kernel": True}
 
 
 @pytest.mark.parametrize(
