@@ -7,9 +7,9 @@ the group ring of mu_N and compared after reduction modulo the N-th
 cyclotomic polynomial.
 
 It also holds ensure, the one way a cross-check fails, the one runner
-that turns named self-checks into report rows, and Rows, the lazily
-generated list of per-character output, because every checking module
-can import them from here.
+that turns named self-checks into report rows, and Rows and Stamp, the
+lazily generated list of per-character output and its rows, because
+every checking module can import them from here.
 """
 
 from __future__ import annotations
@@ -576,6 +576,32 @@ class Rows:
         for n, item in enumerate(self.make(), 1):
             yield item
         ensure(n == self.length, "streamed {} rows where {} were stated", n, self.length)
+
+
+class _Hole:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "HOLE"
+
+
+HOLE = _Hole()  # a leaf of a Stamp's sample that each row fills with an int
+
+
+class Stamp:
+    """One output row, given as its bucket's `sample` and its own `ints`.
+
+    The sample is the JSON object every row of the bucket shares, with
+    HOLE at each int leaf that varies from row to row; `ints`, a tuple of
+    exact ints, fills the holes in the order they are written (dict keys
+    sorted, list items in order).  The canonical writer renders all rows
+    of one sample from one template, built once from the sample."""
+
+    __slots__ = ("sample", "ints")
+
+    def __init__(self, sample, ints):
+        self.sample = sample
+        self.ints = ints
 
 
 def run_checks(checks):

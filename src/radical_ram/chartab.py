@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
-from .arith import CycInt, discrete_log, ensure, unit_decomp, vp
+from .arith import HOLE, CycInt, Stamp, discrete_log, ensure, unit_decomp, vp
 from .holomorph import GroupDesc, all_classes, class_count
 
 
@@ -124,20 +125,35 @@ def prim_degree(twist, G):
     return G.r - vp(b, G.p)
 
 
+def level_degree(k, p):
+    """The degree of a level-k character: 1 for the linear ones (k = 0),
+    p^(k-1)(p-1) for the induced ones."""
+    return p ** (k - 1) * (p - 1) if k else 1
+
+
 def table_rows(G):
     """The table in (level, twist) order, one (kind, twist, degree, level,
     prim_degree) tuple per character, from integers alone: a fresh
-    generator on every call, so a whole table need never be held."""
+    generator on every call, so a whole table need never be held.
+
+    prim_degree reads a twist (a, b) only through whether a and b are 0
+    and through v_p(b), and for 0 < b < n = p^(r-1), p^(v_p(b)) is
+    gcd(b, n).  So it is asked r + 1 times, however large the table: on
+    (0, 0), on (1, 0) for every other b = 0, and on (1, gcd(b, n)) for
+    every b != 0."""
     p, r, s = G.p, G.r, G.s
+    n = p ** (r - 1)
+    at_zero = (prim_degree((0, 0), G), prim_degree((1, 0), G))
+    by_gcd = {p**v: prim_degree((1, p**v), G) for v in range(r - 1)}
     for a in range(p - 1):
-        for b in range(p ** (r - 1)):
-            tw = (a, b)
-            yield "linear", tw, 1, 0, prim_degree(tw, G)
+        yield "linear", (a, 0), 1, 0, at_zero[a > 0]
+        for b in range(1, n):
+            yield "linear", (a, b), 1, 0, by_gcd[gcd(b, n)]
     for k in range(1, s + 1):
-        deg = p ** (k - 1) * (p - 1)
-        for b in range(p ** (r - k)):
-            tw = (0, b)
-            yield "induced", tw, deg, k, max(k, prim_degree(tw, G))
+        deg = level_degree(k, p)
+        yield "induced", (0, 0), deg, k, max(k, at_zero[0])
+        for b in range(1, p ** (r - k)):
+            yield "induced", (0, b), deg, k, max(k, by_gcd[gcd(b, n)])
 
 
 @lru_cache(maxsize=None)
@@ -329,3 +345,23 @@ def character_json(row):
         "level": level,
         "prim_degree": prim,
     }
+
+
+def character_samples(G):
+    """{(level, prim_degree): the character_json that every row of the
+    bucket shares, with HOLE for the twist's two ints}, over the census:
+    a row's kind and degree are set by its level."""
+    return {
+        (k, t): character_json(("induced" if k else "linear", (HOLE, HOLE), level_degree(k, G.p), k, t))
+        for k, t in census(G)
+    }
+
+
+def bucket_stamps(rows, samples):
+    """A Stamp per table_rows row: the sample of its (level, prim_degree)
+    bucket, filled with its twist.  A row whose bucket has no sample is
+    outside the census and fails ensure."""
+    for row in rows:
+        sample = samples.get(row[3:])
+        ensure(sample is not None, "character {} outside the census", row)
+        yield Stamp(sample, row[1])

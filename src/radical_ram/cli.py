@@ -15,21 +15,24 @@ the hypotheses (odd m, non-power a, valuation condition) — the report
 lists each violation; 3 an internal cross-check failed, meaning the
 library disagrees with itself and the output cannot be trusted; 4 a
 resource limit was hit (a radicand or exponent whose factorization needs
-more than arith.FACTOR_BUDGET Pollard-Brent steps).
+more than arith.FACTOR_BUDGET Pollard-Brent steps); 141 stdout was closed
+by its reader (as by `| head`), the shell's code for a SIGPIPE death.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
-from itertools import chain, islice
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .arith import DEFAULT_MAX_ORDER, ResourceLimitError, Rows, ensure, is_prime, resolve_max_order
-from .chartab import census, census_mismatch, character_json, class_exponents, coefficient_row
-from .chartab import exponent_row, table_rows, twist_order
+from .arith import DEFAULT_MAX_ORDER, HOLE, ResourceLimitError, Rows, Stamp, ensure, is_prime
+from .arith import resolve_max_order
+from .chartab import bucket_stamps, census, census_mismatch, character_samples, class_exponents
+from .chartab import coefficient_row, exponent_row, table_rows, twist_order
 from .conductor import conductor_checks, conductor_json
 from .holomorph import GroupDesc, all_classes, class_count
 from .ramfil import (
@@ -47,6 +50,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
 BLOCK_CHARS = 1 << 16  # about 64 kB per write
 BATCH = 512  # list items rendered by one template
 BATCH_CELLS = 1 << 14  # values (leaves and containers) in one batch
-WIDE = 64  # lists this long whose elements share one shape render by element
 _INDENT = "  "
+_HOLE_MARK = "\0"  # a HOLE in a sample's text: JSON text has no raw NUL
 _INF = float("inf")
 
 
@@ -139,11 +143,6 @@ def _template(col, level, columns):
     if not keys:
         return opening + closing
     inner = "\n" + _INDENT * (level + 1)
-    if opening == "[" and len(keys) >= WIDE:
-        wide = _wide_column(col, level, inner)
-        if wide is not None:
-            columns.append(wide)
-            return "%s"
     parts = []
     for key, label in zip(keys, labels):
         try:
@@ -156,22 +155,6 @@ def _template(col, level, columns):
     return opening + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closing
 
 
-def _wide_column(col, level, inner):
-    """The lists in `col`, of one length n, each rendered whole, when all
-    their elements share one shape: n copies of the elements' one
-    template make the lists' template, so a batch costs no Python work
-    per position.  None otherwise."""
-    n = len(col[0])
-    flat = list(chain.from_iterable(col))
-    columns = []
-    part = _template(flat, level + 1, columns)
-    if part is None:
-        return None
-    template = "[" + inner + ("," + inner).join([part] * n) + "\n" + _INDENT * level + "]"
-    args = chain.from_iterable(zip(*columns))  # each element's leaves, in order
-    return (template % tuple(islice(args, n * len(columns))) for _ in col)
-
-
 def _size(o):
     """The number of values in o: its leaves and its containers."""
     if isinstance(o, dict):
@@ -181,14 +164,24 @@ def _size(o):
     return 1
 
 
-def _next_batch(items):
-    """The next items of a list iterator to render together: at most
-    BATCH of them, and about BATCH_CELLS values in all, by the size of
-    the first."""
-    for first in items:
-        n = min(BATCH, max(1, BATCH_CELLS // _size(first)))
-        return [first, *islice(items, n - 1)]
-    return []
+def _rendered(batch, level):
+    """The texts of a batch's items at `level` from one template, or None
+    when they do not share one shape."""
+    columns = []
+    template = _template(batch, level, columns)
+    if template is None:
+        return None
+    return map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(batch)
+
+
+def _stamp_template(sample, level):
+    """The %-template of a Stamp's sample at indent `level`: the sample's
+    canonical text, written by write_canonical itself, with each literal
+    % doubled and %d at each HOLE."""
+    parts = []
+    write_canonical(sample, parts.append)
+    text = "".join(parts)[:-1].replace("%", "%%").replace("\n", "\n" + _INDENT * level)
+    return text.replace(_HOLE_MARK, "%d")
 
 
 def write_canonical(obj, write):
@@ -196,14 +189,41 @@ def write_canonical(obj, write):
     indent=2 and default=str, plus a newline, in blocks of about
     BLOCK_CHARS characters.  A Rows is written as the list of its items,
     which are generated one batch at a time, so it is never held whole.
+    A Stamp is written as its sample with its ints in the holes.
 
     The walk is the stdlib encoder's, except that a list is taken one
-    batch at a time (_next_batch), and a batch whose items share one
+    batch at a time (next_batch), and a batch whose items share one
     shape is rendered with one template whose leaf columns are encoded
-    at C speed."""
+    at C speed.  A Stamp is rendered from its sample's template, built
+    once per sample and indent (shape)."""
     buf = []
     append = buf.append
     counted = size = 0
+    shapes = {}  # (id(sample), level): (template, size, sample); holding the sample keeps its id
+
+    def shape(stamp, level):
+        key = id(stamp.sample), level
+        known = shapes.get(key)
+        if known is None:
+            known = shapes[key] = _stamp_template(stamp.sample, level), _size(stamp.sample), stamp.sample
+        return known
+
+    def stamped(batch, level):
+        """The texts of a batch of Stamps at `level`, or None if the batch
+        holds anything else."""
+        if set(map(type, batch)) != {Stamp}:
+            return None
+        return [(shapes.get((id(x.sample), level)) or shape(x, level))[0] % x.ints for x in batch]
+
+    def next_batch(items, level):
+        """The next items of a list iterator to render together at
+        `level`: at most BATCH of them, and about BATCH_CELLS values in
+        all, by the size of the first (a Stamp's is its sample's)."""
+        for first in items:
+            cells = shape(first, level)[1] if type(first) is Stamp else _size(first)
+            n = min(BATCH, max(1, BATCH_CELLS // cells))
+            return [first, *islice(items, n - 1)]
+        return []
 
     def spill():
         nonlocal counted, size
@@ -215,7 +235,9 @@ def write_canonical(obj, write):
             counted = size = 0
 
     def encode(o, level):
-        if isinstance(o, str):
+        if type(o) is Stamp:
+            append(stamped([o], level)[0])
+        elif isinstance(o, str):
             append(_quote(o))
         elif o is None:
             append("null")
@@ -229,26 +251,24 @@ def write_canonical(obj, write):
             append(_float_str(o))
         elif isinstance(o, (list, tuple, Rows)):
             items = iter(o)
-            batch = _next_batch(items)
+            batch = next_batch(items, level + 1)
             if not batch:
                 append("[]")
                 return
             inner = "\n" + _INDENT * (level + 1)
             sep, comma = "[" + inner, "," + inner
             while batch:
-                columns = []
-                template = _template(batch, level + 1, columns)
-                if template is None:
+                rows = stamped(batch, level + 1) or _rendered(batch, level + 1)
+                if rows is None:
                     for item in batch:
                         append(sep)
                         sep = comma
                         encode(item, level + 1)
                 else:
-                    rows = map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(batch)
                     append(sep + comma.join(rows))
                     sep = comma
                 spill()
-                batch = _next_batch(items)
+                batch = next_batch(items, level + 1)
             append("\n" + _INDENT * level + "]")
         elif isinstance(o, dict):
             if not o:
@@ -261,6 +281,8 @@ def write_canonical(obj, write):
                 sep = comma
                 encode(value, level + 1)
             append("\n" + _INDENT * level + "}")
+        elif o is HOLE:
+            append(_HOLE_MARK)
         else:
             encode(str(o), level)
 
@@ -505,30 +527,35 @@ def cmd_verify(args, parser):
 
 
 def chartab_values(G):
-    """(classes, n, value_row) for G's table of n characters, once its
-    census is checked.  value_row(row) is one table_rows row's values, a
-    (coefficient, exponent) pair per class, the exponent 0 where the
-    coefficient is: from its level's coefficient list, kept per level, and
-    its twist's exponent list, made for the row."""
+    """(classes, n, coeffs, exponents) for G's table of n characters, once
+    its census is checked.  coeffs[k] is the level-k coefficient on every
+    class.  exponents(row) is a table_rows row's twist exponents (mod m0)
+    on the classes where its level's coefficient is nonzero, in class
+    order: the value there is coeff * z^exp, and 0 elsewhere.  Only the
+    exponents are made per row."""
     mismatch = census_mismatch(G, table_rows(G))
     ensure(mismatch is None, "character table against census: {}", mismatch)
     classes = all_classes(G)
     ea, eb = class_exponents(G, classes)
     m0 = twist_order(G)
     coeffs = [coefficient_row(k, classes, G.p) for k in range(G.s + 1)]
-    nonzero = [[1 if c else 0 for c in row] for row in coeffs]
+    support = [(list(compress(ea, row)), list(compress(eb, row))) for row in coeffs]
 
-    def value_row(row):
-        level = row[3]
-        return list(zip(coeffs[level], map(mul, exponent_row(row[1], ea, eb, m0), nonzero[level])))
+    def exponents(row):
+        return tuple(exponent_row(row[1], *support[row[3]], m0))
 
-    return classes, sum(census(G).values()), value_row
+    return classes, sum(census(G).values()), coeffs, exponents
 
 
 def chartab_payload(G):
-    """chartab's JSON report.  Its characters and values are Rows, made
-    from table_rows one row at a time while they are written."""
-    classes, n, value_row = chartab_values(G)
+    """chartab's JSON report.  Its characters and values are Rows of
+    Stamps, made from table_rows one row at a time while they are
+    written: a character fills its bucket's sample with its twist, and a
+    value row fills its level's, which holds the level's coefficients,
+    [0, 0] at each zero and a HOLE for each other exponent."""
+    classes, n, coeffs, exponents = chartab_values(G)
+    characters = character_samples(G)
+    levels = [[[c, HOLE] if c else [0, 0] for c in row] for row in coeffs]
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},
         "root_of_unity_order": twist_order(G),
@@ -536,8 +563,8 @@ def chartab_payload(G):
             {"u": c.representative.u, "beta": c.beta, "alpha": c.alpha, "size": c.size}
             for c in classes
         ],
-        "characters": Rows(n, lambda: map(character_json, table_rows(G))),
-        "values": Rows(n, lambda: map(value_row, table_rows(G))),
+        "characters": Rows(n, lambda: bucket_stamps(table_rows(G), characters)),
+        "values": Rows(n, lambda: (Stamp(levels[row[3]], exponents(row)) for row in table_rows(G))),
     }
 
 
@@ -564,7 +591,7 @@ def cmd_chartab(args, parser):
         canonical_json(chartab_payload(G))
         return EXIT_OK
 
-    classes, n, value_row = chartab_values(G)
+    classes, n, coeffs, exponents = chartab_values(G)
     sys.stdout.write(
         f"character table of C({G.p}^{G.s}) x| G({G.p}^{G.r}), "
         f"order {G.order}; z = root of unity of order {twist_order(G)}\n"
@@ -576,7 +603,8 @@ def cmd_chartab(args, parser):
     )
     for row in Rows(n, lambda: table_rows(G)):
         kind, twist, degree, level, _ = row
-        cells = "  ".join(_fmt_value(coe, exp) for coe, exp in value_row(row))
+        exps = iter(exponents(row))
+        cells = "  ".join(_fmt_value(coe, next(exps) if coe else 0) for coe in coeffs[level])
         sys.stdout.write(f"{kind:7s} twist={twist} deg={degree} level={level}: {cells}\n")
     return EXIT_OK
 
@@ -623,15 +651,23 @@ def make_parser():
 
 def main(argv=None):
     """Run one subcommand; a resource limit or an internal inconsistency
-    raised by any of them is exit 4 or 3, with one line on stderr."""
+    raised by any of them is exit 4 or 3, with one line on stderr.  A
+    stdout closed by its reader is exit 141, with nothing on stderr."""
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "verify":
-            return cmd_verify(args, args._sub)
-        return cmd_chartab(args, args._sub)
+            code = cmd_analyze(args)
+        elif args.command == "verify":
+            code = cmd_verify(args, args._sub)
+        else:
+            code = cmd_chartab(args, args._sub)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE

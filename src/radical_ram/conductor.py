@@ -16,8 +16,8 @@ Since c(chi) depends on (level, primitive degree) alone, the checked
 value is computed once per (level, primitive degree) bucket of the
 closed census chartab.census (bucket_conductor); a character's record is
 its bucket's.  analyze reads the buckets: its JSON streams one row per
-chartab.table_rows tuple, each with its bucket's (c, f), and builds no
-Character.  verify builds the per-character table and checks it against
+chartab.table_rows tuple, a Stamp of its bucket's row, (c, f) included,
+filled with its twist, and builds no Character.  verify builds the per-character table and checks it against
 the buckets.
 
 The p-valuation of the local discriminant is then obtained three ways:
@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import Rows, ensure, run_checks
-from .chartab import SubgroupDesc, census, census_mismatch, character_json, character_table, count_by
-from .chartab import null_subgroup, subgroup_contains, table_rows
+from .chartab import SubgroupDesc, bucket_stamps, census, census_mismatch, character_samples
+from .chartab import character_table, count_by, null_subgroup, subgroup_contains, table_rows
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -281,7 +281,8 @@ def disc_vp_global(m, a, p):
 def conductor_json(ctx, characters=True):
     """The discriminant cross-check, plus, when `characters` is set, the
     per-character conductor rows: a Rows stream of {character, c, f}, one
-    per table_rows tuple in table order, each with its bucket's (c, f).
+    per table_rows tuple in table order.  A row is a Stamp of its bucket's
+    sample, which holds the bucket's (c, f), filled with its twist.
     The rows' census is checked here, before anything is written."""
     buckets = conductor_buckets(ctx)
     sum_route = _census_sum(ctx, buckets)
@@ -299,16 +300,12 @@ def conductor_json(ctx, characters=True):
         G = ctx.group()
         mismatch = census_mismatch(G, table_rows(G))
         ensure(mismatch is None, "character table against census at p={}: {}", ctx.p, mismatch)
-        printed = {key: (frac_str(c), f) for key, (c, f) in buckets.items()}
-        out["characters"] = Rows(sum(census(G).values()), lambda: _conductor_rows(G, printed))
+        samples = {
+            key: {"character": character, "c": frac_str(buckets[key][0]), "f": buckets[key][1]}
+            for key, character in character_samples(G).items()
+        }
+        out["characters"] = Rows(sum(census(G).values()), lambda: bucket_stamps(table_rows(G), samples))
     return out
-
-
-def _conductor_rows(G, printed):
-    for row in table_rows(G):
-        cf = printed.get(row[3:])
-        ensure(cf is not None, "character {} outside the census", row)
-        yield {"character": character_json(row), "c": cf[0], "f": cf[1]}
 
 
 def conductor_checks(ctx):

@@ -6,7 +6,7 @@ for them.  unit_ctx/eis_ctx are the synthetic wild contexts the suites
 sweep.
 """
 
-from radical_ram.arith import unit_decomp, vp
+from radical_ram.arith import HOLE, Rows, Stamp, unit_decomp, vp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
 from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
 
@@ -98,3 +98,33 @@ def faulty_table_rows(real, name):
         return iter(fault(rows) if every_call or len(calls) > 1 else rows)
 
     return faulty
+
+
+def materialised(obj):
+    """obj as the plain object the canonical writer writes it as: every
+    Rows replaced by the list of its items, and every Stamp by its sample
+    with the holes filled from its ints, in the order they are written
+    (dict keys sorted, list items in order).  A Stamp with more or fewer
+    ints than holes fails."""
+    if isinstance(obj, Stamp):
+        ints = iter(obj.ints)
+        plain = _filled(obj.sample, ints)
+        assert next(ints, HOLE) is HOLE, "more ints than holes"
+        return plain
+    if isinstance(obj, (Rows, list)):
+        return [materialised(x) for x in obj]
+    if isinstance(obj, tuple):
+        return tuple(materialised(x) for x in obj)
+    if isinstance(obj, dict):
+        return {k: materialised(v) for k, v in obj.items()}
+    return obj
+
+
+def _filled(sample, ints):
+    if sample is HOLE:
+        return next(ints)  # StopIteration: fewer ints than holes
+    if isinstance(sample, dict):
+        return {k: _filled(sample[k], ints) for k in sorted(sample)}
+    if isinstance(sample, (list, tuple)):
+        return type(sample)(_filled(x, ints) for x in sample)
+    return sample

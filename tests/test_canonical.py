@@ -2,32 +2,24 @@
 
 write_canonical must pass exactly json.dumps(obj, sort_keys=True,
 indent=2, default=str) + "\\n" to its `write`, whatever path (batch
-template, wide-list template or plain recursion) each list takes, and
-write a Rows exactly as the list of its items.
+template or plain recursion) each list takes, write a Rows exactly as
+the list of its items, and a Stamp exactly as its sample with its ints
+in the holes.
 """
 
 import contextlib
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import materialised
 from radical_ram import cli
-from radical_ram.arith import Rows
+from radical_ram.arith import HOLE, Rows, Stamp
 from radical_ram.holomorph import GroupDesc
-
-
-def materialised(obj):
-    """obj with every Rows in it replaced by the list of its items."""
-    if isinstance(obj, (Rows, list)):
-        return [materialised(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(materialised(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: materialised(v) for k, v in obj.items()}
-    return obj
 
 
 def dumps(obj):
@@ -53,11 +45,11 @@ class Count(int):
 
 
 text = st.text(st.sampled_from('az{}[]%":,\\\'\n\t é☃\x00\U0001f600'), max_size=6)
+big_ints = st.integers() | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from((n, -n)))
 leaves = (
     st.none()
     | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from((n, -n)))
+    | big_ints
     | st.floats()
     | text
     | st.builds(Tag, text)
@@ -66,23 +58,63 @@ leaves = (
 )
 
 
-def containers(kids):
+def containers(kids, lazy_lists=True):
+    lists = st.lists(kids, max_size=4)
     return (
-        st.lists(kids, max_size=4)
-        | st.lists(kids, max_size=4).map(lazy)
+        (lists | lists.map(lazy) if lazy_lists else lists)
         | st.lists(kids, max_size=3).map(tuple)
         | st.dictionaries(text, kids, max_size=4)
         | st.dictionaries(st.integers(-50, 50), kids, max_size=3)
     )
 
 
-nested = st.recursive(leaves, containers, max_leaves=12)
+def punched(obj, holes):
+    """obj with the exact int leaves at the positions `holes` picks (one
+    flag per exact int, in walk order) replaced by HOLE."""
+    t = type(obj)
+    if t is int:
+        return HOLE if next(holes) else obj
+    if t is list or t is tuple:
+        return t(punched(x, holes) for x in obj)
+    if t is dict:
+        return {k: punched(v, holes) for k, v in obj.items()}
+    return obj
+
+
+def holes(sample):
+    if sample is HOLE:
+        return 1
+    if isinstance(sample, dict):
+        return sum(map(holes, sample.values()))
+    if isinstance(sample, (list, tuple)):
+        return sum(map(holes, sample))
+    return 0
+
+
+# samples: any object of leaves, lists, tuples and dicts (no Rows), some of
+# whose exact ints are holes; a lone int may be a hole
+samples = st.builds(
+    lambda obj, flags: punched(obj, chain(flags, repeat(False))),
+    st.recursive(leaves, lambda kids: containers(kids, lazy_lists=False), max_leaves=10),
+    st.lists(st.booleans(), min_size=12, max_size=12),
+)
+
+
+def stamp_of(sample):
+    return st.lists(big_ints, min_size=holes(sample), max_size=holes(sample)).map(
+        lambda ints: Stamp(sample, tuple(ints)))
+
+
+stamps = samples.flatmap(stamp_of)
+nested = st.recursive(leaves | stamps, containers, max_leaves=12)
 
 
 def vary(obj, i):
-    """obj with its exact int and str leaves moved by i: the same shape,
-    different leaves."""
+    """obj with its exact int and str leaves, and a Stamp's ints, moved by
+    i: the same shape, different leaves."""
     t = type(obj)
+    if t is Stamp:
+        return Stamp(obj.sample, tuple(x + i for x in obj.ints))
     if t is int:
         return obj + i
     if t is str:
@@ -97,15 +129,15 @@ def vary(obj, i):
 
 
 def record_lists(batch):
-    """Copies of one drawn record, more than one batch of them, with up
-    to two items replaced by other drawn objects (mixed shapes in one
-    batch)."""
+    """Copies of one or two drawn records taken in turn, such as the
+    Stamps of two buckets, more than one batch of them, with up to two
+    items replaced by other drawn objects (mixed shapes in one batch)."""
 
     @st.composite
     def draw_list(draw):
-        record = draw(nested)
+        records = draw(st.lists(nested | stamps, min_size=1, max_size=2))
         n = draw(st.integers(batch - 2, batch + 12))
-        items = [vary(record, i) for i in range(n)]
+        items = [vary(records[i % len(records)], i) for i in range(n)]
         for _ in range(draw(st.integers(0, 2))):
             items[draw(st.integers(0, n - 1))] = draw(nested)
         return lazy(items) if draw(st.booleans()) else items
@@ -113,10 +145,9 @@ def record_lists(batch):
     return draw_list()
 
 
-# (BATCH, BATCH_CELLS, WIDE): the real sizes, and sizes small enough to
-# shrink a failure quickly, bound batches by values and send lists of
-# two or more elements down the wide-list path
-SIZES = [(cli.BATCH, cli.BATCH_CELLS, cli.WIDE), (3, cli.BATCH_CELLS, cli.WIDE), (3, 12, 2)]
+# (BATCH, BATCH_CELLS): the real sizes, and sizes small enough to shrink
+# a failure quickly and to bound batches by values
+SIZES = [(cli.BATCH, cli.BATCH_CELLS), (3, cli.BATCH_CELLS), (3, 12)]
 
 
 @st.composite
@@ -130,12 +161,12 @@ def cases(draw):
 
 @contextlib.contextmanager
 def writer_sizes(sizes):
-    saved = cli.BATCH, cli.BATCH_CELLS, cli.WIDE
-    cli.BATCH, cli.BATCH_CELLS, cli.WIDE = sizes
+    saved = cli.BATCH, cli.BATCH_CELLS
+    cli.BATCH, cli.BATCH_CELLS = sizes
     try:
         yield
     finally:
-        cli.BATCH, cli.BATCH_CELLS, cli.WIDE = saved
+        cli.BATCH, cli.BATCH_CELLS = saved
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -147,13 +178,24 @@ def test_write_canonical_equals_json_dumps(case):
     assert "".join(blocks) == dumps(obj)
 
 
+VALUES = [[3, HOLE], [0, 0], [-1, HOLE], [0, 0]] * 20  # a chartab level's value row
+BUCKET = {"c": "1/2", "character": {"kind": "linear", "twist": [HOLE, HOLE], "%d": "%%"}, "f": 3}
+
+
 def test_write_canonical_edge_cases():
     for obj in ([], {}, [[]], [{}] * 3, (), [None] * 600, {"{a}": "}{"}, [{"k{": 1}, {"k{": 2}],
                 [(1, 2), [3, 4]], [{"a": 1}, {"b": 1}], [{1: 2}, {1: 3}], {10: 1, 2: 2},
                 [float("nan"), float("inf"), -float("inf"), 0.1], [True, False, 1, 0],
                 [Fraction(1, 2)] * 3, 2**100, "é", None, lazy([]), [lazy([1])] * 2,
-                [[7] * 70, [8] * 70], [[None] * 70] * 2, [[{}] * 70] * 3, [[{"%": "%d"}] * 70] * 2):
-        assert "".join(written(obj)) == dumps(obj)
+                [[7] * 70, [8] * 70], [[None] * 70] * 2, [[{}] * 70] * 3, [[{"%": "%d"}] * 70] * 2,
+                Stamp(HOLE, (-7,)), Stamp([], ()), Stamp({}, ()), [Stamp({"%d": "%s"}, ())] * 3,
+                [Stamp(HOLE, (i,)) for i in range(600)], Stamp([HOLE, [HOLE]], (2**100, -(2**70))),
+                lazy([Stamp(VALUES, tuple(range(i, i + 40))) for i in range(300)]),
+                {"a": Stamp(BUCKET, (1, 2)), "b": [Stamp(BUCKET, (3, 4)), [Stamp(BUCKET, (5, 6))]]},
+                [Stamp(BUCKET, (i, -i)) if i % 3 else {"twist": [i]} for i in range(40)]):
+        for sizes in SIZES:
+            with writer_sizes(sizes):
+                assert "".join(written(obj)) == dumps(obj)
 
 
 @pytest.mark.parametrize("items,length,message", [
@@ -191,6 +233,18 @@ def test_cli_json_equals_json_dumps_across_batches(capsys, sizes):
         for argv, payload in runs:
             assert cli.main(list(argv)) == 0
             assert capsys.readouterr().out == dumps(payload), argv
+
+
+def test_stamped_rows_spill_in_blocks():
+    """chartab --json on (7, 3, 3), whose rows are Stamps of up to 351
+    cells, is written in blocks no longer than BLOCK_CHARS and one batch
+    of about BATCH_CELLS values: a batch of Stamps is sized by its
+    sample, not by its ints or its count."""
+    payload = cli.chartab_payload(GroupDesc(7, 3, 3))
+    blocks = written(payload)
+    assert "".join(blocks) == dumps(payload)
+    assert len(blocks) > 20
+    assert max(map(len, blocks)) < 4 * cli.BLOCK_CHARS
 
 
 def test_write_canonical_streams_in_blocks():

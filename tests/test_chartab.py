@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from radical_ram import chartab
 from radical_ram.arith import CycInt, unit_decomp, vp
 from radical_ram.chartab import (
     SubgroupDesc,
@@ -22,6 +23,7 @@ from radical_ram.chartab import (
     character_table,
     count_by,
     induced_coefficient,
+    level_degree,
     linear_exponent,
     null_subgroup,
     prim_degree,
@@ -31,6 +33,7 @@ from radical_ram.chartab import (
     subgroup_eq,
     subgroup_intersect,
     subgroup_order,
+    table_rows,
     trivial_subgroup,
     twist_order,
     value_profiles,
@@ -251,6 +254,29 @@ def test_linear_prim_degree_closed_rule(G):
             assert chi.prim_degree == 1
         else:
             assert chi.prim_degree == 0
+
+
+@pytest.mark.parametrize("G", [GroupDesc(11, 3, 1), GroupDesc(3, 4, 2), GroupDesc(5, 1, 1), GroupDesc(7, 2, 2)])
+def test_table_rows_asks_prim_degree_once_per_class(monkeypatch, G):
+    """One table_rows pass goes through chartab.prim_degree at most
+    p^(r-1) + 1 + sum_(k=1..s) p^(r-k) times, where one call per
+    character made (p-1) p^(r-1) + sum_(k=1..s) p^(r-k), and yields what
+    one call per character gives."""
+    p, r, s = G.p, G.r, G.s
+    real = chartab.prim_degree
+    calls = []
+
+    def counted(twist, G):
+        calls.append(twist)
+        return real(twist, G)
+
+    monkeypatch.setattr(chartab, "prim_degree", counted)
+    rows = list(table_rows(G))
+    assert len(calls) <= p ** (r - 1) + 1 + sum(p ** (r - k) for k in range(1, s + 1))
+    per_character = [("linear", (a, b), 1, 0, real((a, b), G)) for a in range(p - 1) for b in range(p ** (r - 1))]
+    per_character += [("induced", (0, b), level_degree(k, p), k, max(k, real((0, b), G)))
+                      for k in range(1, s + 1) for b in range(p ** (r - k))]
+    assert rows == per_character
 
 
 def prim_degree_scan(twist, G):

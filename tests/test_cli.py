@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 import radical_ram
 from radical_ram import arith, chartab, cli, conductor, oracle, ramfil
+from radical_ram.chartab import char_coefficient, character_json, character_table, linear_exponent
 from radical_ram.cli import main
-from radical_ram.holomorph import GroupDesc
+from radical_ram.holomorph import GroupDesc, all_classes
 
 from helpers import ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree
 
@@ -659,6 +661,75 @@ def test_chartab_json_byte_identical(capsys):
     assert out1 == out2
 
 
+# s = r groups have every level, and so every level's zero cells
+CELL_GRID = [(3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 3), (5, 2, 0), (5, 2, 2), (7, 2, 2), (5, 3, 3)]
+
+
+@pytest.mark.parametrize("p,r,s", CELL_GRID)
+def test_chartab_json_cells_match_the_characters(capsys, p, r, s):
+    """chartab --json, read back from its text, against its table computed
+    cell by cell from character_table and all_classes: values[i][j] is
+    [char_coefficient, linear_exponent, or 0 where the coefficient is].
+    The route shares no row template and no class_exponents with the
+    writer's, so it catches a wrong value baked into a template, which
+    a test that parses the rendered rows back cannot."""
+    G = GroupDesc(p, r, s)
+    code, out, _ = run(capsys, "chartab", str(p), str(r), str(s), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    table, classes = character_table(G), all_classes(G)
+    assert payload["classes"] == [
+        {"u": cls.representative.u, "beta": cls.beta, "alpha": cls.alpha, "size": cls.size} for cls in classes
+    ]
+    assert payload["characters"] == [character_json(chi.row) for chi in table]
+    assert len(payload["values"]) == len(table)
+    for chi, row in zip(table, payload["values"]):
+        want = []
+        for cls in classes:
+            coeff = char_coefficient(chi, cls)
+            want.append([coeff, linear_exponent(chi.twist, cls.representative.u, G) if coeff else 0])
+        assert row == want, chi
+
+
+def test_chartab_characters_outside_the_census_exit_3(capsys, monkeypatch):
+    """A streamed row whose bucket has no template fails as outside the
+    census: the census pass sees the clean table, the stream one row
+    more, in a bucket the census does not have."""
+    real = chartab.table_rows
+    calls = []
+
+    def with_stray(G):
+        calls.append(G)
+        yield from real(G)
+        if len(calls) > 1:
+            yield ("induced", (0, 0), 2, 1, G.r + 1)
+
+    monkeypatch.setattr(cli, "table_rows", with_stray)
+    code, _, err = run(capsys, "chartab", "3", "2", "1", "--json")
+    assert code == 3
+    assert err == "internal inconsistency: character ('induced', (0, 0), 2, 1, 3) outside the census\n"
+
+
+def readme_examples():
+    """(argv, stdout) of every README code block that opens with a
+    `$ radical-ram ...` line: the command, then its exact output."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        first, _, rest = block.partition("\n")
+        if first.startswith("$ radical-ram "):
+            examples.append((shlex.split(first)[2:], rest))
+    return examples
+
+
+def test_readme_examples(capsys):
+    """Each README example prints exactly what README shows."""
+    examples = readme_examples()
+    assert examples
+    for argv, shown in examples:
+        assert run(capsys, *argv)[1] == shown, argv
+
+
 FAULT_ARGVS = [["chartab", "3", "2", "1", "--json"], ["chartab", "3", "2", "1"], ["analyze", "10", "9", "--json"]]
 
 
@@ -870,3 +941,20 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "agree=true" in proc.stdout
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["chartab", "7", "3", "3", "--json"], 100),  # 4.9 MB, far beyond a pipe's buffer
+    (["analyze", "2", "2401"], 0),  # a few lines, all written when the run flushes
+], ids=["chartab-json-after-100-bytes", "text-analyze-before-its-first-byte"])
+def test_closed_stdout_exits_141_quietly(argv, read):
+    """A reader that closes stdout early, as `| head -c 100` does, ends
+    the run with exit 141 and nothing on stderr: no BrokenPipeError
+    traceback, and no second error when the interpreter flushes at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(radical_ram.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "radical_ram", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_PIPE, b"")

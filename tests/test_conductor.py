@@ -41,7 +41,7 @@ from radical_ram.ramfil import (
     upper_filtration,
 )
 
-from helpers import eis_ctx, unit_ctx
+from helpers import eis_ctx, materialised, unit_ctx
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
@@ -307,7 +307,7 @@ def test_conductor_json_builds_no_character(monkeypatch):
     monkeypatch.setattr(chartab, "Character", forbidden)
     rows = conductor_json(ctx)["characters"]
     assert len(rows) == len(expected)
-    assert list(rows) == expected
+    assert materialised(rows) == expected
 
 
 def _faulty_rows(monkeypatch, fault):
@@ -446,7 +446,7 @@ def test_conductor_json_shape():
     j = conductor_json(unit_ctx(3, 1, 1))
     assert set(j) == {"characters", "v_p_disc"}
     assert len(j["characters"]) == 3
-    for row in j["characters"]:
+    for row in materialised(j["characters"]):
         assert set(row) == {"character", "c", "f"}
         assert "/" in row["c"]
         assert isinstance(row["f"], int)
