@@ -594,8 +594,11 @@ class Stamp:
     The sample is the JSON object every row of the bucket shares, with
     HOLE at each int leaf that varies from row to row; `ints`, a tuple of
     exact ints, fills the holes in the order they are written (dict keys
-    sorted, list items in order).  The canonical writer renders all rows
-    of one sample from one template, built once from the sample."""
+    sorted, list items in order).  A Stamp is the one kind of row the
+    canonical writer renders from a template: its sample's text, built
+    once per sample and indent, where a float or a non-str key fails
+    ensure as anywhere else in a payload.  A run of Stamps in a list is
+    rendered one block of about cli.BLOCK_CHARS characters at a time."""
 
     __slots__ = ("sample", "ints")
 

@@ -27,7 +27,6 @@ import os
 import sys
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .arith import DEFAULT_MAX_ORDER, HOLE, ResourceLimitError, Rows, Stamp, ensure, is_prime
 from .arith import resolve_max_order
@@ -66,112 +65,8 @@ class _Parser(argparse.ArgumentParser):
 # canonical JSON
 
 BLOCK_CHARS = 1 << 16  # about 64 kB per write
-BATCH = 512  # list items rendered by one template
-BATCH_CELLS = 1 << 14  # values (leaves and containers) in one batch
 _INDENT = "  "
 _HOLE_MARK = "\0"  # a HOLE in a sample's text: JSON text has no raw NUL
-_INF = float("inf")
-
-
-def _float_str(o):
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _key_str(k):
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_str(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-# the exact leaf types a template takes, each with its placeholder and
-# its encoder (None: %d formats the int itself); None is a literal
-_LEAF = {
-    int: ("%d", None),
-    str: ("%s", _quote),
-    float: ("%s", _float_str),
-    bool: ("%s", {True: "true", False: "false"}.__getitem__),
-}
-
-
-def _template(col, level, columns):
-    """One %-format template for the values in `col` (one position across
-    the items of a batch) at indent `level`, or None when they do not
-    share one shape: exact int/str/float/bool/None leaves, lists or
-    tuples of one length, dicts with one set of str keys.  Each leaf
-    position is appended to `columns` as a lazily encoded column."""
-    types = set(map(type, col))
-    if len(types) != 1:
-        return None
-    t = types.pop()
-    if t is type(None):
-        return "null"
-    if t in _LEAF:
-        placeholder, encode = _LEAF[t]
-        columns.append(col if encode is None else map(encode, col))
-        return placeholder
-    if t is dict:
-        keys = list(col[0])
-        if any(type(k) is not str for k in keys):
-            return None
-        keys.sort()
-        labels = [_quote(k).replace("%", "%%") + ": " for k in keys]
-        opening, closing = "{", "}"
-    elif t is list or t is tuple:
-        keys = range(len(col[0]))
-        labels = [""] * len(keys)
-        opening, closing = "[", "]"
-    else:
-        return None
-    if set(map(len, col)) != {len(keys)}:
-        return None
-    if not keys:
-        return opening + closing
-    inner = "\n" + _INDENT * (level + 1)
-    parts = []
-    for key, label in zip(keys, labels):
-        try:
-            part = _template(list(map(itemgetter(key), col)), level + 1, columns)
-        except KeyError:  # same number of keys, not the same keys
-            return None
-        if part is None:
-            return None
-        parts.append(label + part)
-    return opening + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + closing
-
-
-def _size(o):
-    """The number of values in o: its leaves and its containers."""
-    if isinstance(o, dict):
-        return 1 + sum(map(_size, o.values()))
-    if isinstance(o, (list, tuple)):
-        return 1 + sum(map(_size, o))
-    return 1
-
-
-def _rendered(batch, level):
-    """The texts of a batch's items at `level` from one template, or None
-    when they do not share one shape."""
-    columns = []
-    template = _template(batch, level, columns)
-    if template is None:
-        return None
-    return map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(batch)
 
 
 def _stamp_template(sample, level):
@@ -188,42 +83,28 @@ def write_canonical(obj, write):
     """Pass to `write` what json.dumps gives for obj with sort_keys=True,
     indent=2 and default=str, plus a newline, in blocks of about
     BLOCK_CHARS characters.  A Rows is written as the list of its items,
-    which are generated one batch at a time, so it is never held whole.
-    A Stamp is written as its sample with its ints in the holes.
+    generated while they are written, so it is never held whole.  A
+    Stamp is written as its sample with its ints in the holes.  A float
+    or a dict key that is not a str fails ensure: canonical JSON holds
+    neither.
 
-    The walk is the stdlib encoder's, except that a list is taken one
-    batch at a time (next_batch), and a batch whose items share one
-    shape is rendered with one template whose leaf columns are encoded
-    at C speed.  A Stamp is rendered from its sample's template, built
-    once per sample and indent (shape)."""
+    The walk is the stdlib encoder's, except that a Stamp is rendered
+    from its sample's template, built once per sample and indent, and a
+    list takes a run of Stamps one block at a time: the first Stamp and
+    the next BLOCK_CHARS // len(template) items, rendered together when
+    all are Stamps.  Every other item is walked, and the buffer spills
+    after each."""
     buf = []
     append = buf.append
     counted = size = 0
-    shapes = {}  # (id(sample), level): (template, size, sample); holding the sample keeps its id
+    shapes = {}  # (id(sample), level): (template, sample); holding the sample keeps its id
 
     def shape(stamp, level):
         key = id(stamp.sample), level
         known = shapes.get(key)
         if known is None:
-            known = shapes[key] = _stamp_template(stamp.sample, level), _size(stamp.sample), stamp.sample
+            known = shapes[key] = _stamp_template(stamp.sample, level), stamp.sample
         return known
-
-    def stamped(batch, level):
-        """The texts of a batch of Stamps at `level`, or None if the batch
-        holds anything else."""
-        if set(map(type, batch)) != {Stamp}:
-            return None
-        return [(shapes.get((id(x.sample), level)) or shape(x, level))[0] % x.ints for x in batch]
-
-    def next_batch(items, level):
-        """The next items of a list iterator to render together at
-        `level`: at most BATCH of them, and about BATCH_CELLS values in
-        all, by the size of the first (a Stamp's is its sample's)."""
-        for first in items:
-            cells = shape(first, level)[1] if type(first) is Stamp else _size(first)
-            n = min(BATCH, max(1, BATCH_CELLS // cells))
-            return [first, *islice(items, n - 1)]
-        return []
 
     def spill():
         nonlocal counted, size
@@ -236,7 +117,7 @@ def write_canonical(obj, write):
 
     def encode(o, level):
         if type(o) is Stamp:
-            append(stamped([o], level)[0])
+            append(shape(o, level)[0] % o.ints)
         elif isinstance(o, str):
             append(_quote(o))
         elif o is None:
@@ -248,36 +129,40 @@ def write_canonical(obj, write):
         elif isinstance(o, int):
             append(int.__repr__(o))
         elif isinstance(o, float):
-            append(_float_str(o))
+            ensure(False, "float {!r} in canonical JSON", o)
         elif isinstance(o, (list, tuple, Rows)):
             items = iter(o)
-            batch = next_batch(items, level + 1)
-            if not batch:
-                append("[]")
-                return
             inner = "\n" + _INDENT * (level + 1)
-            sep, comma = "[" + inner, "," + inner
-            while batch:
-                rows = stamped(batch, level + 1) or _rendered(batch, level + 1)
-                if rows is None:
-                    for item in batch:
-                        append(sep)
+            opening = sep = "[" + inner
+            comma = "," + inner
+            known = shapes.get
+            for item in items:
+                block = [item]
+                if type(item) is Stamp:
+                    block += islice(items, BLOCK_CHARS // len(shape(item, level + 1)[0]))
+                    if set(map(type, block)) == {Stamp}:
+                        append(sep + comma.join([
+                            (known((id(x.sample), level + 1)) or shape(x, level + 1))[0] % x.ints
+                            for x in block]))
                         sep = comma
-                        encode(item, level + 1)
-                else:
-                    append(sep + comma.join(rows))
+                        spill()
+                        continue
+                for x in block:
+                    append(sep)
                     sep = comma
-                spill()
-                batch = next_batch(items, level + 1)
-            append("\n" + _INDENT * level + "]")
+                    encode(x, level + 1)
+                    spill()
+            append("[]" if sep is opening else "\n" + _INDENT * level + "]")
         elif isinstance(o, dict):
             if not o:
                 append("{}")
                 return
+            bad = [k for k in o if not isinstance(k, str)]
+            ensure(not bad, "dict key {!r} in canonical JSON is not a str", *bad[:1])
             inner = "\n" + _INDENT * (level + 1)
             sep, comma = "{" + inner, "," + inner
             for key, value in sorted(o.items()):
-                append(sep + _quote(_key_str(key)) + ": ")
+                append(sep + _quote(key) + ": ")
                 sep = comma
                 encode(value, level + 1)
             append("\n" + _INDENT * level + "}")
@@ -477,8 +362,10 @@ def cmd_verify(args, parser):
         parser.error("--r must be at least 1")
     if args.s is not None and args.s < 0:
         parser.error("--s must be non-negative")
-    if args.s is not None and args.r is not None and args.s > args.r:
-        parser.error(f"--s {args.s} exceeds --r {args.r}")
+    rs = [args.r] if args.r is not None else [1, 2, 3]
+    if args.s is not None and args.s > max(rs):
+        # no group of the sweep has s > r: it would check nothing
+        parser.error(f"--s {args.s} exceeds the sweep's largest r, {max(rs)}")
 
     try:
         max_order = resolve_max_order(args.max_order)
@@ -486,7 +373,6 @@ def cmd_verify(args, parser):
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return EXIT_USAGE
     ps = [args.p] if args.p is not None else [3, 5, 7]
-    rs = [args.r] if args.r is not None else [1, 2, 3]
     results = verify_sweep(ps, rs, args.s, max_order)
 
     n_pass = n_fail = n_skip = 0
@@ -548,21 +434,20 @@ def chartab_values(G):
 
 
 def chartab_payload(G):
-    """chartab's JSON report.  Its characters and values are Rows of
-    Stamps, made from table_rows one row at a time while they are
-    written: a character fills its bucket's sample with its twist, and a
-    value row fills its level's, which holds the level's coefficients,
-    [0, 0] at each zero and a HOLE for each other exponent."""
+    """chartab's JSON report, every row a Stamp.  A class fills one
+    sample with its four ints.  The characters and values are Rows, made
+    from table_rows one row at a time while they are written: a
+    character fills its bucket's sample with its twist, and a value row
+    fills its level's, which holds the level's coefficients, [0, 0] at
+    each zero and a HOLE for each other exponent."""
     classes, n, coeffs, exponents = chartab_values(G)
     characters = character_samples(G)
     levels = [[[c, HOLE] if c else [0, 0] for c in row] for row in coeffs]
+    class_sample = dict.fromkeys(("alpha", "beta", "size", "u"), HOLE)
     return {
         "group": {"p": G.p, "r": G.r, "s": G.s, "order": G.order},
         "root_of_unity_order": twist_order(G),
-        "classes": [
-            {"u": c.representative.u, "beta": c.beta, "alpha": c.alpha, "size": c.size}
-            for c in classes
-        ],
+        "classes": [Stamp(class_sample, (c.alpha, c.beta, c.size, c.representative.u)) for c in classes],
         "characters": Rows(n, lambda: bucket_stamps(table_rows(G), characters)),
         "values": Rows(n, lambda: (Stamp(levels[row[3]], exponents(row)) for row in table_rows(G))),
     }

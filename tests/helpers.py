@@ -6,6 +6,8 @@ for them.  unit_ctx/eis_ctx are the synthetic wild contexts the suites
 sweep.
 """
 
+import pytest
+
 from radical_ram.arith import HOLE, Rows, Stamp, unit_decomp, vp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
 from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
@@ -128,3 +130,22 @@ def _filled(sample, ints):
     if isinstance(sample, (list, tuple)):
         return type(sample)(_filled(x, ints) for x in sample)
     return sample
+
+
+def assert_same_text(got, want, what="text"):
+    """Fail unless got == want, exactly.  The failure gives both lengths
+    and about 80 characters around the first differing offset, found by
+    bisecting on prefixes, instead of a diff of two long texts, which
+    can take pytest minutes to build."""
+    if got == want:
+        return
+    lo, hi = 0, min(len(got), len(want))
+    while lo < hi:  # the common prefix's length lies in [lo, hi]
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(0, lo - 40)
+    pytest.fail(f"{what}: lengths {len(got)} and {len(want)}, first difference at offset {lo}:\n"
+                f"  got  {got[start:lo + 40]!r}\n  want {want[start:lo + 40]!r}", pytrace=False)

@@ -1,22 +1,29 @@
 """The canonical JSON writer against its oracle, json.dumps.
 
 write_canonical must pass exactly json.dumps(obj, sort_keys=True,
-indent=2, default=str) + "\\n" to its `write`, whatever path (batch
-template or plain recursion) each list takes, write a Rows exactly as
-the list of its items, and a Stamp exactly as its sample with its ints
-in the holes.
+indent=2, default=str) + "\\n" to its `write`, whether a list item is
+rendered in a block of Stamps or walked, write a Rows exactly as the
+list of its items, and a Stamp exactly as its sample with its ints in
+the holes.  A float or a dict key that is not a str, anywhere in the
+payload, fails ensure instead: exit 3 from cli.main.
 """
 
 import contextlib
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import materialised
+from helpers import assert_same_text, materialised
+import radical_ram
 from radical_ram import cli
 from radical_ram.arith import HOLE, Rows, Stamp
 from radical_ram.holomorph import GroupDesc
@@ -50,7 +57,6 @@ leaves = (
     st.none()
     | st.booleans()
     | big_ints
-    | st.floats()
     | text
     | st.builds(Tag, text)
     | st.builds(Count, st.integers())
@@ -64,7 +70,6 @@ def containers(kids, lazy_lists=True):
         (lists | lists.map(lazy) if lazy_lists else lists)
         | st.lists(kids, max_size=3).map(tuple)
         | st.dictionaries(text, kids, max_size=4)
-        | st.dictionaries(st.integers(-50, 50), kids, max_size=3)
     )
 
 
@@ -128,54 +133,49 @@ def vary(obj, i):
     return obj
 
 
-def record_lists(batch):
+@st.composite
+def record_lists(draw):
     """Copies of one or two drawn records taken in turn, such as the
-    Stamps of two buckets, more than one batch of them, with up to two
-    items replaced by other drawn objects (mixed shapes in one batch)."""
-
-    @st.composite
-    def draw_list(draw):
-        records = draw(st.lists(nested | stamps, min_size=1, max_size=2))
-        n = draw(st.integers(batch - 2, batch + 12))
-        items = [vary(records[i % len(records)], i) for i in range(n)]
-        for _ in range(draw(st.integers(0, 2))):
-            items[draw(st.integers(0, n - 1))] = draw(nested)
-        return lazy(items) if draw(st.booleans()) else items
-
-    return draw_list()
+    Stamps of two buckets, with up to two items replaced by other drawn
+    objects (a run of Stamps broken by other values)."""
+    records = draw(st.lists(nested | stamps, min_size=1, max_size=2))
+    n = draw(st.integers(1, 40))
+    items = [vary(records[i % len(records)], i) for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        items[draw(st.integers(0, n - 1))] = draw(nested)
+    return lazy(items) if draw(st.booleans()) else items
 
 
-# (BATCH, BATCH_CELLS): the real sizes, and sizes small enough to shrink
-# a failure quickly and to bound batches by values
-SIZES = [(cli.BATCH, cli.BATCH_CELLS), (3, cli.BATCH_CELLS), (3, 12)]
+# BLOCK_CHARS: the real size, one of a few Stamps per block, and one Stamp
+# per block; the small sizes also spill after almost every item
+SIZES = [cli.BLOCK_CHARS, 64, 1]
 
 
 @st.composite
 def cases(draw):
-    """Writer sizes and an object with lists longer than one batch; some
+    """A writer block size and an object with lists of many items; some
     of its lists are Rows."""
-    sizes = draw(st.sampled_from(SIZES))
-    lists = record_lists(sizes[0])
-    return sizes, draw(nested | lists | st.dictionaries(text, lists | nested, max_size=2))
+    lists = record_lists()
+    return draw(st.sampled_from(SIZES)), draw(nested | lists | st.dictionaries(text, lists | nested, max_size=2))
 
 
 @contextlib.contextmanager
-def writer_sizes(sizes):
-    saved = cli.BATCH, cli.BATCH_CELLS
-    cli.BATCH, cli.BATCH_CELLS = sizes
+def block_chars(size):
+    saved = cli.BLOCK_CHARS
+    cli.BLOCK_CHARS = size
     try:
         yield
     finally:
-        cli.BATCH, cli.BATCH_CELLS = saved
+        cli.BLOCK_CHARS = saved
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(cases())
 def test_write_canonical_equals_json_dumps(case):
-    sizes, obj = case
-    with writer_sizes(sizes):
+    size, obj = case
+    with block_chars(size):
         blocks = written(obj)
-    assert "".join(blocks) == dumps(obj)
+    assert_same_text("".join(blocks), dumps(obj))
 
 
 VALUES = [[3, HOLE], [0, 0], [-1, HOLE], [0, 0]] * 20  # a chartab level's value row
@@ -184,8 +184,7 @@ BUCKET = {"c": "1/2", "character": {"kind": "linear", "twist": [HOLE, HOLE], "%d
 
 def test_write_canonical_edge_cases():
     for obj in ([], {}, [[]], [{}] * 3, (), [None] * 600, {"{a}": "}{"}, [{"k{": 1}, {"k{": 2}],
-                [(1, 2), [3, 4]], [{"a": 1}, {"b": 1}], [{1: 2}, {1: 3}], {10: 1, 2: 2},
-                [float("nan"), float("inf"), -float("inf"), 0.1], [True, False, 1, 0],
+                [(1, 2), [3, 4]], [{"a": 1}, {"b": 1}], [True, False, 1, 0],
                 [Fraction(1, 2)] * 3, 2**100, "é", None, lazy([]), [lazy([1])] * 2,
                 [[7] * 70, [8] * 70], [[None] * 70] * 2, [[{}] * 70] * 3, [[{"%": "%d"}] * 70] * 2,
                 Stamp(HOLE, (-7,)), Stamp([], ()), Stamp({}, ()), [Stamp({"%d": "%s"}, ())] * 3,
@@ -193,9 +192,9 @@ def test_write_canonical_edge_cases():
                 lazy([Stamp(VALUES, tuple(range(i, i + 40))) for i in range(300)]),
                 {"a": Stamp(BUCKET, (1, 2)), "b": [Stamp(BUCKET, (3, 4)), [Stamp(BUCKET, (5, 6))]]},
                 [Stamp(BUCKET, (i, -i)) if i % 3 else {"twist": [i]} for i in range(40)]):
-        for sizes in SIZES:
-            with writer_sizes(sizes):
-                assert "".join(written(obj)) == dumps(obj)
+        for size in SIZES:
+            with block_chars(size):
+                assert_same_text("".join(written(obj)), dumps(obj), f"{obj!r:.60} at {size}")
 
 
 @pytest.mark.parametrize("items,length,message", [
@@ -206,10 +205,59 @@ def test_write_canonical_edge_cases():
 ])
 def test_write_canonical_checks_the_stated_length(items, length, message):
     """A Rows whose stream is shorter or longer than its stated length
-    fails once the stream is spent, in every batch size."""
-    for sizes in SIZES:
-        with writer_sizes(sizes), pytest.raises(AssertionError, match=message):
+    fails once the stream is spent, in every block size."""
+    for size in SIZES:
+        with block_chars(size), pytest.raises(AssertionError, match=message):
             written({"rows": Rows(length, lambda: iter(items))})
+
+
+SAMPLE = {"c": 0.5, "twist": [HOLE, HOLE]}
+REJECTED = {
+    "top-level-float": (1.5, "float 1.5"),
+    "nan": ([1, float("nan")], "float nan"),
+    "stamp-sample-float": (Stamp(SAMPLE, (1, 2)), "float 0.5"),
+    "stamp-run-float": (lazy([Stamp(SAMPLE, (i, -i)) for i in range(9)]), "float 0.5"),
+    "rows-float": ({"rows": lazy([1, 2, 2.5])}, "float 2.5"),
+    "int-key": ([{"a": 1}, {1: 2}], "dict key 1 "),
+    "mixed-keys": ({"b": 1, 2: 3}, "dict key 2 "),
+    "bool-key": ({True: 1}, "dict key True "),
+    "stamp-sample-int-key": ([Stamp({0: HOLE}, (1,))], "dict key 0 "),
+}
+
+
+@pytest.mark.parametrize("obj,message", REJECTED.values(), ids=REJECTED)
+def test_write_canonical_rejects_floats_and_non_str_keys(obj, message):
+    """Canonical JSON holds no float and no key other than a str: one
+    anywhere, a Stamp's sample and a Rows' items included, fails ensure
+    in every block size."""
+    for size in SIZES:
+        with block_chars(size), pytest.raises(AssertionError, match=re.escape(message)):
+            written(obj)
+
+
+FLOAT_FILTRATION = """
+import contextlib, io, json, sys
+from radical_ram import cli
+
+real = cli.filtration_json
+cli.filtration_json = lambda filt: {**real(filt), "x": 0.5}
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+sys.stdout.write(json.dumps([code, err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_float_in_a_payload_exits_3(flags):
+    """analyze --json whose filtration carries a float exits 3 with one
+    line on stderr, with and without python -O."""
+    src = Path(radical_ram.__file__).parents[1]
+    proc = subprocess.run([sys.executable, *flags, "-c", FLOAT_FILTRATION, "analyze", "2", "9", "--json"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    code, err = json.loads(proc.stdout)
+    assert (code, err) == (3, "internal inconsistency: float 0.5 in canonical JSON\n")
 
 
 # ------------------------------------------------ end to end, in blocks
@@ -218,31 +266,30 @@ def test_write_canonical_checks_the_stated_length(items, length, message):
 CHARTAB_GRID = [(p, r, s) for p, r in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 2)) for s in range(r + 1)]
 
 
-@pytest.mark.parametrize("sizes", SIZES, ids=[str(cli.BATCH), "3", "small"])
-def test_cli_json_equals_json_dumps_across_batches(capsys, sizes):
+@pytest.mark.parametrize("size", SIZES, ids=str)
+def test_cli_json_equals_json_dumps_across_blocks(capsys, size):
     """stdout of analyze --json and of chartab --json over a grid of
     groups equals json.dumps of the same payload, materialised, with the
-    real writer sizes and with small ones."""
+    real block size and with small ones."""
     report = cli.build_report(2, 2187, True)
     rows = [b["conductors"]["characters"] for b in report["primes"] if "conductors" in b]
     assert sum(map(len, rows)) > 1458
     runs = [(("analyze", "2", "2187", "--json"), report)]
     runs += [(("chartab", str(p), str(r), str(s), "--json"), cli.chartab_payload(GroupDesc(p, r, s)))
              for p, r, s in CHARTAB_GRID]
-    with writer_sizes(sizes):
+    with block_chars(size):
         for argv, payload in runs:
             assert cli.main(list(argv)) == 0
-            assert capsys.readouterr().out == dumps(payload), argv
+            assert_same_text(capsys.readouterr().out, dumps(payload), " ".join(argv))
 
 
 def test_stamped_rows_spill_in_blocks():
     """chartab --json on (7, 3, 3), whose rows are Stamps of up to 351
-    cells, is written in blocks no longer than BLOCK_CHARS and one batch
-    of about BATCH_CELLS values: a batch of Stamps is sized by its
-    sample, not by its ints or its count."""
+    cells, is written in blocks of at most a few BLOCK_CHARS: a run of
+    Stamps is cut by its template's length, not by its count."""
     payload = cli.chartab_payload(GroupDesc(7, 3, 3))
     blocks = written(payload)
-    assert "".join(blocks) == dumps(payload)
+    assert_same_text("".join(blocks), dumps(payload))
     assert len(blocks) > 20
     assert max(map(len, blocks)) < 4 * cli.BLOCK_CHARS
 
@@ -252,6 +299,6 @@ def test_write_canonical_streams_in_blocks():
     BLOCK_CHARS characters, not as one string."""
     report = cli.build_report(2, 2187, True)
     blocks = written(report)
-    assert "".join(blocks) == dumps(report)
+    assert_same_text("".join(blocks), dumps(report))
     assert len(blocks) > 5
     assert all(len(b) >= cli.BLOCK_CHARS for b in blocks[:-1])

@@ -632,6 +632,17 @@ def test_verify_usage_errors(capsys):
     assert code == 1 and "exceeds" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_verify_s_above_every_r_is_a_usage_error(capsys, flags):
+    """An --s above every r of the sweep names no group, so it would
+    check nothing: a usage error with empty stdout, not an empty pass."""
+    for argv in (["--s", "4"], ["--p", "3", "--s", "4"], ["--r", "1", "--s", "2"]):
+        code, out, err = run_usage_error(capsys, "verify", *argv, *flags)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, out) == (1, ""), argv
+        assert len(errors) == 1 and f"--s {argv[-1]} exceeds" in errors[0], err
+
+
 # ---------------------------------------------------------------------------
 # chartab
 
