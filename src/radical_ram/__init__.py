@@ -7,8 +7,7 @@ cross-checked against independent brute-force computations.
 
 from .chartab import character_table, count_by, null_subgroup
 from .conductor import (
-    artin_conductor,
-    conductor_table,
+    conductor_buckets,
     disc_vp_global,
     disc_vp_local_closed,
     disc_vp_local_sum,
@@ -30,11 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupDesc",
     "all_classes",
-    "artin_conductor",
     "character_table",
     "class_count",
     "classify_prime",
-    "conductor_table",
+    "conductor_buckets",
     "count_by",
     "different_sum",
     "disc_vp_global",

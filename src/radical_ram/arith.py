@@ -404,11 +404,6 @@ def _reduction_rows(n):
     return tuple(rows)
 
 
-def reduction_degree(n):
-    """phi(n) = degree of the n-th cyclotomic polynomial."""
-    return len(cyclotomic_poly(n)) - 1
-
-
 @dataclass
 class CycInt:
     """An element of the group ring Z[mu_N]; order = N, coeffs indexed by

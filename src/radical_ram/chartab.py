@@ -270,25 +270,6 @@ def census_mismatch(G, rows):
     return None
 
 
-def rou_sum(s_prime, p, r):
-    """Sum over all units tau mod p^r of zeta_{p^{s'}}^tau, computed by
-    honest summation in Z[zeta_{p^r(p-1)}]."""
-    ensure(0 <= s_prime <= r)
-    n = p**r * (p - 1)
-    step = n // p**s_prime
-    pairs = [(1, tau * step) for tau in range(p**r) if tau % p]
-    return CycInt.from_pairs(pairs, n)
-
-
-def rou_sum_closed(s_prime, p, r):
-    """The classified value: phi(p^r), -p^{r-1}, or 0."""
-    if s_prime == 0:
-        return p ** (r - 1) * (p - 1)
-    if s_prime == 1:
-        return -(p ** (r - 1))
-    return 0
-
-
 def class_exponents(G, classes):
     """(ea, eb): the linear_exponent formula split per class, with each
     class's discrete log taken once, so that psi_(ta, tb) is

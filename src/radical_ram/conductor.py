@@ -14,29 +14,29 @@ conductor exponent c(chi) is
 
 Since c(chi) depends on (level, primitive degree) alone, the checked
 value is computed once per (level, primitive degree) bucket of the
-closed census chartab.census (bucket_conductor); a character's record is
-its bucket's.  analyze reads the buckets: its JSON streams one row per
-chartab.table_rows tuple, a Stamp of its bucket's row, (c, f) included,
-filled with its twist, and builds no Character.  verify builds the per-character table and checks it against
-the buckets.
+closed census chartab.census (bucket_conductor), and conductor_buckets
+is the one conductor table: a character's (c, f) is its bucket's.
+analyze's JSON streams one row per chartab.table_rows tuple, a Stamp of
+its bucket's row, (c, f) included, filled with its twist, and builds no
+Character.  verify builds the same buckets and checks the table rows'
+census against them.
 
 The p-valuation of the local discriminant is then obtained three ways:
-the conductor-discriminant sum (over the buckets, weighted by count_by,
-or over a table of records), a closed polynomial in (p, r, s), and the
-different-sum of the lower filtration.  A fourth route decomposes the
-sum by (level, primitive degree) classes into named partial sums with
-their own closed forms.
+the conductor-discriminant sum (over the buckets, weighted by the
+census), a closed polynomial in (p, r, s), and the different-sum of the
+lower filtration.  A fourth route decomposes the sum by (level,
+primitive degree) classes into named partial sums with their own closed
+forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .arith import Rows, ensure, run_checks
 from .chartab import SubgroupDesc, bucket_stamps, census, census_mismatch, character_samples
-from .chartab import character_table, count_by, null_subgroup, subgroup_contains, table_rows
+from .chartab import count_by, level_degree, null_subgroup, subgroup_contains, table_rows
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -45,13 +45,6 @@ from .ramfil import (
     different_sum,
     frac_str,
 )
-
-
-@dataclass(frozen=True)
-class ConductorRecord:
-    character: object
-    c_exp: Fraction
-    f_val: int
 
 
 def c_exp_definitional(chi, filt):
@@ -96,16 +89,11 @@ def c_exp_closed(chi, case):
     return _c_closed(case, chi.group.p, chi.level, chi.prim_degree)
 
 
-def _degree(p, lev):
-    """Degree of every character of level lev."""
-    return 1 if lev == 0 else p ** (lev - 1) * (p - 1)
-
-
 def _f_printed(case, p, lev, pr):
     """The directly printed integer form of f = deg * (1 + c)."""
     if lev == 0:
         return pr
-    deg = _degree(p, lev)
+    deg = level_degree(lev, p)
     if case == UNIT:
         return deg * pr + (p ** (lev - 1) if lev == pr else 0)
     if lev + 2 <= pr:
@@ -117,7 +105,8 @@ def bucket_conductor(ctx, lev, pr, filt):
     """(c, f) shared by every character of level lev and primitive degree
     pr, with the definitional exponent (on the null subgroup
     C(p^(s-lev)) x| G(p^r)^pr, trivial iff (lev, pr) = (0, 0)) and the
-    closed exponent reconciled, and the integrality of f checked.
+    closed exponent reconciled, and f checked integral and equal to its
+    printed form.
     Disagreement is an internal inconsistency (it would falsify either
     the filtration canonicalization or the closed conductor data), hence
     an AssertionError."""
@@ -128,10 +117,12 @@ def bucket_conductor(ctx, lev, pr, filt):
     c_clo = _c_closed(ctx.case, ctx.p, lev, pr)
     ensure(c_def == c_clo, "conductor mismatch at p={0.p} r={0.r} s={0.s} {0.case}: "
            "definitional {1} != closed {2} for lev={3}, pr={4}", ctx, c_def, c_clo, lev, pr)
-    f = _degree(ctx.p, lev) * (1 + c_clo)
+    f = level_degree(lev, ctx.p) * (1 + c_clo)
     ensure(f.denominator == 1 and f >= 0, "Artin conductor {} must be a non-negative integer", f)
     f_val = int(f)
-    ensure(f_val == _f_printed(ctx.case, ctx.p, lev, pr))
+    printed = _f_printed(ctx.case, ctx.p, lev, pr)
+    ensure(f_val == printed, "printed conductor mismatch at p={0.p} r={0.r} s={0.s} {0.case}: "
+           "deg * (1 + c) = {1} != printed {2} for lev={3}, pr={4}", ctx, f_val, printed, lev, pr)
     return c_clo, f_val
 
 
@@ -141,35 +132,16 @@ def conductor_buckets(ctx):
     return {(k, t): bucket_conductor(ctx, k, t, ctx.upper) for k, t in census(ctx.group())}
 
 
-def artin_conductor(chi, ctx):
-    """Conductor record for chi: its bucket's (c, f).  The bucket's f is
-    deg * (1 + c) for the degree of chi's level, which must be chi's."""
-    ensure(chi.group == ctx.upper.group)  # bucket_conductor checks it is ctx.group()
-    ensure(chi.degree == _degree(ctx.p, chi.level), "deg {} does not fit level {}", chi.degree, chi.level)
-    return ConductorRecord(chi, *bucket_conductor(ctx, chi.level, chi.prim_degree, ctx.upper))
-
-
-def conductor_table(ctx):
-    """ConductorRecords for the full character table, in table order."""
-    return [artin_conductor(chi, ctx) for chi in character_table(ctx.group())]
-
-
 # ---------------------------------------------------------------------------
 # Discriminant valuations.
 
 
-def disc_vp_local_sum(ctx, records=None):
-    """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi),
-    over `records` if given, else over the buckets, each weighted by its
-    census count."""
-    if records is not None:
-        return sum(rec.character.degree * rec.f_val for rec in records)
-    return _census_sum(ctx, conductor_buckets(ctx))
-
-
-def _census_sum(ctx, buckets):
-    G = ctx.group()
-    return sum(n * _degree(ctx.p, k) * buckets[k, t][1] for (k, t), n in census(G).items())
+def disc_vp_local_sum(ctx, buckets):
+    """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi)
+    over the characters, taken over conductor_buckets(ctx) with each
+    bucket weighted by its census count."""
+    p = ctx.p
+    return sum(n * level_degree(k, p) * buckets[k, t][1] for (k, t), n in census(ctx.group()).items())
 
 
 def disc_vp_local_closed(ctx):
@@ -285,7 +257,7 @@ def conductor_json(ctx, characters=True):
     sample, which holds the bucket's (c, f), filled with its twist.
     The rows' census is checked here, before anything is written."""
     buckets = conductor_buckets(ctx)
-    sum_route = _census_sum(ctx, buckets)
+    sum_route = disc_vp_local_sum(ctx, buckets)
     closed_route = disc_vp_local_closed(ctx)
     diff_route = different_sum(ctx.lower)
     out = {
@@ -311,26 +283,22 @@ def conductor_json(ctx, characters=True):
 def conductor_checks(ctx):
     """Named self-checks for the verification report.
 
-    The conductor table is built once for all three checks.  A build that
-    raises is not cached, so each check that needs the table tries again
-    and reports its own fail row."""
-    records = cache(lambda: conductor_table(ctx))
+    The conductor buckets are built once for all three checks; the build
+    reconciles the definitional and closed exponent of every bucket and
+    checks f.  A build that raises is not cached, so each check that
+    needs the buckets tries again and reports its own fail row."""
+    buckets = cache(lambda: conductor_buckets(ctx))
 
     def two_routes():
-        recs = records()  # asserts definitional == closed per character
-        mismatch = census_mismatch(ctx.group(), (rec.character.row for rec in recs))
+        buckets()  # definitional == closed, and f, in every bucket
+        G = ctx.group()
+        mismatch = census_mismatch(G, table_rows(G))
         if mismatch is not None:
             return False, f"character table against census: {mismatch}"
-        buckets = conductor_buckets(ctx)
-        for rec in recs:
-            key = (rec.character.level, rec.character.prim_degree)
-            if (rec.c_exp, rec.f_val) != buckets[key]:
-                got = (rec.c_exp, rec.f_val)
-                return False, f"{rec.character} has (c, f) = {got}, bucket {key} has {buckets[key]}"
-        return True, f"{len(recs)} characters reconciled"
+        return True, f"{sum(census(G).values())} characters reconciled"
 
     def three_routes():
-        a = disc_vp_local_sum(ctx, records())
+        a = disc_vp_local_sum(ctx, buckets())
         b = disc_vp_local_closed(ctx)
         c = different_sum(ctx.lower)
         return a == b == c, f"sum={a} closed={b} different={c}"
@@ -338,7 +306,7 @@ def conductor_checks(ctx):
     def subtotals():
         got = disc_subtotals(ctx)
         want = disc_subtotals_closed(ctx)
-        total_ok = sum(got.values()) == disc_vp_local_sum(ctx, records())
+        total_ok = sum(got.values()) == disc_vp_local_sum(ctx, buckets())
         return got == want and total_ok, f"{got}"
 
     return run_checks([

@@ -142,10 +142,3 @@ def class_count(G):
     p, r, s = G.p, G.r, G.s
     extra = (p**s - 1) // (p - 1)
     return p ** (r - 1) * (p - 1) + p ** (r - s) * extra
-
-
-def in_subgroup(g, x, y, G):
-    """Membership of g in C(p^x) x| G(p^r)^y: cyclic part at depth >= s-x,
-    unit part congruent to 1 mod p^y."""
-    cyclic_ok = g.i == 0 or vp(g.i, G.p) >= G.s - x
-    return cyclic_ok and (g.u - 1) % G.p**y == 0

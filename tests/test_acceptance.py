@@ -15,6 +15,7 @@ from radical_ram.cli import main as cli_main
 from radical_ram.conductor import (
     c_exp_closed,
     c_exp_definitional,
+    conductor_buckets,
     disc_vp_global,
     disc_vp_local_closed,
     disc_vp_local_sum,
@@ -110,7 +111,7 @@ def test_criterion_4_conductor_two_routes():
 def test_criterion_5_discriminant_triple_agreement():
     ok = True
     for ctx in wild_contexts():
-        a = disc_vp_local_sum(ctx)
+        a = disc_vp_local_sum(ctx, conductor_buckets(ctx))
         ok = ok and a == disc_vp_local_closed(ctx)
         ok = ok and a == different_sum(lower_filtration(ctx))
     anchors = [
@@ -121,7 +122,7 @@ def test_criterion_5_discriminant_triple_agreement():
         (eis_ctx(3, 2), 165),
     ]
     for ctx, want in anchors:
-        ok = ok and disc_vp_local_sum(ctx) == want
+        ok = ok and disc_vp_local_sum(ctx, conductor_buckets(ctx)) == want
     verdict(5, ok, "conductor sum == closed form == different sum; anchors frozen")
 
 

@@ -25,7 +25,6 @@ from radical_ram.arith import (
     factorint,
     integer_nthroot,
     is_prime,
-    reduction_degree,
     smallest_primitive_root,
     unit_decomp,
     vp,
@@ -337,7 +336,7 @@ def test_cyclotomic_poly_small():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(9) == (1, 0, 0, 1, 0, 0, 1)
-    assert reduction_degree(294) == 84
+    assert len(cyclotomic_poly(294)) - 1 == 84
 
 
 def test_cycint_reduce_examples():

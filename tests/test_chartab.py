@@ -1,10 +1,9 @@
 """Character-table tests.
 
 The closed-form table is checked against things it cannot have been built
-from: honest root-of-unity summation, the known table of the symmetric
-group on three letters, exact unnormalized orthogonality in the cyclotomic
-ring, and a histogram of (level, primitive degree) pairs recounted from the
-table itself.
+from: the known table of the symmetric group on three letters, exact
+unnormalized orthogonality in the cyclotomic ring, and a histogram of
+(level, primitive degree) pairs recounted from the table itself.
 """
 
 import random
@@ -27,8 +26,6 @@ from radical_ram.chartab import (
     linear_exponent,
     null_subgroup,
     prim_degree,
-    rou_sum,
-    rou_sum_closed,
     subgroup_contains,
     subgroup_eq,
     subgroup_intersect,
@@ -82,17 +79,6 @@ def test_table_deterministic():
     a, b = character_table(G), character_table(G)
     assert a == b
     assert a == sorted(a, key=lambda c: (c.level, c.twist))
-
-
-# ------------------------------------------------------- root-of-unity sums
-
-
-@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
-def test_rou_sum_matches_closed_form(p, r):
-    n = p**r * (p - 1)
-    for s_prime in range(r + 1):
-        honest = rou_sum(s_prime, p, r)
-        assert honest == CycInt.integer(rou_sum_closed(s_prime, p, r), n)
 
 
 # ----------------------------------------------------------------- values

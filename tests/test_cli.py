@@ -243,7 +243,7 @@ def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
 
 def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
     """Text output reads the conductor buckets only: it must not need the
-    character table or any per-character conductor.  JSON output streams
+    character table.  JSON output streams
     its rows from chartab.table_rows and builds neither either."""
     golden = (Path(__file__).parent / "golden" / "analyze-2-2401.out").read_text()
     json_out = run(capsys, "analyze", "2", "2401", "--json")[1]
@@ -253,8 +253,6 @@ def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
 
     monkeypatch.setattr(chartab, "character_table", forbidden)
     monkeypatch.setattr(chartab, "Character", forbidden)
-    monkeypatch.setattr(conductor, "character_table", forbidden)
-    monkeypatch.setattr(conductor, "artin_conductor", forbidden)
     assert run(capsys, "analyze", "2", "2401") == (0, golden, "")
     assert run(capsys, "analyze", "2", "2401", "--json") == (0, json_out, "")
 
@@ -589,6 +587,70 @@ def test_cross_checks_fail_under_O():
     assert raised == [True, True, True]
     assert (verify_code, analyze_code) == (3, 3)
     assert analyze_err.startswith("internal inconsistency: conductor mismatch")
+
+
+PRINTED_F_ARGVS = [["verify", "--p", "3", "--r", "2", "--json"], ["analyze", "2", "9"]]
+
+
+def _assert_printed_f_caught(runs):
+    """With the printed form of f off by one, verify fails every
+    conductor_two_routes row and exits 3, and analyze exits 3 with an
+    empty stdout and one inconsistency line."""
+    (verify_code, verify_out, _), (analyze_code, analyze_out, analyze_err) = runs
+    assert verify_code == 3
+    rows = [row for entry in json.loads(verify_out)["groups"] for row in cli._iter_check_rows(entry)
+            if row["name"] == "conductor_two_routes"]
+    assert len(rows) == 4  # unit s = 0, 1, 2 and Eisenstein s = 2
+    for row in rows:
+        assert row["status"] == "fail"
+        assert row["detail"].startswith("printed conductor mismatch at p=3 r=2 ")
+    assert (analyze_code, analyze_out) == (3, "")
+    assert analyze_err == ("internal inconsistency: printed conductor mismatch at p=3 r=2 s=2 UNIT: "
+                           "deg * (1 + c) = 0 != printed 1 for lev=0, pr=0\n")
+
+
+def test_printed_conductor_off_by_one_is_caught(capsys, monkeypatch):
+    real = conductor._f_printed
+    monkeypatch.setattr(conductor, "_f_printed", lambda *args: real(*args) + 1)
+    _assert_printed_f_caught([run(capsys, *argv) for argv in PRINTED_F_ARGVS])
+
+
+CONDUCTOR_MUTATIONS_UNDER_O = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import conductor
+from radical_ram.cli import main
+
+closed, printed = conductor.disc_vp_local_closed, conductor._f_printed
+conductor.disc_vp_local_closed = lambda ctx: closed(ctx) + 1
+try:
+    conductor.disc_vp_global(9, 10, 3)
+    message = None
+except AssertionError as exc:
+    message = str(exc)
+conductor.disc_vp_local_closed = closed
+conductor._f_printed = lambda *args: printed(*args) + 1
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps([message, runs]))
+"""
+
+
+def test_conductor_mutations_are_caught_under_O():
+    """Under python -O, a shifted local closed form still fails
+    disc_vp_global's two global routes, and a printed f off by one still
+    fails verify and analyze."""
+    src = Path(radical_ram.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", CONDUCTOR_MUTATIONS_UNDER_O, json.dumps(PRINTED_F_ARGVS)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    message, runs = json.loads(proc.stdout)
+    assert message == "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
+    _assert_printed_f_caught(runs)
 
 
 def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):

@@ -15,15 +15,12 @@ import pytest
 from radical_ram import chartab, conductor, ramfil
 from radical_ram.chartab import census_mismatch, character_json, character_table, count_by, table_rows
 from radical_ram.conductor import (
-    ConductorRecord,
-    artin_conductor,
     bucket_conductor,
     c_exp_closed,
     c_exp_definitional,
     conductor_buckets,
     conductor_checks,
     conductor_json,
-    conductor_table,
     disc_subtotals,
     disc_subtotals_closed,
     disc_vp_global,
@@ -50,12 +47,19 @@ ALL_WILD += [eis_ctx(p, r) for p in (3, 5, 7) for r in (1, 2, 3)]
 WILD_IDS = lambda c: f"{c.case[:4]}-{c.p}-{c.r}-{c.s}"  # noqa: E731
 
 
+def conductor_rows(ctx):
+    """(row, c, f) per table_rows tuple, in table order, with (c, f) read
+    from the row's (level, prim_degree) bucket."""
+    buckets = conductor_buckets(ctx)
+    return [(row, *buckets[row[3:]]) for row in table_rows(ctx.group())]
+
+
 def by_invariants(ctx):
-    """Table records keyed by (level, primitive degree, degree)."""
+    """The (c, f) of every table row, keyed by (level, primitive degree,
+    degree)."""
     out = {}
-    for rec in conductor_table(ctx):
-        key = (rec.character.level, rec.character.prim_degree, rec.character.degree)
-        out.setdefault(key, []).append(rec)
+    for (_, _, degree, level, prim), c, f in conductor_rows(ctx):
+        out.setdefault((level, prim, degree), []).append((c, f))
     return out
 
 
@@ -65,57 +69,50 @@ def by_invariants(ctx):
 
 def test_trivial_character_conventions():
     ctx = unit_ctx(3, 1, 1)
-    recs = [r for r in conductor_table(ctx) if r.character.is_trivial()]
-    assert len(recs) == 1
-    assert recs[0].c_exp == Fraction(-1)
-    assert recs[0].f_val == 0
+    recs = [(c, f) for row, c, f in conductor_rows(ctx) if row[:2] == ("linear", (0, 0))]
+    assert recs == [(Fraction(-1), 0)]
 
 
 def test_unit_3_1_1_pinned():
     # Order-6 group: trivial, sign, one degree-2 induced character.
     recs = by_invariants(unit_ctx(3, 1, 1))
-    assert recs[(0, 0, 1)][0].c_exp == -1
-    ((sign,),) = (recs[(0, 1, 1)],)
-    assert (sign.c_exp, sign.f_val) == (0, 1)
-    ((ind,),) = (recs[(1, 1, 2)],)
-    assert (ind.c_exp, ind.f_val) == (Fraction(1, 2), 3)
+    assert recs[(0, 0, 1)][0][0] == -1
+    assert recs[(0, 1, 1)] == [(0, 1)]
+    assert recs[(1, 1, 2)] == [(Fraction(1, 2), 3)]
 
 
 def test_eisenstein_3_1_pinned():
     recs = by_invariants(eis_ctx(3, 1))
-    ((ind,),) = (recs[(1, 1, 2)],)
-    assert (ind.c_exp, ind.f_val) == (Fraction(3, 2), 5)
+    assert recs[(1, 1, 2)] == [(Fraction(3, 2), 5)]
 
 
 def test_exponent_branches_unit_3_2_2():
     recs = by_invariants(unit_ctx(3, 2, 2))
     # level below primitive degree: integral exponent pr - 1
-    assert {r.c_exp for r in recs[(1, 2, 2)]} == {1}
-    assert {r.f_val for r in recs[(1, 2, 2)]} == {4}
+    assert {c for c, _ in recs[(1, 2, 2)]} == {1}
+    assert {f for _, f in recs[(1, 2, 2)]} == {4}
     # diagonal level = primitive degree: extra 1/(p-1) on top of pr - 1
-    assert recs[(1, 1, 2)][0].c_exp == Fraction(1, 2)
-    assert recs[(1, 1, 2)][0].f_val == 3
-    assert recs[(2, 2, 6)][0].c_exp == Fraction(3, 2)
-    assert recs[(2, 2, 6)][0].f_val == 15
+    assert recs[(1, 1, 2)][0] == (Fraction(1, 2), 3)
+    assert recs[(2, 2, 6)][0] == (Fraction(3, 2), 15)
 
 
 def test_exponent_branches_eisenstein():
     # At pr <= lev + 1 the exponent is lev + 1/(p-1), one congruence
     # level wider than the unit-case diagonal.
     recs = by_invariants(eis_ctx(3, 2))
-    assert recs[(1, 1, 2)][0].c_exp == Fraction(3, 2)
-    assert {r.c_exp for r in recs[(1, 2, 2)]} == {Fraction(3, 2)}
-    assert recs[(2, 2, 6)][0].c_exp == Fraction(5, 2)
+    assert recs[(1, 1, 2)][0][0] == Fraction(3, 2)
+    assert {c for c, _ in recs[(1, 2, 2)]} == {Fraction(3, 2)}
+    assert recs[(2, 2, 6)][0][0] == Fraction(5, 2)
     # ... while lev + 2 <= pr falls back to the integral pr - 1.
     deep = by_invariants(eis_ctx(3, 3))
-    assert {r.c_exp for r in deep[(1, 3, 2)]} == {2}
-    assert {r.c_exp for r in deep[(1, 2, 2)]} == {Fraction(3, 2)}
+    assert {c for c, _ in deep[(1, 3, 2)]} == {2}
+    assert {c for c, _ in deep[(1, 2, 2)]} == {Fraction(3, 2)}
 
 
 def test_f_multiset_pinned():
-    fs = sorted(r.f_val for r in conductor_table(unit_ctx(3, 2, 2)))
+    fs = sorted(f for _, _, f in conductor_rows(unit_ctx(3, 2, 2)))
     assert fs == [0, 1, 2, 2, 2, 2, 3, 4, 4, 15]
-    fs = sorted(r.f_val for r in conductor_table(eis_ctx(3, 2)))
+    fs = sorted(f for _, _, f in conductor_rows(eis_ctx(3, 2)))
     assert fs == [0, 1, 2, 2, 2, 2, 5, 5, 5, 21]
 
 
@@ -130,10 +127,10 @@ def test_two_routes_explicit(ctx):
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
 def test_f_integrality_and_record_shape(ctx):
-    for rec in conductor_table(ctx):
-        assert isinstance(rec, ConductorRecord)
-        assert isinstance(rec.f_val, int) and rec.f_val >= 0
-        assert rec.character.degree * (1 + rec.c_exp) == rec.f_val
+    for row, c, f in conductor_rows(ctx):
+        assert isinstance(c, Fraction)
+        assert isinstance(f, int) and f >= 0
+        assert row[2] * (1 + c) == f
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +156,14 @@ DISC_ANCHORS = [
     ids=lambda v: WILD_IDS(v) if isinstance(v, PrimeLocalContext) else None,
 )
 def test_disc_anchor_values(ctx, want):
-    assert disc_vp_local_sum(ctx) == want
+    assert disc_vp_local_sum(ctx, conductor_buckets(ctx)) == want
     assert disc_vp_local_closed(ctx) == want
     assert different_sum(lower_filtration(ctx)) == want
 
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
 def test_disc_triple_agreement(ctx):
-    a = disc_vp_local_sum(ctx)
+    a = disc_vp_local_sum(ctx, conductor_buckets(ctx))
     b = disc_vp_local_closed(ctx)
     c = different_sum(lower_filtration(ctx))
     assert a == b == c
@@ -191,7 +188,7 @@ def test_subtotals_pinned():
 def test_subtotals_closed_and_complete(ctx):
     got = disc_subtotals(ctx)
     assert got == disc_subtotals_closed(ctx)
-    assert sum(got.values()) == disc_vp_local_sum(ctx)
+    assert sum(got.values()) == disc_vp_local_sum(ctx, conductor_buckets(ctx))
     if ctx.case == UNIT:
         assert got["near_boundary"] == 0
 
@@ -201,18 +198,16 @@ def test_per_character_excess_bucketing(ctx):
     """deg * f minus the main deg^2 * pr share must equal exactly the
     bucketed excess predicted by (level, primitive degree)."""
     p = ctx.p
-    for rec in conductor_table(ctx):
-        chi = rec.character
-        k, t = chi.level, chi.prim_degree
+    for (_, _, degree, k, t), _, f in conductor_rows(ctx):
         if k == 0:
-            assert chi.degree * rec.f_val == t
+            assert degree * f == t
             continue
-        excess = chi.degree * rec.f_val - chi.degree**2 * t
+        excess = degree * f - degree**2 * t
         unit_excess = p ** (2 * (k - 1)) * (p - 1)
         if ctx.case == UNIT:
             assert excess == (unit_excess if t == k else 0)
         elif t == k:
-            assert excess == chi.degree**2 + unit_excess
+            assert excess == degree**2 + unit_excess
         elif t == k + 1:
             assert excess == unit_excess
         else:
@@ -242,22 +237,31 @@ def test_disc_vp_global_preconditions():
         disc_vp_global(9, 2, 5)  # p = 5 is unramified here: no wild data
 
 
+def test_disc_vp_global_routes_can_disagree(monkeypatch):
+    """A local closed form shifted by one fails the check of the global
+    product against the global closed form."""
+    real = conductor.disc_vp_local_closed
+    monkeypatch.setattr(conductor, "disc_vp_local_closed", lambda ctx: real(ctx) + 1)
+    with pytest.raises(AssertionError) as exc:
+        disc_vp_global(9, 10, 3)
+    assert str(exc.value) == "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
+
+
 # ---------------------------------------------------------------------------
 # The bucket route analyze reads.
 
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
 def test_records_equal_their_buckets(ctx):
+    """The buckets are the census's, in its order; every table row falls
+    in one, and the census-weighted sum is the sum over the rows."""
     buckets = conductor_buckets(ctx)
-    records = conductor_table(ctx)
     G = ctx.group()
     assert list(buckets) == [
         (k, t) for k in range(G.s + 1) for t in range(G.r + 1) if count_by(k, t, G)
     ]
-    for rec in records:
-        assert buckets[rec.character.level, rec.character.prim_degree] == (rec.c_exp, rec.f_val)
-    assert census_mismatch(G, [rec.character.row for rec in records]) is None
-    assert disc_vp_local_sum(ctx) == disc_vp_local_sum(ctx, records)
+    assert census_mismatch(G, table_rows(G)) is None
+    assert disc_vp_local_sum(ctx, buckets) == sum(row[2] * f for row, _, f in conductor_rows(ctx))
 
 
 def test_bucket_conductor_trivial_only_at_level_and_degree_zero():
@@ -300,10 +304,10 @@ def test_conductor_json_builds_no_character(monkeypatch):
 
     ctx = unit_ctx(3, 2, 1)
     expected = [
-        {"character": character_json(rec.character.row), "c": frac_str(rec.c_exp), "f": rec.f_val}
-        for rec in conductor_table(ctx)
+        {"character": character_json(chi.row), "c": frac_str(c), "f": f}
+        for chi, (_, c, f) in zip(character_table(ctx.group()), conductor_rows(ctx), strict=True)
     ]
-    monkeypatch.setattr(conductor, "character_table", forbidden)
+    monkeypatch.setattr(chartab, "character_table", forbidden)
     monkeypatch.setattr(chartab, "Character", forbidden)
     rows = conductor_json(ctx)["characters"]
     assert len(rows) == len(expected)
@@ -361,17 +365,19 @@ def test_conductor_rows_check_their_stream(monkeypatch):
 
 
 def test_two_routes_catches_a_record_off_its_bucket(monkeypatch):
+    """Table rows moved from bucket (1, 2) to (1, 1) fail
+    conductor_two_routes on the census, and only that check."""
     ctx = unit_ctx(3, 2, 1)
-    real = conductor.conductor_table
-
-    def shifted(ctx):
-        records = real(ctx)
-        return records[:-1] + [replace(records[-1], f_val=records[-1].f_val + 1)]
-
-    monkeypatch.setattr(conductor, "conductor_table", shifted)
-    row = conductor_checks(ctx)[0]
-    assert row["name"] == "conductor_two_routes" and row["status"] == "fail"
-    assert "bucket (1, 2)" in row["detail"]
+    real = conductor.table_rows
+    monkeypatch.setattr(conductor, "table_rows", lambda G: (
+        row[:4] + (1,) if row[3:] == (1, 2) else row for row in real(G)))
+    rows = conductor_checks(ctx)
+    assert [row["status"] for row in rows] == ["fail", "pass", "pass"]
+    assert rows[0] == {
+        "name": "conductor_two_routes",
+        "status": "fail",
+        "detail": "character table against census: (level 1, prim_degree 1): 3 characters, census 1",
+    }
 
 
 def test_tame_and_unramified_differents():
@@ -397,7 +403,7 @@ def test_conductor_checks_report():
 
 def test_conductor_checks_build_the_table_once(monkeypatch):
     calls = []
-    real = conductor.conductor_table
+    real = conductor.conductor_buckets
 
     def counted(ctx):
         calls.append(ctx)
@@ -405,7 +411,7 @@ def test_conductor_checks_build_the_table_once(monkeypatch):
 
     ctx = unit_ctx(3, 2, 1)
     clean = conductor_checks(ctx)
-    monkeypatch.setattr(conductor, "conductor_table", counted)
+    monkeypatch.setattr(conductor, "conductor_buckets", counted)
     assert conductor_checks(ctx) == clean
     assert calls == [ctx]
 
@@ -417,7 +423,7 @@ def test_conductor_checks_table_failure_fails_every_row(monkeypatch):
         calls.append(ctx)
         raise AssertionError("conductor mismatch")
 
-    monkeypatch.setattr(conductor, "conductor_table", broken)
+    monkeypatch.setattr(conductor, "conductor_buckets", broken)
     rows = conductor_checks(unit_ctx(3, 2, 1))
     assert [row["status"] for row in rows] == ["fail"] * 3
     assert all(row["detail"] == "conductor mismatch" for row in rows)
@@ -452,10 +458,3 @@ def test_conductor_json_shape():
         assert isinstance(row["f"], int)
     d = j["v_p_disc"]
     assert d == {"sum": 7, "closed": 7, "different": 7, "agree": True}
-
-
-def test_artin_conductor_rejects_foreign_group():
-    ctx, other = unit_ctx(3, 1, 1), unit_ctx(3, 2, 2)
-    chi = character_table(other.group())[0]
-    with pytest.raises(AssertionError):
-        artin_conductor(chi, ctx)

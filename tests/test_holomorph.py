@@ -18,7 +18,6 @@ from radical_ram.holomorph import (
     conj_class_of,
     element,
     identity,
-    in_subgroup,
     inv,
     mul,
 )
@@ -145,12 +144,3 @@ def test_sigma_part_is_class_invariant():
         c = conj_class_of(g, G)
         assert c.representative.u == g.u
 
-
-def test_in_subgroup():
-    G = GroupDesc(3, 2, 2)
-    assert in_subgroup(identity(G), 0, 2, G)
-    assert in_subgroup(element(G, 3, 4), 1, 1, G)
-    assert not in_subgroup(element(G, 1, 4), 1, 1, G)
-    assert not in_subgroup(element(G, 3, 2), 1, 1, G)
-    # (x, 0) with x = s is the whole group
-    assert all(in_subgroup(g, G.s, 0, G) for g in elements(G))
