@@ -65,10 +65,6 @@ def subgroup_intersect(a, b, G):
     return SubgroupDesc(min(a.x, b.x), min(max(a.y, b.y), G.r))
 
 
-def whole_group(G):
-    return SubgroupDesc(G.s, 0)
-
-
 def trivial_subgroup(G):
     return SubgroupDesc(0, G.r)
 
@@ -162,8 +158,9 @@ def character_table(G):
 
     Cached per group; callers must treat the list as read-only."""
     out = [Character(G, *row) for row in table_rows(G)]
-    ensure(len(out) == class_count(G))
-    ensure(sum(chi.degree**2 for chi in out) == G.order)
+    ensure(len(out) == class_count(G), "{} characters for {} classes", len(out), class_count(G))
+    total = sum(chi.degree**2 for chi in out)
+    ensure(total == G.order, "degree squares sum to {}, not |G| = {}", total, G.order)
     return out
 
 
@@ -293,26 +290,18 @@ def coefficient_row(k, classes, p):
     return [induced_coefficient(k, c.alpha, c.beta, p) for c in classes]
 
 
-def value_profiles(G):
-    """Factorized value data for fast exact linear algebra: per character,
-    an integer coefficient and a twist exponent (mod phi(p^r)) on every
-    class.  chi(class j) = coeffs[j] * zeta_{m0}^{exps[j]} exactly.
-    Rows of one level share their coefficient list and rows of one twist
-    their exponent list; callers must treat both as read-only."""
+def value_table(G):
+    """(classes, coeffs, ea, eb): G's closed-form values, once its census
+    is checked.  coeffs[k] is coefficient_row(k) and (ea, eb) are
+    class_exponents, so the level-k character of twist (ta, tb) is
+    coeffs[k][j] * zeta_{m0}^((ta * ea[j] + tb * eb[j]) % m0) on class j.
+    chartab prints its values from here, and verify's table-wide checks
+    test these same values; callers must treat the lists as read-only."""
+    mismatch = census_mismatch(G, table_rows(G))
+    ensure(mismatch is None, "character table against census: {}", mismatch)
     classes = all_classes(G)
-    table = character_table(G)
     ea, eb = class_exponents(G, classes)
-    m0 = twist_order(G)
-    exp_cache = {}
-    coeff_cache = {}
-    profiles = []
-    for chi in table:
-        if chi.twist not in exp_cache:
-            exp_cache[chi.twist] = exponent_row(chi.twist, ea, eb, m0)
-        if chi.level not in coeff_cache:
-            coeff_cache[chi.level] = coefficient_row(chi.level, classes, G.p)
-        profiles.append((coeff_cache[chi.level], exp_cache[chi.twist]))
-    return classes, table, profiles
+    return classes, [coefficient_row(k, classes, G.p) for k in range(G.s + 1)], ea, eb
 
 
 def character_json(row):

@@ -30,10 +30,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .arith import DEFAULT_MAX_ORDER, HOLE, ResourceLimitError, Rows, Stamp, ensure, is_prime
 from .arith import resolve_max_order
-from .chartab import bucket_stamps, census, census_mismatch, character_samples, class_exponents
-from .chartab import coefficient_row, exponent_row, table_rows, twist_order
+from .chartab import bucket_stamps, census, character_samples, exponent_row
+from .chartab import table_rows, twist_order, value_table
 from .conductor import conductor_checks, conductor_json
-from .holomorph import GroupDesc, all_classes, class_count
+from .holomorph import GroupDesc, class_count
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -413,18 +413,13 @@ def cmd_verify(args, parser):
 
 
 def chartab_values(G):
-    """(classes, n, coeffs, exponents) for G's table of n characters, once
-    its census is checked.  coeffs[k] is the level-k coefficient on every
-    class.  exponents(row) is a table_rows row's twist exponents (mod m0)
-    on the classes where its level's coefficient is nonzero, in class
-    order: the value there is coeff * z^exp, and 0 elsewhere.  Only the
-    exponents are made per row."""
-    mismatch = census_mismatch(G, table_rows(G))
-    ensure(mismatch is None, "character table against census: {}", mismatch)
-    classes = all_classes(G)
-    ea, eb = class_exponents(G, classes)
+    """(classes, n, coeffs, exponents) for G's table of n characters, from
+    value_table.  exponents(row) is a table_rows row's twist exponents
+    (mod m0) on its level's support, the classes where the level's
+    coefficient is nonzero, in class order: the value there is
+    coeff * z^exp, and 0 elsewhere.  Only the exponents are made per row."""
+    classes, coeffs, ea, eb = value_table(G)
     m0 = twist_order(G)
-    coeffs = [coefficient_row(k, classes, G.p) for k in range(G.s + 1)]
     support = [(list(compress(ea, row)), list(compress(eb, row))) for row in coeffs]
 
     def exponents(row):

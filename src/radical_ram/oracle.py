@@ -26,7 +26,6 @@ from .arith import (
     CycInt,
     ResourceLimitError,
     _reduction_rows,
-    discrete_log,
     ensure,
     resolve_max_order,
     run_checks,
@@ -38,9 +37,11 @@ from .chartab import (
     char_value,
     character_json,
     character_table,
+    exponent_row,
     null_subgroup,
+    table_rows,
     twist_order,
-    value_profiles,
+    value_table,
     zeta_order,
 )
 from .holomorph import GroupDesc, all_classes, class_count, conj_class_of, element
@@ -210,20 +211,15 @@ def frobenius_induction_check(p, r):
     """induce_from_cyclic against the closed-form top-level row at s = r.
 
     The honest sum is an algebraic integer in Z[zeta_{p^r}]; after exact
-    reduction it must be the plain integer the closed form predicts.  The
-    closed value is an integer exactly when its canonical exponent is 0.
-    On small rings the comparison is additionally repeated with full
-    CycInt equality in the common big ring through the public entry point.
+    reduction it must be the plain integer the table's level-r coefficient
+    row predicts (the level's one twist is (0, 0), of exponent 0 on every
+    class).  On small rings the comparison is additionally repeated with
+    full CycInt equality in the common big ring through the public entry
+    point.
     """
     big = GroupDesc(p, r, r)
-    rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
-    ensure(len(rows) == 1 and rows[0].twist == (0, 0))
-    chi = rows[0]
-    classes = all_classes(big)
-    for c in classes:
-        closed, e = char_monomial(chi, c, big)
-        if e != 0:
-            return False, {"class_key": list(map(int, c.key)), "reason": "non-integer closed value"}
+    classes, coeffs, _, _ = value_table(big)
+    for c, closed in zip(classes, coeffs[r]):
         rep = c.representative
         if rep.u == 1:
             honest = _induction_sum_small(big, rep.i)
@@ -236,8 +232,10 @@ def frobenius_induction_check(p, r):
         if got != closed:
             return False, {"class_key": list(map(int, c.key)), "honest": got, "closed": closed}
     if zeta_order(big) <= 500:
+        rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
+        ensure(len(rows) == 1 and rows[0].twist == (0, 0))
         f = induce_from_cyclic(big)
-        g = DenseClassFunction.from_character(chi, big)
+        g = DenseClassFunction.from_character(rows[0], big)
         for c in classes:
             if f.value(c) != g.value(c):
                 return False, {"class_key": list(map(int, c.key)), "reason": "big-ring mismatch"}
@@ -263,7 +261,9 @@ def _kernel_trivial_census(G):
     return True, None
 
 
-def _lift_check_detail(G, k):
+def lift_check(G, k):
+    """The level-k rows of G against the pullback of the level-k rows of
+    the s = r group, then _kernel_trivial_census."""
     ensure(1 <= k <= G.s)
     big = GroupDesc(G.p, G.r, G.r)
 
@@ -300,10 +300,6 @@ def _lift_check_detail(G, k):
     return _kernel_trivial_census(G)
 
 
-def lift_check(G, k):
-    return _lift_check_detail(G, k)[0]
-
-
 # ------------------------------------------------------ orthogonality batch
 
 
@@ -313,7 +309,8 @@ def _reduction_matrix(m0):
 
 
 def orthogonality_check(G):
-    """The full unnormalized pair matrix equals |G| * identity.
+    """The full unnormalized pair matrix of value_table, the values chartab
+    prints, equals |G| * identity.
 
     Every table value is (integer) * zeta_{m0}^(exponent linear in the
     twist), so a product of a row with a conjugated row depends on the
@@ -325,19 +322,12 @@ def orthogonality_check(G):
     subgroup, which for canonical representatives forces equality).
     """
     p, r, s = G.p, G.r, G.s
-    classes = all_classes(G)
-    d = unit_decomp(p, r)
+    classes, coeffs, ea, eb = value_table(G)
     m0 = twist_order(G)
     R, max_r = _reduction_matrix(m0)
-
+    ea, eb = np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
-    dlogs = [discrete_log(c.representative.u, d) for c in classes]
-    a_c = np.array([x[0] for x in dlogs], dtype=np.int64)
-    b_c = np.array([x[1] for x in dlogs], dtype=np.int64)
-    alpha = np.array([c.alpha for c in classes], dtype=np.int64)
-    beta = np.array([c.beta for c in classes], dtype=np.int64)
-    ea = a_c * d.principal_order % m0
-    eb = b_c * d.torsion_order % m0
+    coeff = [np.array(row, dtype=np.int64) for row in coeffs]
 
     def binned_ok(weights, da, db, target):
         exps = (da * ea + db * eb) % m0
@@ -348,20 +338,21 @@ def orthogonality_check(G):
         red = vec @ R
         return red[0] == target and not red[1:].any()
 
-    induced = {k: sizes * _induced_coeffs(k, alpha, beta, p) for k in range(1, s + 1)}
+    # the size-weighted product of a level-0 row with a conjugated level-k row
+    linear = [sizes * coeff[0] * coeff[k] for k in range(s + 1)]
 
     for da in range(p - 1):
         for db in range(p ** (r - 1)):
             target = G.order if (da, db) == (0, 0) else 0
-            if not binned_ok(sizes, da, db, target):
+            if not binned_ok(linear[0], da, db, target):
                 return False, {"pair_kind": "linear-linear", "delta": [da, db]}
             for k in range(1, s + 1):
-                if not binned_ok(induced[k], da, db, 0):
+                if not binned_ok(linear[k], da, db, 0):
                     return False, {"pair_kind": "linear-induced", "k": k, "delta": [da, db]}
 
     for k1 in range(1, s + 1):
         for k2 in range(k1, s + 1):
-            w = induced[k1] * _induced_coeffs(k2, alpha, beta, p)
+            w = sizes * coeff[k1] * coeff[k2]
             for db in range(p ** (r - 1)):
                 # equal-level rows coincide precisely when the difference
                 # twist dies on the inducing subgroup
@@ -403,7 +394,7 @@ def null_subgroup_scan_check(G):
     the only shape the ramification filtration can probe anyway."""
     import math
 
-    _, table, profiles = value_profiles(G)
+    _, coeffs, ea, eb = value_table(G)
     _, cidx = _closed_class_index(G)
     I, U = element_grid(G)
     d = unit_decomp(G.p, G.r)
@@ -416,10 +407,10 @@ def null_subgroup_scan_check(G):
     units_at = [np.flatnonzero((I == 0) & m) for m in level]
     congruence = {(x, y): depth[x] & level[y] for x in range(G.s + 1) for y in range(G.r + 1)}
 
-    for chi, (coeffs, exps) in zip(table, profiles):
+    for chi in character_table(G):
         # chi(g) = chi(1) per class, then spread to every element
-        null_cls = (np.array(coeffs, dtype=np.int64) == chi.degree) & (
-            np.array(exps, dtype=np.int64) % m0 == 0
+        null_cls = (np.array(coeffs[chi.level], dtype=np.int64) == chi.degree) & (
+            np.array(exponent_row(chi.twist, ea, eb, m0), dtype=np.int64) == 0
         )
         is_null = null_cls[cidx]
         sd = null_subgroup(chi)
@@ -433,7 +424,7 @@ def null_subgroup_scan_check(G):
             if is_null[cyclic_at[x]].all():
                 x_max = x
         # smallest congruence level whose units all pass the scan
-        y_min = next(y for y in range(G.r + 1) if is_null[units_at[y]].all())
+        y_min = next((y for y in range(G.r + 1) if is_null[units_at[y]].all()), None)
         if (x_max, y_min) != (sd.x, sd.y):
             return fail(f"largest congruence pair ({x_max},{y_min}) != ({sd.x},{sd.y})")
         if not is_null[congruence[sd.x, sd.y]].all():
@@ -464,13 +455,13 @@ def verification_report(G, max_order=None):
         return ok, None if ok else {"enumerated": enumerated, "closed": closed}
 
     def degree_square_check():
-        total = sum(chi.degree**2 for chi in character_table(G))
+        total = sum(row[2] ** 2 for row in table_rows(G))
         ok = total == G.order
         return ok, None if ok else {"sum": total, "order": G.order}
 
     def quotient_lift_checks():
         for k in range(1, G.s + 1):
-            ok, detail = _lift_check_detail(G, k)
+            ok, detail = lift_check(G, k)
             if not ok:
                 return False, detail
         return True, None

@@ -102,6 +102,22 @@ def faulty_table_rows(real, name):
     return faulty
 
 
+def printed_value_fault(name, chartab):
+    """(attribute of chartab, replacement) that puts a wrong value into
+    the table chartab prints: "abs" makes every critical coefficient
+    -p^(k-1) positive, "eb" moves the last class's eb exponent by 1."""
+    if name == "abs":
+        real_row = chartab.coefficient_row
+        return "coefficient_row", lambda k, classes, p: [abs(c) for c in real_row(k, classes, p)]
+    real_exponents = chartab.class_exponents
+
+    def shifted(G, classes):
+        ea, eb = real_exponents(G, classes)
+        return ea, eb[:-1] + [(eb[-1] + 1) % chartab.twist_order(G)]
+
+    return "class_exponents", shifted
+
+
 def materialised(obj):
     """obj as the plain object the canonical writer writes it as: every
     Rows replaced by the list of its items, and every Stamp by its sample

@@ -84,7 +84,7 @@ def test_criterion_2_character_tables():
         ok = ok and sum(chi.degree**2 for chi in character_table(G)) == G.order
         ok = ok and orthogonality_check(G)[0]
         for k in range(1, s + 1):
-            ok = ok and lift_check(G, k)
+            ok = ok and lift_check(G, k)[0]
     for p in (3, 5, 7):
         for r in (1, 2, 3):
             ok = ok and frobenius_induction_check(p, r)[0]

@@ -21,6 +21,7 @@ from radical_ram.chartab import (
     character_json,
     character_table,
     count_by,
+    exponent_row,
     induced_coefficient,
     level_degree,
     linear_exponent,
@@ -33,8 +34,7 @@ from radical_ram.chartab import (
     table_rows,
     trivial_subgroup,
     twist_order,
-    value_profiles,
-    whole_group,
+    value_table,
     zeta_order,
 )
 from radical_ram.holomorph import GroupDesc, all_classes, class_count
@@ -324,7 +324,7 @@ def test_count_by_examples():
 
 def test_subgroup_orders():
     G = GroupDesc(3, 2, 2)
-    assert subgroup_order(whole_group(G), G) == 54
+    assert subgroup_order(SubgroupDesc(G.s, 0), G) == 54
     assert subgroup_order(trivial_subgroup(G), G) == 1
     assert subgroup_order(SubgroupDesc(2, 1), G) == 27
     assert subgroup_order(SubgroupDesc(0, 1), G) == 3
@@ -336,7 +336,7 @@ def test_subgroup_orders():
 
 def test_subgroup_lattice():
     G = GroupDesc(3, 2, 2)
-    assert subgroup_contains(whole_group(G), trivial_subgroup(G), G)
+    assert subgroup_contains(SubgroupDesc(G.s, 0), trivial_subgroup(G), G)
     assert subgroup_contains(SubgroupDesc(2, 1), SubgroupDesc(1, 1), G)
     assert subgroup_contains(SubgroupDesc(2, 1), SubgroupDesc(2, 2), G)
     assert not subgroup_contains(SubgroupDesc(1, 1), SubgroupDesc(2, 1), G)
@@ -345,15 +345,23 @@ def test_subgroup_lattice():
     assert got == SubgroupDesc(1, 1)
 
 
-# ---------------------------------------------------------- value profiles
+# ------------------------------------------------------------- value table
+
+
+def value_rows(G):
+    """(classes, [(chi, coeffs, exps)]): every row of value_table, with
+    its twist's exponents from exponent_row."""
+    classes, coeffs, ea, eb = value_table(G)
+    m0 = twist_order(G)
+    return classes, [(chi, coeffs[chi.level], exponent_row(chi.twist, ea, eb, m0)) for chi in character_table(G)]
 
 
 @pytest.mark.parametrize("G", [GroupDesc(3, 2, 2), GroupDesc(5, 2, 2)])
-def test_value_profiles_match_char_value(G):
-    classes, table, profiles = value_profiles(G)
+def test_value_table_matches_char_value(G):
+    classes, rows = value_rows(G)
     n = zeta_order(G)
     step = n // twist_order(G)
-    for chi, (coeffs, exps) in zip(table, profiles):
+    for chi, coeffs, exps in rows:
         for j, cls in enumerate(classes):
             direct = char_value(chi, cls, G)
             if coeffs[j] == 0:
@@ -400,12 +408,12 @@ def test_canonical_monomial_decides_term_equality(n):
 @pytest.mark.parametrize("G", [GroupDesc(3, 2, 2), GroupDesc(5, 2, 1)])
 def test_char_monomial_partitions_values_like_dense_equality(G):
     """On a whole table, the canonical pairs and the reduced dense values
-    (built from value_profiles, not from char_monomial) are in bijection."""
-    classes, table, profiles = value_profiles(G)
+    (built from value_table, not from char_monomial) are in bijection."""
+    classes, rows = value_rows(G)
     n = zeta_order(G)
     step = n // twist_order(G)
     by_pair, by_dense = {}, {}
-    for chi, (coeffs, exps) in zip(table, profiles):
+    for chi, coeffs, exps in rows:
         for j, cls in enumerate(classes):
             pair = char_monomial(chi, cls, G)
             dense = CycInt.term(coeffs[j], exps[j] * step, n).reduce().coeffs

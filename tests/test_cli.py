@@ -23,7 +23,7 @@ from radical_ram.chartab import char_coefficient, character_json, character_tabl
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc, all_classes
 
-from helpers import ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree
+from helpers import ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree, printed_value_fault
 
 
 def run(capsys, *argv):
@@ -470,16 +470,97 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
 
 
 @pytest.fixture
-def prim_degree_off_by_one(monkeypatch):
-    """chartab.prim_degree off by one where p | b, with no table or oracle
-    result cached from before or after the mutation."""
+def fresh_caches():
+    """No table or oracle result cached from before or after a mutation."""
     caches = (chartab.character_table, oracle._kernel_trivial_census, oracle.frobenius_induction_check)
     for fn in caches:
         fn.cache_clear()
-    monkeypatch.setattr(chartab, "prim_degree", off_by_one_prim_degree(chartab.prim_degree))
     yield
     for fn in caches:
         fn.cache_clear()
+
+
+@pytest.fixture
+def prim_degree_off_by_one(fresh_caches, monkeypatch):
+    """chartab.prim_degree off by one where p | b."""
+    monkeypatch.setattr(chartab, "prim_degree", off_by_one_prim_degree(chartab.prim_degree))
+
+
+def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch):
+    """A level-1 degree one too large fails degree_square_sum with the
+    sum and the order as its detail, and each check that reads the
+    character table with character_table's message."""
+    real = chartab.level_degree
+    monkeypatch.setattr(chartab, "level_degree", lambda k, p: real(k, p) + (k == 1))
+    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "1", "--json")
+    assert code == 3
+    checks = {entry["group"]["s"]: {row["name"]: row for row in entry["oracle"]["checks"]}
+              for entry in json.loads(out)["groups"]}
+    assert checks[0]["degree_square_sum"]["status"] == "pass"
+    assert checks[1]["degree_square_sum"] == {"name": "degree_square_sum", "status": "fail",
+                                              "detail": {"sum": 11, "order": 6}}
+    assert checks[1]["row_orthogonality"]["detail"] == "degree squares sum to 11, not |G| = 6"
+
+
+PRINTED_VALUE_FAULTS = ["abs", "eb"]
+PRINTED_VALUE_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+
+
+def _assert_printed_value_caught(name, code, out):
+    """verify fails row_orthogonality in every group whose table the
+    fault reaches (every level for "eb", the induced levels for "abs"),
+    and frobenius_induction reads the coefficients "abs" breaks."""
+    assert code == 3, name
+    for entry in json.loads(out)["groups"]:
+        status = {row["name"]: row["status"] for row in entry["oracle"]["checks"]}
+        reached = name == "eb" or entry["group"]["s"] >= 1
+        assert status["row_orthogonality"] == ("fail" if reached else "pass"), (name, entry["group"])
+        assert status["frobenius_induction"] == ("fail" if name == "abs" else "pass"), (name, entry["group"])
+
+
+@pytest.mark.parametrize("name", PRINTED_VALUE_FAULTS)
+def test_verify_catches_a_wrong_printed_value(capsys, fresh_caches, monkeypatch, name):
+    """A wrong value in the table chartab prints changes what chartab
+    prints, and verify, which checks that same table, exits 3."""
+    clean = run(capsys, "chartab", "3", "2", "2", "--json")
+    monkeypatch.setattr(chartab, *printed_value_fault(name, chartab))
+    code, out, _ = run(capsys, "chartab", "3", "2", "2", "--json")
+    assert code == 0 and out != clean[1]
+    _assert_printed_value_caught(name, *run(capsys, *PRINTED_VALUE_ARGV)[:2])
+
+
+PRINTED_VALUE_RUNS = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import chartab, oracle
+from radical_ram.cli import main
+from helpers import printed_value_fault
+argv, runs = json.loads(sys.argv[1]), []
+for name in json.loads(sys.argv[2]):
+    attr, fault = printed_value_fault(name, chartab)
+    real = getattr(chartab, attr)
+    setattr(chartab, attr, fault)
+    oracle.frobenius_induction_check.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs.append([main(argv), out.getvalue()])
+    setattr(chartab, attr, real)
+sys.stdout.write(json.dumps(runs))
+"""
+
+
+def test_verify_catches_a_wrong_printed_value_under_O():
+    """The same faults under python -O, in one process."""
+    src = Path(radical_ram.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", PRINTED_VALUE_RUNS, json.dumps(PRINTED_VALUE_ARGV),
+                           json.dumps(PRINTED_VALUE_FAULTS)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(PRINTED_VALUE_FAULTS)
+    for name, (code, out) in zip(PRINTED_VALUE_FAULTS, runs):
+        _assert_printed_value_caught(name, code, out)
 
 
 PRIM_DEGREE_ARGVS = [
@@ -777,18 +858,24 @@ def test_chartab_characters_outside_the_census_exit_3(capsys, monkeypatch):
         if len(calls) > 1:
             yield ("induced", (0, 0), 2, 1, G.r + 1)
 
+    monkeypatch.setattr(chartab, "table_rows", with_stray)
     monkeypatch.setattr(cli, "table_rows", with_stray)
     code, _, err = run(capsys, "chartab", "3", "2", "1", "--json")
     assert code == 3
     assert err == "internal inconsistency: character ('induced', (0, 0), 2, 1, 3) outside the census\n"
 
 
+def readme_blocks():
+    """(info string, body) of every fenced code block in README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"^```([^\n]*)\n(.*?)^```", text, re.M | re.S)
+
+
 def readme_examples():
     """(argv, stdout) of every README code block that opens with a
     `$ radical-ram ...` line: the command, then its exact output."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
     examples = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+    for _, block in readme_blocks():
         first, _, rest = block.partition("\n")
         if first.startswith("$ radical-ram "):
             examples.append((shlex.split(first)[2:], rest))
@@ -801,6 +888,15 @@ def test_readme_examples(capsys):
     assert examples
     for argv, shown in examples:
         assert run(capsys, *argv)[1] == shown, argv
+
+
+def test_readme_python_blocks_run(capsys):
+    """Each README `python` block runs as written and prints something."""
+    blocks = [body for info, body in readme_blocks() if info.strip() == "python"]
+    assert blocks
+    for body in blocks:
+        exec(compile(body, "README.md", "exec"), {})
+        assert capsys.readouterr().out
 
 
 FAULT_ARGVS = [["chartab", "3", "2", "1", "--json"], ["chartab", "3", "2", "1"], ["analyze", "10", "9", "--json"]]
@@ -824,8 +920,8 @@ def test_row_faults_exit_3(capsys, monkeypatch, name, argv):
     rows; the first two before anything is written."""
     assert run(capsys, *argv)[0] == 0
     faulty = faulty_table_rows(chartab.table_rows, name)
-    monkeypatch.setattr(cli, "table_rows", faulty)
-    monkeypatch.setattr(conductor, "table_rows", faulty)
+    for module in (chartab, cli, conductor):
+        monkeypatch.setattr(module, "table_rows", faulty)
     _assert_row_fault_caught(name, argv, *run(capsys, *argv))
 
 
@@ -838,7 +934,7 @@ from helpers import faulty_table_rows
 real = chartab.table_rows
 runs = []
 for name, argv in json.loads(sys.argv[1]):
-    cli.table_rows = conductor.table_rows = faulty_table_rows(real, name)
+    chartab.table_rows = cli.table_rows = conductor.table_rows = faulty_table_rows(real, name)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         runs.append([cli.main(argv), out.getvalue(), err.getvalue()])

@@ -5,7 +5,7 @@ exact inner products."""
 
 import pytest
 
-from radical_ram import oracle
+from radical_ram import chartab, oracle
 from radical_ram.arith import CycInt
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
@@ -122,20 +122,22 @@ def clear_oracle_caches():
         fn.cache_clear()
 
 
-def test_frobenius_closed_side_must_be_an_integer(clear_oracle_caches, monkeypatch):
+def test_frobenius_reads_the_table_level_r_row(clear_oracle_caches, monkeypatch):
+    """The check compares value_table's level-r coefficients, the ones
+    chartab prints, with the honest sums: one off by one fails at its
+    class, with both integers in the detail."""
     big = GroupDesc(3, 2, 2)
-    real = oracle.char_monomial
+    real = chartab.coefficient_row
 
-    def off_axis(chi, cls, G):
-        c, e = real(chi, cls, G)
-        if G == big and cls.representative.u == 1 and cls.beta == 0:
-            return c, 1
-        return c, e
+    def one_more(k, classes, p):
+        row = real(k, classes, p)
+        return [c + 1 for c in row] if k == big.r else row
 
-    monkeypatch.setattr(oracle, "char_monomial", off_axis)
+    monkeypatch.setattr(chartab, "coefficient_row", one_more)
     ok, detail = frobenius_induction_check(3, 2)
     assert not ok
-    assert detail["reason"] == "non-integer closed value"
+    # the first class lies off the cyclic part: honest sum 0, closed 0 + 1
+    assert detail == {"class_key": list(all_classes(big)[0].key), "honest": 0, "closed": 1}
 
 
 def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, monkeypatch):
@@ -169,7 +171,8 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
     ],
 )
 def test_lift_check(G, k):
-    assert lift_check(G, k)
+    ok, detail = lift_check(G, k)
+    assert ok, detail
 
 
 def test_lift_check_pulls_each_class_back_once(monkeypatch):
@@ -186,7 +189,7 @@ def test_lift_check_pulls_each_class_back_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "conj_class_of", counting)
     for k in range(1, G.s + 1):
-        assert lift_check(G, k)
+        assert lift_check(G, k)[0]
     assert len(pulled) == G.s * class_count(GroupDesc(3, 3, 3))
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radical_ram
-from radical_ram.chartab import SubgroupDesc, subgroup_order, whole_group
+from radical_ram.chartab import SubgroupDesc, subgroup_order
 from radical_ram.holomorph import GroupDesc
 from radical_ram.ramfil import (
     EISENSTEIN,
@@ -315,7 +315,7 @@ def test_break_five_group_is_the_big_cyclic_piece():
 def test_filtration_shape_invariants(ctx):
     up = upper_filtration(ctx)
     low = lower_filtration(ctx)
-    assert up.steps[0] == (0, whole_group(up.group))
+    assert up.steps[0] == (0, SubgroupDesc(up.group.s, 0))
     assert order_at(up, 0) == ctx.e
     orders = [order_at(up, b) for b, _ in up.steps]
     assert orders == sorted(orders, reverse=True) and len(set(orders)) == len(orders)
@@ -409,7 +409,7 @@ def test_tower_steps_reproduce_closed_breaks(ctx):
 
 def test_subgroup_filtration_whole_group_is_identity():
     low = lower_filtration(unit_ctx(3, 2, 2))
-    assert subgroup_filtration(low, whole_group(low.group)) == low
+    assert subgroup_filtration(low, SubgroupDesc(low.group.s, 0)) == low
 
 
 def test_subgroup_filtration_top_step_example():
