@@ -21,6 +21,8 @@ contains every root needed by the brute-force induction sums.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -281,6 +283,67 @@ def exponent_row(twist, ea, eb, m0):
     """The twist's exponent (mod m0) on every class, from class_exponents."""
     ta, tb = twist
     return [(ta * x + tb * y) % m0 for x, y in zip(ea, eb)]
+
+
+def packed_rows(m0, n):
+    """(pack, step, unpack) for rows of n exponents mod m0, each held as
+    one int with a field of w bits per exponent, in sys.byteorder.
+
+    w is the itemsize of the smallest unsigned array typecode with
+    m0 <= 2^(w-1), so the sum of two fields is below 2^w and never
+    carries into the next.  step(x, y) is pack of the fieldwise
+    (x + y) % m0: one add, then m0 subtracted from every field that
+    reached it, which adding 2^(w-1) - m0 marks by its top bit.
+    unpack(x) is the row as a tuple, read with memoryview.cast."""
+    code = next((c for c in "BHILQ" if m0 <= 1 << 8 * array(c).itemsize - 1), None)
+    ensure(code is not None, "root-of-unity order {} exceeds 64-bit fields", m0)
+    size = array(code).itemsize
+    top = 8 * size - 1
+    order = sys.byteorder
+
+    def pack(values):
+        return int.from_bytes(array(code, values), order)
+
+    bias, high = pack([(1 << top) - m0] * n), pack([1 << top] * n)
+
+    def step(x, y):
+        t = x + y
+        return t - (((t + bias) & high) >> top) * m0
+
+    def unpack(x):
+        return tuple(memoryview(x.to_bytes(n * size, order)).cast(code))
+
+    return pack, step, unpack
+
+
+def exponent_rows(G, columns):
+    """(row, exponents) for every table_rows row: its twist's exponents
+    (mod m0), a tuple, on columns[level] = (ea, eb), a selection of
+    class_exponents' columns.
+
+    Within a level the rows run over twists (a, b), (a, b + 1), ..., and
+    row(a, b + 1) = row(a, b) + eb mod m0: a row whose level is the
+    previous row's and whose twist is the previous twist plus (0, 1) is
+    the previous row stepped by eb as packed_rows ints.  The first row
+    of every run is exponent_row's, the reference route.  Each row is
+    paired with the twist it was built for."""
+    m0 = twist_order(G)
+    packings = []
+    for _, eb in columns:
+        pack, step, unpack = packed_rows(m0, len(eb))
+        packings.append((pack, step, unpack, pack(eb)))
+    prev = None
+    for row in table_rows(G):
+        level, (ta, tb) = row[3], row[1]
+        pack, step, unpack, y = packings[level]
+        if prev == (level, ta, tb - 1):
+            x = step(x, y)
+            exps = unpack(x)
+        else:
+            exps = tuple(exponent_row((ta, tb), *columns[level], m0))
+            x = pack(exps)
+        prev = level, ta, tb
+        yield row, exps
 
 
 def coefficient_row(k, classes, p):

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .arith import DEFAULT_MAX_ORDER, HOLE, ResourceLimitError, Rows, Stamp, ensure, is_prime
 from .arith import resolve_max_order
-from .chartab import bucket_stamps, census, character_samples, exponent_row
+from .chartab import bucket_stamps, census, character_samples, exponent_rows
 from .chartab import table_rows, twist_order, value_table
 from .conductor import conductor_checks, conductor_json
 from .holomorph import GroupDesc, class_count
@@ -413,19 +413,15 @@ def cmd_verify(args, parser):
 
 
 def chartab_values(G):
-    """(classes, n, coeffs, exponents) for G's table of n characters, from
-    value_table.  exponents(row) is a table_rows row's twist exponents
-    (mod m0) on its level's support, the classes where the level's
-    coefficient is nonzero, in class order: the value there is
-    coeff * z^exp, and 0 elsewhere.  Only the exponents are made per row."""
+    """(classes, n, coeffs, rows) for G's table of n characters, from
+    value_table.  rows() is a fresh exponent_rows stream on each level's
+    support, the classes where the level's coefficient is nonzero, in
+    class order: a row's value there is coeff * z^exp, and 0 elsewhere.
+    Only the exponents are made per row, each by one packed step from
+    the previous row of its run."""
     classes, coeffs, ea, eb = value_table(G)
-    m0 = twist_order(G)
     support = [(list(compress(ea, row)), list(compress(eb, row))) for row in coeffs]
-
-    def exponents(row):
-        return tuple(exponent_row(row[1], *support[row[3]], m0))
-
-    return classes, sum(census(G).values()), coeffs, exponents
+    return classes, sum(census(G).values()), coeffs, lambda: exponent_rows(G, support)
 
 
 def chartab_payload(G):
@@ -435,7 +431,7 @@ def chartab_payload(G):
     character fills its bucket's sample with its twist, and a value row
     fills its level's, which holds the level's coefficients, [0, 0] at
     each zero and a HOLE for each other exponent."""
-    classes, n, coeffs, exponents = chartab_values(G)
+    classes, n, coeffs, rows = chartab_values(G)
     characters = character_samples(G)
     levels = [[[c, HOLE] if c else [0, 0] for c in row] for row in coeffs]
     class_sample = dict.fromkeys(("alpha", "beta", "size", "u"), HOLE)
@@ -444,7 +440,7 @@ def chartab_payload(G):
         "root_of_unity_order": twist_order(G),
         "classes": [Stamp(class_sample, (c.alpha, c.beta, c.size, c.representative.u)) for c in classes],
         "characters": Rows(n, lambda: bucket_stamps(table_rows(G), characters)),
-        "values": Rows(n, lambda: (Stamp(levels[row[3]], exponents(row)) for row in table_rows(G))),
+        "values": Rows(n, lambda: (Stamp(levels[row[3]], exps) for row, exps in rows())),
     }
 
 
@@ -471,7 +467,7 @@ def cmd_chartab(args, parser):
         canonical_json(chartab_payload(G))
         return EXIT_OK
 
-    classes, n, coeffs, exponents = chartab_values(G)
+    classes, n, coeffs, rows = chartab_values(G)
     sys.stdout.write(
         f"character table of C({G.p}^{G.s}) x| G({G.p}^{G.r}), "
         f"order {G.order}; z = root of unity of order {twist_order(G)}\n"
@@ -481,9 +477,8 @@ def cmd_chartab(args, parser):
         + "  ".join(f"({c.representative.u},{c.beta},{c.size})" for c in classes)
         + "\n"
     )
-    for row in Rows(n, lambda: table_rows(G)):
-        kind, twist, degree, level, _ = row
-        exps = iter(exponents(row))
+    for (kind, twist, degree, level, _), exps in Rows(n, rows):
+        exps = iter(exps)
         cells = "  ".join(_fmt_value(coe, next(exps) if coe else 0) for coe in coeffs[level])
         sys.stdout.write(f"{kind:7s} twist={twist} deg={degree} level={level}: {cells}\n")
     return EXIT_OK

@@ -33,11 +33,13 @@ from .arith import (
     vp,
 )
 from .chartab import (
+    Character,
     char_monomial,
     char_value,
     character_json,
     character_table,
     exponent_row,
+    exponent_rows,
     null_subgroup,
     table_rows,
     twist_order,
@@ -391,7 +393,11 @@ def null_subgroup_scan_check(G):
     torsion into the unit part (it contains, rather than equals, a
     congruence subgroup), so the comparison extracts the largest
     C(p^x) x| G(p^r)^y inside the scan result and matches that — which is
-    the only shape the ramification filtration can probe anyway."""
+    the only shape the ramification filtration can probe anyway.
+
+    The rows come from exponent_rows, stepped as chartab prints them,
+    and a row whose exponents are not exponent_row's on its twist
+    fails."""
     import math
 
     _, coeffs, ea, eb = value_table(G)
@@ -407,22 +413,28 @@ def null_subgroup_scan_check(G):
     units_at = [np.flatnonzero((I == 0) & m) for m in level]
     congruence = {(x, y): depth[x] & level[y] for x in range(G.s + 1) for y in range(G.r + 1)}
 
-    for chi in character_table(G):
-        # chi(g) = chi(1) per class, then spread to every element
-        null_cls = (np.array(coeffs[chi.level], dtype=np.int64) == chi.degree) & (
-            np.array(exponent_row(chi.twist, ea, eb, m0), dtype=np.int64) == 0
-        )
-        is_null = null_cls[cidx]
-        sd = null_subgroup(chi)
+    # chi(g) = chi(1) needs coefficient chi(1) = degree and exponent 0
+    full_degree = {}
+    for row, exps in exponent_rows(G, [(ea, eb)] * (G.s + 1)):
+        chi = Character(G, *row)
 
         def fail(reason):
-            return False, {"character": character_json(chi.row), "reason": reason}
+            return False, {"character": character_json(row), "reason": reason}
 
-        # largest cyclic depth fully inside the scan result
-        x_max = -1
-        for x in range(G.s + 1):
-            if is_null[cyclic_at[x]].all():
-                x_max = x
+        want = exponent_row(chi.twist, ea, eb, m0)
+        if list(exps) != want:
+            first = next(j for j, (x, y) in enumerate(zip(exps, want)) if x != y)
+            return fail(f"stepped exponent {exps[first]} != {want[first]} at class {first}")
+        key = chi.level, chi.degree
+        if key not in full_degree:
+            full_degree[key] = np.array(coeffs[chi.level], dtype=np.int64) == chi.degree
+        # per class, then spread to every element
+        is_null = (full_degree[key] & (np.array(want, dtype=np.int64) == 0))[cidx]
+        sd = null_subgroup(chi)
+
+        # largest cyclic depth fully inside the scan result: cyclic_at[x]
+        # grows with x, so the first x that fails bounds it
+        x_max = next((x - 1 for x in range(G.s + 1) if not is_null[cyclic_at[x]].all()), G.s)
         # smallest congruence level whose units all pass the scan
         y_min = next((y for y in range(G.r + 1) if is_null[units_at[y]].all()), None)
         if (x_max, y_min) != (sd.x, sd.y):

@@ -62,6 +62,10 @@ def brute_orbits(G):
     return list(orbits.values())
 
 
+# s = r groups have every level, and so every level's zero cells
+CELL_GRID = [(3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 3), (5, 2, 0), (5, 2, 2), (7, 2, 2), (5, 3, 3)]
+
+
 SMALL = [GroupDesc(3, 1, 1), GroupDesc(3, 2, 1), GroupDesc(3, 2, 2),
          GroupDesc(3, 3, 1), GroupDesc(3, 3, 3), GroupDesc(5, 1, 1),
          GroupDesc(5, 2, 2), GroupDesc(7, 1, 1), GroupDesc(3, 2, 0)]
@@ -105,10 +109,19 @@ def faulty_table_rows(real, name):
 def printed_value_fault(name, chartab):
     """(attribute of chartab, replacement) that puts a wrong value into
     the table chartab prints: "abs" makes every critical coefficient
-    -p^(k-1) positive, "eb" moves the last class's eb exponent by 1."""
+    -p^(k-1) positive, "eb" moves the last class's eb exponent by 1, and
+    "step" steps packed rows without their fieldwise reduction mod m0."""
     if name == "abs":
         real_row = chartab.coefficient_row
         return "coefficient_row", lambda k, classes, p: [abs(c) for c in real_row(k, classes, p)]
+    if name == "step":
+        real_packed = chartab.packed_rows
+
+        def unreduced(m0, n):
+            pack, _, unpack = real_packed(m0, n)
+            return pack, lambda x, y: x + y, unpack
+
+        return "packed_rows", unreduced
     real_exponents = chartab.class_exponents
 
     def shifted(G, classes):

@@ -7,8 +7,10 @@ unnormalized orthogonality in the cyclotomic ring, and a histogram of
 """
 
 import random
+from itertools import compress
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radical_ram import chartab
 from radical_ram.arith import CycInt, unit_decomp, vp
@@ -22,10 +24,12 @@ from radical_ram.chartab import (
     character_table,
     count_by,
     exponent_row,
+    exponent_rows,
     induced_coefficient,
     level_degree,
     linear_exponent,
     null_subgroup,
+    packed_rows,
     prim_degree,
     subgroup_contains,
     subgroup_eq,
@@ -39,7 +43,7 @@ from radical_ram.chartab import (
 )
 from radical_ram.holomorph import GroupDesc, all_classes, class_count
 
-from helpers import SMALL
+from helpers import CELL_GRID, SMALL
 
 
 def table_and_classes(G):
@@ -368,6 +372,50 @@ def test_value_table_matches_char_value(G):
                 assert direct.is_zero()
             else:
                 assert direct == CycInt.term(coeffs[j], exps[j] * step, n)
+
+
+@pytest.mark.parametrize("p,r,s", CELL_GRID + [(7, 3, 3), (13, 2, 2), (3, 5, 5)])
+def test_exponent_rows_match_exponent_row(p, r, s):
+    """Every stepped row is exponent_row's on its twist, paired with the
+    table_rows row it was built for, on full columns (verify's) and on
+    each level's support (chartab's)."""
+    G = GroupDesc(p, r, s)
+    _, coeffs, ea, eb = value_table(G)
+    m0 = twist_order(G)
+    full = [(ea, eb)] * (s + 1)
+    support = [(list(compress(ea, c)), list(compress(eb, c))) for c in coeffs]
+    for columns in (full, support):
+        rows = list(exponent_rows(G, columns))
+        assert [row for row, _ in rows] == list(table_rows(G))
+        for row, exps in rows:
+            assert exps == tuple(exponent_row(row[1], *columns[row[3]], m0)), row
+
+
+@pytest.mark.parametrize("m0,width", [(2, 8), (2**15, 16), (2**15 + 1, 32)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_step_is_the_fieldwise_sum_mod_m0(m0, width, data):
+    """packed_rows takes the smallest field width w with m0 <= 2^(w-1),
+    and a chain of steps is the fieldwise (x + y) % m0, cells at m0 - 1
+    (where every sum wraps) included."""
+    cell = st.one_of(st.just(m0 - 1), st.just(0), st.integers(0, m0 - 1))
+    n = data.draw(st.integers(0, 12))
+    row = data.draw(st.lists(cell, min_size=n, max_size=n))
+    steps = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), max_size=4))
+    pack, step, unpack = packed_rows(m0, n)
+    assert pack([m0 - 1] * n) < 1 << width * n
+    assert unpack(pack(row)) == tuple(row)
+    x = pack(row)
+    for y in steps:
+        x = step(x, pack(y))
+        row = [(a + b) % m0 for a, b in zip(row, y)]
+        assert unpack(x) == tuple(row)
+
+
+def test_packed_rows_need_a_field_that_fits():
+    assert packed_rows(2**63, 1)[0]([2**63 - 1]) == 2**63 - 1
+    with pytest.raises(AssertionError, match="exceeds 64-bit fields"):
+        packed_rows(2**63 + 1, 1)
 
 
 # ------------------------------------------------------ canonical monomials

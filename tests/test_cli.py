@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from radical_ram.chartab import char_coefficient, character_json, character_tabl
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc, all_classes
 
-from helpers import ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree, printed_value_fault
+from helpers import CELL_GRID, ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree, printed_value_fault
 
 
 def run(capsys, *argv):
@@ -502,20 +503,27 @@ def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch
     assert checks[1]["row_orthogonality"]["detail"] == "degree squares sum to 11, not |G| = 6"
 
 
-PRINTED_VALUE_FAULTS = ["abs", "eb"]
 PRINTED_VALUE_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+# The oracle checks each fault fails, in a group of depth s; every other
+# check passes.  "abs" reaches row_orthogonality through the induced
+# levels only, and frobenius_induction through the coefficients.  "step"
+# reaches no check that reads value_table itself: only the null-subgroup
+# scan compares the stepped rows chartab prints with exponent_row.
+PRINTED_VALUE_REACH = {
+    "abs": lambda s: {"frobenius_induction"} | ({"row_orthogonality"} if s >= 1 else set()),
+    "eb": lambda s: {"row_orthogonality", "null_subgroup_scan"},
+    "step": lambda s: {"null_subgroup_scan"},
+}
+PRINTED_VALUE_FAULTS = list(PRINTED_VALUE_REACH)
 
 
 def _assert_printed_value_caught(name, code, out):
-    """verify fails row_orthogonality in every group whose table the
-    fault reaches (every level for "eb", the induced levels for "abs"),
-    and frobenius_induction reads the coefficients "abs" breaks."""
+    """verify exits 3 and fails exactly the checks the fault reaches, in
+    every group."""
     assert code == 3, name
     for entry in json.loads(out)["groups"]:
-        status = {row["name"]: row["status"] for row in entry["oracle"]["checks"]}
-        reached = name == "eb" or entry["group"]["s"] >= 1
-        assert status["row_orthogonality"] == ("fail" if reached else "pass"), (name, entry["group"])
-        assert status["frobenius_induction"] == ("fail" if name == "abs" else "pass"), (name, entry["group"])
+        failed = {row["name"] for row in entry["oracle"]["checks"] if row["status"] == "fail"}
+        assert failed == PRINTED_VALUE_REACH[name](entry["group"]["s"]), (name, entry["group"])
 
 
 @pytest.mark.parametrize("name", PRINTED_VALUE_FAULTS)
@@ -815,8 +823,21 @@ def test_chartab_json_byte_identical(capsys):
     assert out1 == out2
 
 
-# s = r groups have every level, and so every level's zero cells
-CELL_GRID = [(3, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 3), (5, 2, 0), (5, 2, 2), (7, 2, 2), (5, 3, 3)]
+# sha256 of chartab outputs with longer runs of stepped rows than any
+# golden case (6 linear runs of 49 rows at (7, 3, 3), 12 of 13 at
+# (13, 2, 2)), as printed when every row was computed cell by cell
+LONG_RUN_DIGESTS = {
+    ("7", "3", "3", "--json"): "185876dedd3de2fcfac0d8eecf78e7d4c496b2c3e6e215441d9d7944925464bd",
+    ("13", "2", "2", "--json"): "70c88bcaf5cd9dd4be7a10bc84f8a8d6d76254038717c3d8f88d1899c3524fbb",
+    ("7", "3", "3"): "e714181c5088e22e3e2aeda1c7e883f66d4205cb47b250abb7dec861bbbdc347",
+}
+
+
+@pytest.mark.parametrize("argv", LONG_RUN_DIGESTS, ids=" ".join)
+def test_chartab_long_runs_keep_their_digest(capsys, argv):
+    code, out, _ = run(capsys, "chartab", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_RUN_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("p,r,s", CELL_GRID)
