@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
+from operator import sub
 
 
 class ResourceLimitError(RuntimeError):
@@ -457,7 +458,7 @@ class CycInt:
 
     def __sub__(self, other):
         self._check(other)
-        return CycInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.order, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return CycInt(self.order, tuple(-a for a in self.coeffs))
@@ -515,7 +516,7 @@ class CycInt:
     __hash__ = None
 
     def is_zero(self):
-        return all(c == 0 for c in self.reduce().coeffs)
+        return not any(self.reduce().coeffs)
 
     def as_int(self):
         """The rational integer this element equals; error if it is not one."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -34,11 +35,9 @@ from .arith import (
 )
 from .chartab import (
     Character,
-    char_monomial,
     char_value,
     character_json,
     character_table,
-    exponent_row,
     exponent_rows,
     null_subgroup,
     table_rows,
@@ -191,15 +190,32 @@ def induce_from_cyclic(G):
     return DenseClassFunction(G, values)
 
 
+def _class_terms(f, conjugate=False):
+    """Per class of f's group, the nonzero (exponent, coefficient) pairs of
+    f's value, or of its complex conjugate."""
+    values = (f.value(c) for c in all_classes(f.group))
+    return [[(j, a) for j, a in enumerate((v.conj() if conjugate else v).coeffs) if a] for v in values]
+
+
+def _pairing(G, f_terms, g_bar_terms):
+    """(1/|G|) sum of size * f * g_bar over the classes, from _class_terms,
+    accumulated in one coefficient list and reduced once by the
+    exactness-checked division."""
+    n = zeta_order(G)
+    acc = [0] * n
+    for c, fs, gs in zip(all_classes(G), f_terms, g_bar_terms):
+        for i, a in fs:
+            a *= c.size
+            for j, b in gs:
+                acc[(i + j) % n] += a * b
+    return CycInt(n, tuple(acc)).divide_exact(G.order)
+
+
 def inner_product(f, g):
     """(1/|G|) sum of size * f * conj(g); the division must come out exact."""
     if f.group != g.group:
         raise ValueError("inner product across different groups")
-    G = f.group
-    acc = CycInt.zero(zeta_order(G))
-    for c in all_classes(G):
-        acc = acc + c.size * (f.value(c) * g.value(c).conj())
-    return acc.divide_exact(G.order)
+    return _pairing(f.group, _class_terms(f), _class_terms(g, conjugate=True))
 
 
 def _induction_sum_small(G, i):
@@ -215,51 +231,114 @@ def frobenius_induction_check(p, r):
     The honest sum is an algebraic integer in Z[zeta_{p^r}]; after exact
     reduction it must be the plain integer the table's level-r coefficient
     row predicts (the level's one twist is (0, 0), of exponent 0 on every
-    class).  On small rings the comparison is additionally repeated with
-    full CycInt equality in the common big ring through the public entry
-    point.
+    class).  Off the cyclic part (u != 1) the sum is empty, so the closed
+    coefficient must be 0 there.  On small rings the comparison is
+    additionally repeated in the common big ring through the public entry
+    point, one reduced difference per class.
     """
     big = GroupDesc(p, r, r)
     classes, coeffs, _, _ = value_table(big)
     for c, closed in zip(classes, coeffs[r]):
         rep = c.representative
+        honest = 0
         if rep.u == 1:
-            honest = _induction_sum_small(big, rep.i)
-        else:
-            honest = CycInt.zero(big.ps)
-        try:
-            got = honest.as_int()
-        except ValueError:
-            return False, {"class_key": list(map(int, c.key)), "reason": "non-integer sum"}
-        if got != closed:
-            return False, {"class_key": list(map(int, c.key)), "honest": got, "closed": closed}
+            try:
+                honest = _induction_sum_small(big, rep.i).as_int()
+            except ValueError:
+                return False, {"class_key": list(map(int, c.key)), "reason": "non-integer sum"}
+        if honest != closed:
+            return False, {"class_key": list(map(int, c.key)), "honest": honest, "closed": closed}
     if zeta_order(big) <= 500:
         rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
         ensure(len(rows) == 1 and rows[0].twist == (0, 0))
         f = induce_from_cyclic(big)
         g = DenseClassFunction.from_character(rows[0], big)
         for c in classes:
-            if f.value(c) != g.value(c):
+            if not (f.value(c) - g.value(c)).is_zero():
                 return False, {"class_key": list(map(int, c.key)), "reason": "big-ring mismatch"}
     return True, None
+
+
+# ------------------------------------------------------ table-wide passes
+
+# The table-wide checks below hold one (twists x classes) matrix per pass,
+# cut into row chunks of at most this many cells, so their temporaries
+# stay small however large the group: 64 kB of int64 each, which the
+# allocator serves and reuses from the heap.  With 512 kB chunks the
+# default verify grid peaked 2.5 MB higher, in the same time.
+_CHUNK_CELLS = 1 << 13
+
+
+def _row_chunks(n, width):
+    """Consecutive slices of range(n), each of at most _CHUNK_CELLS // width
+    rows (and at least one)."""
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _exponent_matrix(ta, tb, ea, eb, m0):
+    """(ta * ea + tb * eb) mod m0 for every twist (row) and class (column)."""
+    return (np.outer(ta, ea) + np.outer(tb, eb)) % m0
+
+
+def _canonical(coeff, exps, m0):
+    """The canonical pairs of coeff * zeta_{m0}^exps, elementwise, exponents
+    already reduced mod m0: as chartab.canonical_monomial, the exponent
+    moved into [0, m0/2) with the sign flipped when it moves, and (0, 0)
+    for a zero coefficient.  Scaling the exponent by N / m0 into
+    char_monomial's ring keeps both the half turn and the pairs' equality,
+    so two values are equal exactly when these pairs are."""
+    half = m0 // 2
+    flip = exps >= half
+    live = coeff != 0
+    return np.where(flip, -coeff, coeff), np.where(flip, exps - half, exps) * live
+
+
+def _twist_columns(rows):
+    """The (ta, tb) twists of table_rows tuples as two int arrays."""
+    return np.array([row[1] for row in rows], dtype=np.int64).reshape(-1, 2).T
 
 
 # ----------------------------------------------------------------- lifting
 
 
 @lru_cache(maxsize=None)
+def _pullback_index(G):
+    """For each class of the s = r group, in all_classes order, the index
+    in all_classes(G) of the class conj_class_of puts its reduced
+    representative in: the oracle's own pullback, built once per group."""
+    big = GroupDesc(G.p, G.r, G.r)
+    index = {c.key: j for j, c in enumerate(all_classes(G))}
+    keys = [conj_class_of(element(G, c.representative.i % G.ps, c.representative.u), G).key
+            for c in all_classes(big)]
+    ensure(all(key in index for key in keys), "a pulled-back class is not a class of {}", G)
+    return np.array([index[key] for key in keys], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _kernel_trivial_census(G):
     """Rows of the s = r table that are trivial on the kernel of the
-    reduction onto C(p^s), checked by honest evaluation on every kernel
-    element; values are compared as canonical pairs (char_monomial)."""
+    reduction onto C(p^s), checked on the classes conj_class_of puts the
+    kernel elements in: per level, one boolean matrix (rows x those
+    classes) of value_table's values against the row's degree, compared
+    as canonical pairs."""
     big = GroupDesc(G.p, G.r, G.r)
-    kernel = [element(big, j * G.ps % big.ps, 1) for j in range(big.ps // G.ps)]
-    for chi in character_table(big):
-        deg = (chi.degree, 0)
-        trivial = all(char_monomial(chi, conj_class_of(g, big), big) == deg for g in kernel)
-        expected = chi.kind == "linear" or chi.level <= G.s
-        if trivial != expected:
-            return False, {"character": character_json(chi.row), "trivial_on_kernel": trivial}
+    classes, coeffs, ea, eb = value_table(big)
+    index = {c.key: j for j, c in enumerate(classes)}
+    kernel = np.unique([index[conj_class_of(element(big, j * G.ps % big.ps, 1), big).key]
+                        for j in range(big.ps // G.ps)])
+    ea, eb = np.array(ea, dtype=np.int64)[kernel], np.array(eb, dtype=np.int64)[kernel]
+    m0 = twist_order(big)
+    for k, rows in groupby(table_rows(big), key=lambda row: row[3]):
+        rows = list(rows)
+        coeff = np.array(coeffs[k], dtype=np.int64)[kernel]
+        c, e = _canonical(coeff, _exponent_matrix(*_twist_columns(rows), ea, eb, m0), m0)
+        degree = np.array([row[2] for row in rows], dtype=np.int64)[:, None]
+        trivial = ((c == degree) & (e == 0)).all(axis=1)
+        expected = np.array([row[0] == "linear" or row[3] <= G.s for row in rows])
+        bad = np.flatnonzero(trivial != expected)
+        if len(bad):
+            return False, {"character": character_json(rows[bad[0]]), "trivial_on_kernel": bool(trivial[bad[0]])}
     return True, None
 
 
@@ -284,20 +363,29 @@ def lift_check(G, k):
         e = int(mismatch[0])
         return False, {"k": k, "element": [int(I[e]), int(U[e])]}
 
-    # Full cyclotomic values, compared as canonical pairs on every upstairs
-    # class for every canonical twist at this level.
-    small_rows = {c.twist: c for c in character_table(G) if c.level == k and c.kind == "induced"}
-    big_rows = {c.twist: c for c in character_table(big) if c.level == k and c.kind == "induced"}
-    if set(small_rows) != set(big_rows):
+    # Full values as canonical pairs on every upstairs class for every
+    # canonical twist at this level: value_table's level-k coefficients
+    # and twist exponents upstairs, against downstairs' pulled back through
+    # _pullback_index.
+    rows = [row for row in table_rows(big) if row[3] == k]
+    if sorted(row[1] for row in rows) != sorted(row[1] for row in table_rows(G) if row[3] == k):
         return False, {"k": k, "reason": "twist sets differ"}
-    # a class's pullback does not depend on the twist: take it once per class
-    pulled = [(c, conj_class_of(element(G, c.representative.i % G.ps, c.representative.u), G))
-              for c in all_classes(big)]
-    for tw, chi_big in big_rows.items():
-        chi_small = small_rows[tw]
-        for c, down in pulled:
-            if char_monomial(chi_big, c, big) != char_monomial(chi_small, down, G):
-                return False, {"k": k, "twist": list(tw), "class_key": list(map(int, c.key))}
+    classes, coeffs, ea, eb = value_table(big)
+    _, coeffs_small, ea_small, eb_small = value_table(G)
+    down = _pullback_index(G)
+    m0 = twist_order(G)
+    up = [np.array(x, dtype=np.int64) for x in (coeffs[k], ea, eb)]
+    pulled = [np.array(x, dtype=np.int64)[down] for x in (coeffs_small[k], ea_small, eb_small)]
+    ta, tb = _twist_columns(rows)
+    for chunk in _row_chunks(len(rows), len(classes)):
+        tw = ta[chunk], tb[chunk]
+        c_up, e_up = _canonical(up[0], _exponent_matrix(*tw, up[1], up[2], m0), m0)
+        c_down, e_down = _canonical(pulled[0], _exponent_matrix(*tw, pulled[1], pulled[2], m0), m0)
+        differ = (c_up != c_down) | (e_up != e_down)
+        if differ.any():
+            t, j = np.unravel_index(np.argmax(differ), differ.shape)
+            return False, {"k": k, "twist": list(rows[chunk.start + int(t)][1]),
+                           "class_key": list(map(int, classes[j].key))}
 
     return _kernel_trivial_census(G)
 
@@ -305,9 +393,16 @@ def lift_check(G, k):
 # ------------------------------------------------------ orthogonality batch
 
 
-def _reduction_matrix(m0):
+def _reduction_nonzeros(m0):
+    """_reduction_rows(m0), the reduction of zeta_{m0}^j for j < m0, as its
+    nonzero entries ordered by output coefficient: (powers j, entries,
+    segment starts, output coefficients, phi(m0), max |entry|).  A bin
+    matrix B (one row per difference, one column per power) reduces to
+    the reduceat of B[:, powers] * entries over the segments."""
     R = np.array(_reduction_rows(m0), dtype=np.int64)
-    return R, int(np.abs(R).max())
+    out, powers = np.nonzero(R.T)
+    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
+    return powers, R[powers, out], starts, out[starts], R.shape[1], int(np.abs(R).max())
 
 
 def orthogonality_check(G):
@@ -316,63 +411,86 @@ def orthogonality_check(G):
 
     Every table value is (integer) * zeta_{m0}^(exponent linear in the
     twist), so a product of a row with a conjugated row depends on the
-    twists only through their difference.  Summing size-weighted powers
-    into an exponent-binned integer vector and reducing once per difference
-    covers all pairs at once; the expected value is |G| exactly on the
+    twists only through their difference.  One pass per (kind, level
+    pair) bins the size-weighted powers of every difference twist into an
+    exponent-binned integer matrix and reduces it through the nonzeros of
+    the reduction rows; the expected value is |G| exactly on the
     diagonal, which in difference terms means a trivial difference twist
     (for equal-level rows, a difference twist trivial on the inducing
-    subgroup, which for canonical representatives forces equality).
+    subgroup, which for canonical representatives forces equality).  A
+    failure names the first difference that misses, in (difference,
+    level) order.
     """
     p, r, s = G.p, G.r, G.s
     classes, coeffs, ea, eb = value_table(G)
     m0 = twist_order(G)
-    R, max_r = _reduction_matrix(m0)
+    powers, entries, starts, out, phi, max_r = _reduction_nonzeros(m0)
     ea, eb = np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     coeff = [np.array(row, dtype=np.int64) for row in coeffs]
 
-    def binned_ok(weights, da, db, target):
-        exps = (da * ea + db * eb) % m0
-        vec = np.zeros(m0, dtype=np.int64)
-        np.add.at(vec, exps, weights)
-        # weights stay far inside int64: sizes*degrees^2 over one group
-        ensure(int(np.abs(vec).sum()) * max_r < 2**62)
-        red = vec @ R
-        return red[0] == target and not red[1:].any()
+    def misses(weights, da, db, target):
+        """Per difference twist (da, db): whether the sum over the classes
+        of weight * zeta_{m0}^((da * ea + db * eb) mod m0), binned by
+        exponent and reduced, differs from target."""
+        # bins stay far inside int64: sizes*degrees^2 over one group
+        ensure(int(np.abs(weights).sum()) * max_r < 2**62)
+        support = np.flatnonzero(weights)
+        w, sa, sb = weights[support], ea[support], eb[support]
+        # exact integer bins: one unweighted bincount per distinct weight
+        groups = [(v, np.flatnonzero(w == v)) for v in np.unique(w).tolist()]
+        missed = np.empty(len(da), dtype=bool)
+        for chunk in _row_chunks(len(da), max(len(support), len(powers))):
+            n = chunk.stop - chunk.start
+            keys = _exponent_matrix(da[chunk], db[chunk], sa, sb, m0) + m0 * np.arange(n)[:, None]
+            bins = np.zeros(n * m0, dtype=np.int64)
+            for v, cols in groups:
+                bins += v * np.bincount(keys[:, cols].ravel(), minlength=n * m0)
+            bins = bins.reshape(n, m0)
+            red = np.zeros((n, phi), dtype=np.int64)
+            red[:, out] = np.add.reduceat(bins[:, powers] * entries, starts, axis=1)
+            red[:, 0] -= target[chunk]
+            missed[chunk] = red.any(axis=1)
+        return missed
 
-    # the size-weighted product of a level-0 row with a conjugated level-k row
-    linear = [sizes * coeff[0] * coeff[k] for k in range(s + 1)]
+    # the size-weighted product of a level-0 row with a conjugated level-k
+    # row, over every difference (da, db) in the order da * p^(r-1) + db
+    n = p ** (r - 1)
+    delta = np.arange(m0, dtype=np.int64)
+    da, db = delta // n, delta % n
+    targets = [np.where(delta == 0, G.order, 0)] + [np.zeros(m0, dtype=np.int64)] * s
+    missed = np.array([misses(sizes * coeff[0] * coeff[k], da, db, targets[k]) for k in range(s + 1)])
+    if missed.any():
+        d = int(np.flatnonzero(missed.any(axis=0))[0])
+        k = int(np.argmax(missed[:, d]))
+        pair = [int(da[d]), int(db[d])]
+        if k == 0:
+            return False, {"pair_kind": "linear-linear", "delta": pair}
+        return False, {"pair_kind": "linear-induced", "k": k, "delta": pair}
 
-    for da in range(p - 1):
-        for db in range(p ** (r - 1)):
-            target = G.order if (da, db) == (0, 0) else 0
-            if not binned_ok(linear[0], da, db, target):
-                return False, {"pair_kind": "linear-linear", "delta": [da, db]}
-            for k in range(1, s + 1):
-                if not binned_ok(linear[k], da, db, 0):
-                    return False, {"pair_kind": "linear-induced", "k": k, "delta": [da, db]}
-
+    db = np.arange(n, dtype=np.int64)
     for k1 in range(1, s + 1):
         for k2 in range(k1, s + 1):
-            w = sizes * coeff[k1] * coeff[k2]
-            for db in range(p ** (r - 1)):
-                # equal-level rows coincide precisely when the difference
-                # twist dies on the inducing subgroup
-                same = k1 == k2 and db % p ** (r - k1) == 0
-                if not binned_ok(w, 0, db, G.order if same else 0):
-                    return False, {"pair_kind": "induced-induced", "k": [k1, k2], "delta_b": db}
+            # equal-level rows coincide precisely when the difference
+            # twist dies on the inducing subgroup
+            same = (db % p ** (r - k1) == 0) & (k1 == k2)
+            target = np.where(same, G.order, 0)
+            missed = misses(sizes * coeff[k1] * coeff[k2], np.zeros(n, dtype=np.int64), db, target)
+            if missed.any():
+                return False, {"pair_kind": "induced-induced", "k": [k1, k2], "delta_b": int(np.argmax(missed))}
 
     # on small tables, cross-check the batched engine against the naive
-    # exact inner product, pair by pair
+    # exact inner product, pair by pair, each row conjugated once
     if len(classes) <= 12:
-        table = character_table(G)
-        funcs = [DenseClassFunction.from_character(chi, G) for chi in table]
+        funcs = [DenseClassFunction.from_character(chi, G) for chi in character_table(G)]
+        terms = [_class_terms(f) for f in funcs]
+        conj_terms = [_class_terms(f, conjugate=True) for f in funcs]
         n = zeta_order(G)
-        for i, f in enumerate(funcs):
-            for j, g in enumerate(funcs):
+        for i, f_terms in enumerate(terms):
+            for j, g_terms in enumerate(conj_terms):
                 expect = CycInt.integer(1 if i == j else 0, n)
                 try:
-                    got = inner_product(f, g)
+                    got = _pairing(G, f_terms, g_terms)
                 except ArithmeticError as exc:
                     return False, {"pair_kind": "naive-crosscheck", "pair": [i, j], "reason": str(exc)}
                 if got != expect:
@@ -381,6 +499,20 @@ def orthogonality_check(G):
 
 
 # ---------------------------------------------------------- null subgroups
+
+
+def _level_runs(pairs, limit):
+    """exponent_rows' (row, exponents) pairs as (rows, exponent matrix)
+    runs of consecutive rows of one level, at most limit rows each."""
+    rows, exps = [], []
+    for row, e in pairs:
+        if rows and (row[3] != rows[0][3] or len(rows) == limit):
+            yield rows, np.array(exps, dtype=np.int64)
+            rows, exps = [], []
+        rows.append(row)
+        exps.append(e)
+    if rows:
+        yield rows, np.array(exps, dtype=np.int64)
 
 
 def null_subgroup_scan_check(G):
@@ -395,62 +527,100 @@ def null_subgroup_scan_check(G):
     C(p^x) x| G(p^r)^y inside the scan result and matches that — which is
     the only shape the ramification filtration can probe anyway.
 
-    The rows come from exponent_rows, stepped as chartab prints them,
-    and a row whose exponents are not exponent_row's on its twist
-    fails."""
-    import math
+    The null set is a union of classes, so every element set the scan
+    tests it against (the cyclic part by depth, the units at i = 0 by
+    level, each congruence subgroup) is counted per class once, by
+    bincount over its elements' classes, and the tests run on class
+    indices for a run of rows of one level at once.  An element set can
+    cover part of a class, so the induced "exactly the descriptor" test
+    asks every null class to be fully hit and every other class unhit.
 
-    _, coeffs, ea, eb = value_table(G)
+    The rows come from exponent_rows, stepped as chartab prints them,
+    and a row whose exponents differ from the directly evaluated
+    (ta * ea + tb * eb) mod m0 of its twist fails.  A failure names the
+    first row in table order, with the first test it fails."""
+    classes, coeffs, ea, eb = value_table(G)
     _, cidx = _closed_class_index(G)
     I, U = element_grid(G)
     d = unit_decomp(G.p, G.r)
     m0 = twist_order(G)
+    ncls = len(classes)
+
+    def hits(mask):
+        """How many elements of the set each class holds."""
+        return np.bincount(cidx[mask], minlength=ncls)
+
+    count = np.bincount(cidx, minlength=ncls)
     vp_i = _vp_capped(G.ps, G.p, G.s)[I]
-    # the group's masks, built once: cyclic depth >= s - x, unit level >= y
+    # the group's sets, built once: cyclic depth >= s - x, unit level >= y
     depth = [vp_i >= G.s - x for x in range(G.s + 1)]
     level = [(U - 1) % G.p**y == 0 for y in range(G.r + 1)]
-    cyclic_at = [np.flatnonzero((U == 1) & m) for m in depth]
-    units_at = [np.flatnonzero((I == 0) & m) for m in level]
-    congruence = {(x, y): depth[x] & level[y] for x in range(G.s + 1) for y in range(G.r + 1)}
+    cyclic_at = [np.flatnonzero(hits((U == 1) & m)) for m in depth]
+    units_at = [np.flatnonzero(hits((I == 0) & m)) for m in level]
+    congruence = {}  # (x, y) -> hits of depth[x] & level[y], on first use
 
-    # chi(g) = chi(1) needs coefficient chi(1) = degree and exponent 0
-    full_degree = {}
-    for row, exps in exponent_rows(G, [(ea, eb)] * (G.s + 1)):
-        chi = Character(G, *row)
-
-        def fail(reason):
-            return False, {"character": character_json(row), "reason": reason}
-
-        want = exponent_row(chi.twist, ea, eb, m0)
-        if list(exps) != want:
-            first = next(j for j, (x, y) in enumerate(zip(exps, want)) if x != y)
-            return fail(f"stepped exponent {exps[first]} != {want[first]} at class {first}")
-        key = chi.level, chi.degree
-        if key not in full_degree:
-            full_degree[key] = np.array(coeffs[chi.level], dtype=np.int64) == chi.degree
-        # per class, then spread to every element
-        is_null = (full_degree[key] & (np.array(want, dtype=np.int64) == 0))[cidx]
-        sd = null_subgroup(chi)
+    columns = [(ea, eb)] * (G.s + 1)
+    ea, eb = np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64)
+    coeff = [np.array(row, dtype=np.int64) for row in coeffs]
+    for rows, stepped in _level_runs(exponent_rows(G, columns), max(1, _CHUNK_CELLS // ncls)):
+        k = rows[0][3]
+        ta, tb = _twist_columns(rows)
+        want = _exponent_matrix(ta, tb, ea, eb, m0)
+        wrong = stepped != want
+        # chi(g) = chi(1) needs coefficient chi(1) = degree and exponent 0
+        degree = np.array([row[2] for row in rows], dtype=np.int64)[:, None]
+        null = (coeff[k] == degree) & (want == 0)
 
         # largest cyclic depth fully inside the scan result: cyclic_at[x]
         # grows with x, so the first x that fails bounds it
-        x_max = next((x - 1 for x in range(G.s + 1) if not is_null[cyclic_at[x]].all()), G.s)
-        # smallest congruence level whose units all pass the scan
-        y_min = next((y for y in range(G.r + 1) if is_null[units_at[y]].all()), None)
-        if (x_max, y_min) != (sd.x, sd.y):
-            return fail(f"largest congruence pair ({x_max},{y_min}) != ({sd.x},{sd.y})")
-        if not is_null[congruence[sd.x, sd.y]].all():
-            return fail("descriptor subgroup not inside scan result")
-        if chi.kind == "induced":
-            if not np.array_equal(is_null, congruence[sd.x, sd.y]):
-                return fail("induced null set is not exactly the descriptor")
-        else:
+        cyclic_ok = np.array([null[:, cls].all(axis=1) for cls in cyclic_at]).T
+        x_max = np.where(cyclic_ok.all(axis=1), G.s, np.argmin(cyclic_ok, axis=1) - 1)
+        # smallest congruence level whose units all pass the scan (-1: none)
+        units_ok = np.array([null[:, cls].all(axis=1) for cls in units_at]).T
+        y_min = np.where(units_ok.any(axis=1), np.argmax(units_ok, axis=1), -1)
+        sds = [null_subgroup(Character(G, *row)) for row in rows]
+        sx = np.array([sd.x for sd in sds], dtype=np.int64)
+        sy = np.array([sd.y for sd in sds], dtype=np.int64)
+        pair_ok = (x_max == sx) & (y_min == sy) & (y_min >= 0)
+
+        # the descriptor's classes, on the rows whose pair matched it
+        inside = np.ones(len(rows), dtype=bool)
+        exact = np.ones(len(rows), dtype=bool)
+        for x, y in set(zip(sx[pair_ok].tolist(), sy[pair_ok].tolist())):
+            ensure(0 <= x <= G.s, "cyclic depth {} outside 0..{}", x, G.s)
+            if (x, y) not in congruence:
+                congruence[x, y] = hits(depth[x] & level[y])
+            h = congruence[x, y]
+            sel = pair_ok & (sx == x) & (sy == y)
+            inside[sel] = null[sel][:, h > 0].all(axis=1)
+            if k:
+                exact[sel] = (null[sel] & (h == count) | ~null[sel] & (h == 0)).all(axis=1)
+        if k == 0:
             # linear: the null set is C(p^s) x| ker(twist); its size is an
             # independent gcd computation on the twist exponents
-            a, b = chi.twist
-            g = math.gcd(math.gcd(a * d.principal_order, b * d.torsion_order), m0)
-            if int(is_null.sum()) != G.ps * g:
-                return fail(f"kernel size {int(is_null.sum())} != {G.ps * g}")
+            kernel = null.astype(np.int64) @ count
+            g = np.gcd(np.gcd(ta * d.principal_order, tb * d.torsion_order), m0)
+            last_ok = kernel == G.ps * g
+        else:
+            last_ok = exact
+
+        fails = wrong.any(axis=1) | ~pair_ok | ~inside | ~last_ok
+        if not fails.any():
+            continue
+        t = int(np.argmax(fails))
+        if wrong[t].any():
+            j = int(np.argmax(wrong[t]))
+            reason = f"stepped exponent {stepped[t, j]} != {want[t, j]} at class {j}"
+        elif not pair_ok[t]:
+            y = None if y_min[t] < 0 else int(y_min[t])
+            reason = f"largest congruence pair ({x_max[t]},{y}) != ({sds[t].x},{sds[t].y})"
+        elif not inside[t]:
+            reason = "descriptor subgroup not inside scan result"
+        elif k:
+            reason = "induced null set is not exactly the descriptor"
+        else:
+            reason = f"kernel size {kernel[t]} != {G.ps * g[t]}"
+        return False, {"character": character_json(rows[t]), "reason": reason}
     return True, None
 
 

@@ -426,17 +426,53 @@ def test_verify_assertion_in_oracle_check_is_a_fail_row(capsys, monkeypatch):
     assert all(rows[key] == clean[key] for key in others)
 
 
-def test_verify_catches_one_negated_value(capsys, monkeypatch):
-    """One value of the small group turned into its negative, by moving
-    its exponent half a turn without flipping the sign, must fail the
-    quotient lift.  The naive inner products of row_orthogonality see the
-    same value and must fail too (a non-exact division, not a crash); the
-    batched orthogonality engine and every other check do not read it."""
+def _negated_value_rows(capsys, monkeypatch, attr, fault):
+    """verify (3,2,·) at s = 1 with chartab.<attr> replaced by fault: the
+    exit code, the rows, and the rows of the clean run."""
     argv = ("verify", "--p", "3", "--r", "2", "--s", "1", "--json")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     clean = _verify_rows(out)
+    monkeypatch.setattr(chartab, attr, fault)
+    code, out, _ = run(capsys, *argv)
+    rows = _verify_rows(out)
+    assert rows.keys() == clean.keys()
+    return code, rows, clean
 
+
+def test_verify_catches_one_negated_value(capsys, fresh_caches, monkeypatch):
+    """The values of the small group on its u = 7 classes turned into
+    their negatives at twist (0, 1), by moving value_table's eb exponent
+    there half a turn without flipping the sign, must fail the quotient
+    lift at that twist.  The batched orthogonality engine reads the same
+    table and fails too; every other check passes."""
+    small = GroupDesc(3, 2, 1)
+    real = chartab.class_exponents
+
+    def negated(G, classes):
+        ea, eb = real(G, classes)
+        if G == small:
+            m0 = chartab.twist_order(G)
+            eb = [(e + m0 // 2) % m0 if c.representative.u == 7 else e for c, e in zip(classes, eb)]
+        return ea, eb
+
+    code, rows, clean = _negated_value_rows(capsys, monkeypatch, "class_exponents", negated)
+    assert code == 3
+    failed = rows[("oracle", "quotient_lift")]
+    assert failed["status"] == "fail"
+    assert failed["detail"] == {"k": 1, "twist": [0, 1], "class_key": [7, 0]}
+    batched = rows[("oracle", "row_orthogonality")]
+    assert batched["status"] == "fail" and batched["detail"] == {"pair_kind": "linear-linear", "delta": [0, 1]}
+    hit = {("oracle", "quotient_lift"), ("oracle", "row_orthogonality")}
+    assert all(rows[key] == clean[key] for key in rows if key not in hit)
+
+
+def test_verify_catches_one_negated_per_cell_value(capsys, fresh_caches, monkeypatch):
+    """The same value negated in the per-cell route instead (chartab's
+    linear_exponent, which char_value reads and value_table does not):
+    the naive inner products of row_orthogonality see it and must fail
+    (a non-exact division, not a crash).  The quotient lift and the
+    batched engine read value_table and pass."""
     small = GroupDesc(3, 2, 1)
     real = chartab.linear_exponent
 
@@ -447,18 +483,12 @@ def test_verify_catches_one_negated_value(capsys, monkeypatch):
             e = (e + m0 // 2) % m0
         return e
 
-    monkeypatch.setattr(chartab, "linear_exponent", negated)
-    code, out, _ = run(capsys, *argv)
+    code, rows, clean = _negated_value_rows(capsys, monkeypatch, "linear_exponent", negated)
     assert code == 3
-    rows = _verify_rows(out)
-    failed = rows[("oracle", "quotient_lift")]
-    assert failed["status"] == "fail"
-    assert failed["detail"]["k"] == 1 and failed["detail"]["twist"] == [0, 1]
     naive = rows[("oracle", "row_orthogonality")]
     assert naive["status"] == "fail" and naive["detail"]["pair_kind"] == "naive-crosscheck"
-    assert rows.keys() == clean.keys()
-    hit = {("oracle", "quotient_lift"), ("oracle", "row_orthogonality")}
-    assert all(rows[key] == clean[key] for key in rows if key not in hit)
+    assert naive["detail"]["reason"].startswith("non-exact division")
+    assert all(rows[key] == clean[key] for key in rows if key != ("oracle", "row_orthogonality"))
 
 
 def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
@@ -506,12 +536,16 @@ def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch
 PRINTED_VALUE_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
 # The oracle checks each fault fails, in a group of depth s; every other
 # check passes.  "abs" reaches row_orthogonality through the induced
-# levels only, and frobenius_induction through the coefficients.  "step"
-# reaches no check that reads value_table itself: only the null-subgroup
-# scan compares the stepped rows chartab prints with exponent_row.
+# levels only, and frobenius_induction through the coefficients.  "eb"
+# reaches quotient_lift wherever it runs (s >= 1): the small group's last
+# class is the pullback of more upstairs classes than the big group's,
+# and at s = r the kernel census sees the identity.  "step" reaches no
+# check that reads value_table itself: only the null-subgroup scan
+# compares the stepped rows chartab prints with the directly evaluated
+# exponents.
 PRINTED_VALUE_REACH = {
     "abs": lambda s: {"frobenius_induction"} | ({"row_orthogonality"} if s >= 1 else set()),
-    "eb": lambda s: {"row_orthogonality", "null_subgroup_scan"},
+    "eb": lambda s: {"row_orthogonality", "null_subgroup_scan"} | ({"quotient_lift"} if s >= 1 else set()),
     "step": lambda s: {"null_subgroup_scan"},
 }
 PRINTED_VALUE_FAULTS = list(PRINTED_VALUE_REACH)
@@ -550,6 +584,7 @@ for name in json.loads(sys.argv[2]):
     real = getattr(chartab, attr)
     setattr(chartab, attr, fault)
     oracle.frobenius_induction_check.cache_clear()
+    oracle._kernel_trivial_census.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         runs.append([main(argv), out.getvalue()])

@@ -114,7 +114,7 @@ def test_frobenius_induction_check(p, r):
 @pytest.fixture
 def clear_oracle_caches():
     """A mutated run must neither read nor leave cached oracle results."""
-    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check)
+    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check, oracle._pullback_index)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -140,24 +140,81 @@ def test_frobenius_reads_the_table_level_r_row(clear_oracle_caches, monkeypatch)
     assert detail == {"class_key": list(all_classes(big)[0].key), "honest": 0, "closed": 1}
 
 
+def planted(monkeypatch, H, edit):
+    """oracle.value_table with edit(classes, coeffs, ea, eb) applied to
+    fresh copies of H's lists, and H's alone."""
+    real = oracle.value_table
+
+    def value_table(G):
+        classes, coeffs, ea, eb = real(G)
+        if G != H:
+            return classes, coeffs, ea, eb
+        coeffs, ea, eb = [list(row) for row in coeffs], list(ea), list(eb)
+        edit(classes, coeffs, ea, eb)
+        return classes, coeffs, ea, eb
+
+    monkeypatch.setattr(oracle, "value_table", value_table)
+
+
+def class_at(G, key):
+    return next(j for j, c in enumerate(all_classes(G)) if c.key == key)
+
+
+# A planted fault must give the same first counterexample when a chunked
+# pass runs one row per chunk.
+CHUNKS = [pytest.param(oracle._CHUNK_CELLS, id="chunks"), pytest.param(1, id="one-row-chunks")]
+
+
 def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, monkeypatch):
     """The level-2 row of (3,2,2) made trivial on the kernel of the
-    reduction onto C(3): the census for s = 1 must flag it."""
+    reduction onto C(3), by its value_table coefficient set to the degree
+    on the kernel's classes: the census for s = 1 must flag it."""
     G, big = GroupDesc(3, 2, 1), GroupDesc(3, 2, 2)
-    real = oracle.char_monomial
 
-    def trivial_on_kernel(chi, cls, H):
-        if H == big and chi.level == 2 and cls.representative.u == 1 and cls.beta >= G.s:
-            return chi.degree, 0
-        return real(chi, cls, H)
+    def trivial_on_kernel(classes, coeffs, ea, eb):
+        for j, c in enumerate(classes):
+            if c.representative.u == 1 and c.beta >= G.s:
+                coeffs[2][j] = chartab.level_degree(2, big.p)
 
     assert oracle._kernel_trivial_census(G) == (True, None)
     oracle._kernel_trivial_census.cache_clear()
-    monkeypatch.setattr(oracle, "char_monomial", trivial_on_kernel)
+    planted(monkeypatch, big, trivial_on_kernel)
     ok, detail = oracle._kernel_trivial_census(G)
     assert not ok
     top = [chi for chi in character_table(big) if chi.level == 2]
     assert detail == {"character": character_json(top[0].row), "trivial_on_kernel": True}
+
+
+def test_kernel_census_catches_one_kernel_class(clear_oracle_caches, monkeypatch):
+    """The level-1 value of (3,2,2) negated on one kernel class, (u, beta)
+    = (1, 1): the first level-1 row, which must be trivial on the kernel
+    for s = 1, is not."""
+    G, big = GroupDesc(3, 2, 1), GroupDesc(3, 2, 2)
+    j = class_at(big, (1, 1))
+
+    def negated(classes, coeffs, ea, eb):
+        coeffs[1][j] = -coeffs[1][j]
+
+    planted(monkeypatch, big, negated)
+    ok, detail = oracle._kernel_trivial_census(G)
+    assert not ok
+    assert detail == {"character": character_json(("induced", (0, 0), 2, 1, 1)), "trivial_on_kernel": False}
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_lift_check_catches_one_pulled_back_exponent(clear_oracle_caches, monkeypatch, cells):
+    """The eb exponent of one class of (3,2,1), (u, beta) = (7, 1), one
+    step off: the level-1 lift fails at the first twist that reads eb,
+    (0, 1), on the first upstairs class that pulls back there."""
+    G = GroupDesc(3, 2, 1)
+    j = class_at(G, (7, 1))
+
+    def shifted(classes, coeffs, ea, eb):
+        eb[j] = (eb[j] + 1) % chartab.twist_order(G)
+
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+    planted(monkeypatch, G, shifted)
+    assert lift_check(G, 1) == (False, {"k": 1, "twist": [0, 1], "class_key": [7, 1]})
 
 
 @pytest.mark.parametrize(
@@ -175,9 +232,9 @@ def test_lift_check(G, k):
     assert ok, detail
 
 
-def test_lift_check_pulls_each_class_back_once(monkeypatch):
-    """Each level's lift check pulls every upstairs class down to G once,
-    however many twists the level has."""
+def test_lift_check_pulls_each_class_back_once(clear_oracle_caches, monkeypatch):
+    """The lift checks of a group pull every upstairs class down to G
+    once, however many levels and twists they check."""
     G = GroupDesc(3, 3, 2)
     pulled = []
     real = oracle.conj_class_of
@@ -190,7 +247,7 @@ def test_lift_check_pulls_each_class_back_once(monkeypatch):
     monkeypatch.setattr(oracle, "conj_class_of", counting)
     for k in range(1, G.s + 1):
         assert lift_check(G, k)[0]
-    assert len(pulled) == G.s * class_count(GroupDesc(3, 3, 3))
+    assert len(pulled) == class_count(GroupDesc(3, 3, 3))
 
 
 # ---------------------------------------------------------- inner products
@@ -258,6 +315,21 @@ def test_orthogonality_check(G):
     assert ok, detail
 
 
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_orthogonality_names_the_first_difference_that_misses(monkeypatch, cells):
+    """The ea exponent of the first class of (3,2,2) moved by 2: every
+    difference twist (0, b) still meets its target, and (1, 0), the first
+    with da != 0 in (da, db) order, is the one named."""
+    G = GroupDesc(3, 2, 2)
+
+    def shifted(classes, coeffs, ea, eb):
+        ea[0] = (ea[0] + 2) % chartab.twist_order(G)
+
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+    planted(monkeypatch, G, shifted)
+    assert orthogonality_check(G) == (False, {"pair_kind": "linear-linear", "delta": [1, 0]})
+
+
 def test_batched_engine_agrees_with_naive_on_larger_group():
     # The batched difference-twist engine asserts the whole pair matrix at
     # once; independently confirm sampled pairs with the naive route.
@@ -279,6 +351,29 @@ def test_batched_engine_agrees_with_naive_on_larger_group():
 def test_null_subgroup_scan(G):
     ok, detail = null_subgroup_scan_check(G)
     assert ok, detail
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_null_scan_catches_a_class_hit_only_partly(monkeypatch, cells):
+    """The element (3, 1) of (3,2,2) put in the identity's class: the
+    level-2 row's descriptor, C(3^0) x| G(9)^2, is the identity alone, so
+    it now covers that class only partly.  Every row before passes, and
+    the level-2 row fails the exact test, not an earlier one."""
+    G = GroupDesc(3, 2, 2)
+    real = oracle._closed_class_index
+
+    def moved(H):
+        classes, cidx = real(H)
+        if H == G:
+            cidx = cidx.copy()
+            cidx[3] = class_at(G, (1, 2))  # element index of (3, 1) is 0 * 9 + 3
+        return classes, cidx
+
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(oracle, "_closed_class_index", moved)
+    top = [chi for chi in character_table(G) if chi.level == 2]
+    assert null_subgroup_scan_check(G) == (False, {"character": character_json(top[0].row),
+                                                   "reason": "induced null set is not exactly the descriptor"})
 
 
 def test_null_set_closed_under_multiplication():
