@@ -36,7 +36,7 @@ from functools import cache
 
 from .arith import Rows, ensure, run_checks
 from .chartab import SubgroupDesc, bucket_stamps, census, census_mismatch, character_samples
-from .chartab import count_by, level_degree, null_subgroup, subgroup_contains, table_rows
+from .chartab import count_by, level_degree, subgroup_contains, table_rows
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -47,14 +47,9 @@ from .ramfil import (
 )
 
 
-def c_exp_definitional(chi, filt):
-    """Largest break b of the canonical upper filtration with G^b not
-    inside the null subgroup of chi; -1 for the trivial character."""
-    ensure(filt.numbering == UPPER and filt.group == chi.group)
-    return _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
-
-
 def _c_definitional(gr, trivial, filt):
+    """Largest break b of the canonical upper filtration filt with G^b not
+    inside gr, a character's null subgroup; -1 for the trivial character."""
     if trivial:
         return Fraction(-1)
     best = Fraction(-1)
@@ -66,6 +61,12 @@ def _c_definitional(gr, trivial, filt):
 
 
 def _c_closed(case, p, lev, pr):
+    """Closed conductor exponent from (level, primitive degree).
+
+    Unit case: pr-1, except pr-1 + 1/(p-1) on the diagonal 0 < lev = pr.
+    Eisenstein case: pr-1 when pr >= lev+2, else lev + 1/(p-1) (the
+    whole wild part survives one congruence level longer, so the
+    fractional band is two classes wide)."""
     if lev == 0:
         return Fraction(pr - 1)
     ensure(1 <= lev <= pr)
@@ -77,16 +78,6 @@ def _c_closed(case, p, lev, pr):
     if lev + 2 <= pr:
         return Fraction(pr - 1)
     return Fraction(lev) + Fraction(1, p - 1)
-
-
-def c_exp_closed(chi, case):
-    """Closed conductor exponent from (level, primitive degree).
-
-    Unit case: pr-1, except pr-1 + 1/(p-1) on the diagonal 0 < lev = pr.
-    Eisenstein case: pr-1 when pr >= lev+2, else lev + 1/(p-1) (the
-    whole wild part survives one congruence level longer, so the
-    fractional band is two classes wide)."""
-    return _c_closed(case, chi.group.p, chi.level, chi.prim_degree)
 
 
 def _f_printed(case, p, lev, pr):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -85,32 +84,21 @@ def _conj_perms(G):
     return perms
 
 
-def classes_bruteforce(G, max_order=None):
-    """Conjugation orbits as arrays of element indices, minimal index first."""
+def _orbit_labels(G, max_order=None):
+    """orbit_roots of the conjugation action: each element labelled by the
+    least index in its orbit, once |G| is within the bound."""
     bound = resolve_max_order(max_order)
     if G.order > bound:
         raise ResourceLimitError(f"|G| = {G.order} exceeds the bound {bound}")
-    roots = orbit_roots(_conj_perms(G))
+    return orbit_roots(_conj_perms(G))
+
+
+def classes_bruteforce(G, max_order=None):
+    """Conjugation orbits as ascending arrays of element indices, in the
+    order of their least members."""
+    roots = _orbit_labels(G, max_order)
     order = np.argsort(roots, kind="stable")
-    sorted_roots = roots[order]
-    cuts = np.flatnonzero(np.diff(sorted_roots)) + 1
-    return [np.sort(seg) for seg in np.split(order, cuts)]
-
-
-def _unit_alphas(G, units):
-    """The congruence level min(v_p(u - 1), r) of each unit (r for u = 1)."""
-    return np.array([min(vp(u - 1, G.p), G.r) if u != 1 else G.r for u in units])
-
-
-def _induced_coeffs(k, alpha, beta, p):
-    """The integer factor of a level-k induced character at depths
-    (alpha, beta), elementwise: p^(k-1)(p-1) where both reach k, -p^(k-1)
-    where alpha reaches k and beta is k-1, else 0.  Written out here, apart
-    from chartab, because it is what the checks below test chartab against."""
-    out = np.zeros(np.shape(beta), dtype=np.int64)
-    out[(alpha >= k) & (beta >= k)] = p ** (k - 1) * (p - 1)
-    out[(alpha >= k) & (beta == k - 1)] = -(p ** (k - 1))
-    return out
+    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
 
 
 def _closed_class_index(G):
@@ -122,8 +110,9 @@ def _closed_class_index(G):
     lookup = np.full((len(units), G.s + 1), -1, dtype=np.int64)
     for n, c in enumerate(classes):
         lookup[uidx[c.representative.u], c.beta] = n
-    I, U = element_grid(G)
-    cap = np.minimum(_unit_alphas(G, units), G.s)
+    I, _ = element_grid(G)
+    # a class's beta is min(v_p(i), v_p(u - 1), s), with v_p(0) taken as s
+    cap = [G.s if u == 1 else min(vp(u - 1, G.p), G.s) for u in units]
     beta = np.minimum(_vp_capped(G.ps, G.p, G.s)[I], np.repeat(cap, G.ps))
     cidx = lookup[np.repeat(np.arange(len(units)), G.ps), beta]
     ensure((cidx >= 0).all())
@@ -131,22 +120,32 @@ def _closed_class_index(G):
 
 
 def orbit_partition_check(G, max_order=None):
-    """Brute orbits against the closed-form classes: same count, and each
-    orbit sits inside a single class of exactly its size."""
-    orbits = classes_bruteforce(G, max_order)
+    """Brute orbits against the closed-form classes, in one pass over the
+    orbit labels: as many orbits as classes, every element in its root's
+    class, one root per class, and each orbit of exactly its class's size.
+    A failure names the orbit of least root that breaks one of them."""
+    roots = _orbit_labels(G, max_order)
     classes, cidx = _closed_class_index(G)
-    if len(orbits) != len(classes):
-        return False, {"reason": "orbit count", "brute": len(orbits), "closed": len(classes)}
-    I, U = element_grid(G)
-    for orbit in orbits:
-        kinds = np.unique(cidx[orbit])
-        if len(kinds) != 1 or classes[kinds[0]].size != len(orbit):
-            e = int(orbit[0])
-            return False, {
-                "reason": "orbit/class mismatch",
-                "element": [int(I[e]), int(U[e])],
-                "orbit_size": len(orbit),
-            }
+    heads = np.flatnonzero(roots == np.arange(len(roots)))
+    if len(heads) != len(classes):
+        return False, {"reason": "orbit count", "brute": len(heads), "closed": len(classes)}
+    # an orbit with an element outside its root's class
+    split = np.zeros(len(roots), dtype=bool)
+    split[roots[cidx != cidx[roots]]] = True
+    # a root whose class an earlier root already has
+    shared = np.ones(len(heads), dtype=bool)
+    shared[np.unique(cidx[heads], return_index=True)[1]] = False
+    sizes = np.bincount(roots, minlength=len(roots))[heads]
+    closed = np.array([c.size for c in classes], dtype=np.int64)[cidx[heads]]
+    bad = split[heads] | shared | (sizes != closed)
+    if bad.any():
+        t = int(np.argmax(bad))
+        e = int(heads[t])
+        return False, {
+            "reason": "orbit/class mismatch",
+            "element": [e % G.ps, unit_list(G)[e // G.ps]],
+            "orbit_size": int(sizes[t]),
+        }
     return True, None
 
 
@@ -237,8 +236,8 @@ def frobenius_induction_check(p, r):
     point, one reduced difference per class.
     """
     big = GroupDesc(p, r, r)
-    classes, coeffs, _, _ = value_table(big)
-    for c, closed in zip(classes, coeffs[r]):
+    classes, coeffs, _, _ = _value_arrays(big)
+    for c, closed in zip(classes, coeffs[r].tolist()):
         rep = c.representative
         honest = 0
         if rep.u == 1:
@@ -267,6 +266,19 @@ def frobenius_induction_check(p, r):
 # allocator serves and reuses from the heap.  With 512 kB chunks the
 # default verify grid peaked 2.5 MB higher, in the same time.
 _CHUNK_CELLS = 1 << 13
+
+
+@lru_cache(maxsize=None)
+def _value_arrays(G):
+    """value_table(G) as (classes, coeffs, ea, eb) with coeffs the
+    (s + 1) x classes matrix of coefficient rows and every array int64
+    and read-only: converted once per group for all the checks that read
+    it."""
+    classes, coeffs, ea, eb = value_table(G)
+    arrays = [np.array(x, dtype=np.int64) for x in (coeffs, ea, eb)]
+    for a in arrays:
+        a.flags.writeable = False
+    return classes, *arrays
 
 
 def _row_chunks(n, width):
@@ -315,6 +327,14 @@ def _pullback_index(G):
     return np.array([index[key] for key in keys], dtype=np.int64)
 
 
+def _rows_by_level(G):
+    """G's table_rows as {level: [rows]}."""
+    out = {}
+    for row in table_rows(G):
+        out.setdefault(row[3], []).append(row)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _kernel_trivial_census(G):
     """Rows of the s = r table that are trivial on the kernel of the
@@ -323,16 +343,14 @@ def _kernel_trivial_census(G):
     classes) of value_table's values against the row's degree, compared
     as canonical pairs."""
     big = GroupDesc(G.p, G.r, G.r)
-    classes, coeffs, ea, eb = value_table(big)
+    classes, coeffs, ea, eb = _value_arrays(big)
     index = {c.key: j for j, c in enumerate(classes)}
     kernel = np.unique([index[conj_class_of(element(big, j * G.ps % big.ps, 1), big).key]
                         for j in range(big.ps // G.ps)])
-    ea, eb = np.array(ea, dtype=np.int64)[kernel], np.array(eb, dtype=np.int64)[kernel]
+    ea, eb = ea[kernel], eb[kernel]
     m0 = twist_order(big)
-    for k, rows in groupby(table_rows(big), key=lambda row: row[3]):
-        rows = list(rows)
-        coeff = np.array(coeffs[k], dtype=np.int64)[kernel]
-        c, e = _canonical(coeff, _exponent_matrix(*_twist_columns(rows), ea, eb, m0), m0)
+    for k, rows in _rows_by_level(big).items():
+        c, e = _canonical(coeffs[k][kernel], _exponent_matrix(*_twist_columns(rows), ea, eb, m0), m0)
         degree = np.array([row[2] for row in rows], dtype=np.int64)[:, None]
         trivial = ((c == degree) & (e == 0)).all(axis=1)
         expected = np.array([row[0] == "linear" or row[3] <= G.s for row in rows])
@@ -342,51 +360,37 @@ def _kernel_trivial_census(G):
     return True, None
 
 
-def lift_check(G, k):
-    """The level-k rows of G against the pullback of the level-k rows of
-    the s = r group, then _kernel_trivial_census."""
-    ensure(1 <= k <= G.s)
+def lift_check(G):
+    """Every level-k row of G, 0 < k <= s, against the level-k row of the
+    s = r group of the same twist, then _kernel_trivial_census.
+
+    Per level, the twist sets must agree, and the values are compared as
+    canonical pairs on every upstairs class for every twist: value_table's
+    level-k coefficients and twist exponents upstairs, against G's pulled
+    back through _pullback_index.  A failure names the first level, twist
+    and upstairs class that differ."""
+    if G.s == 0:
+        return True, None
     big = GroupDesc(G.p, G.r, G.r)
-
-    # The twist-independent integer factor must agree elementwise between a
-    # level-k row upstairs and the pullback of the level-k row downstairs.
-    I, U = element_grid(big)
-    alpha = np.repeat(_unit_alphas(big, unit_list(big)), big.ps)
-    vp_big = _vp_capped(big.ps, G.p, big.s)[I]
-    vp_small = _vp_capped(G.ps, G.p, G.s)[I % G.ps]
-    beta_big = np.minimum(vp_big, np.minimum(alpha, big.s))
-    beta_small = np.minimum(vp_small, np.minimum(alpha, G.s))
-
-    coeff_big = _induced_coeffs(k, alpha, beta_big, G.p)
-    mismatch = np.flatnonzero(coeff_big != _induced_coeffs(k, alpha, beta_small, G.p))
-    if len(mismatch):
-        e = int(mismatch[0])
-        return False, {"k": k, "element": [int(I[e]), int(U[e])]}
-
-    # Full values as canonical pairs on every upstairs class for every
-    # canonical twist at this level: value_table's level-k coefficients
-    # and twist exponents upstairs, against downstairs' pulled back through
-    # _pullback_index.
-    rows = [row for row in table_rows(big) if row[3] == k]
-    if sorted(row[1] for row in rows) != sorted(row[1] for row in table_rows(G) if row[3] == k):
-        return False, {"k": k, "reason": "twist sets differ"}
-    classes, coeffs, ea, eb = value_table(big)
-    _, coeffs_small, ea_small, eb_small = value_table(G)
+    classes, coeffs, ea, eb = _value_arrays(big)
     down = _pullback_index(G)
+    coeffs_down, ea_down, eb_down = (x[..., down] for x in _value_arrays(G)[1:])
     m0 = twist_order(G)
-    up = [np.array(x, dtype=np.int64) for x in (coeffs[k], ea, eb)]
-    pulled = [np.array(x, dtype=np.int64)[down] for x in (coeffs_small[k], ea_small, eb_small)]
-    ta, tb = _twist_columns(rows)
-    for chunk in _row_chunks(len(rows), len(classes)):
-        tw = ta[chunk], tb[chunk]
-        c_up, e_up = _canonical(up[0], _exponent_matrix(*tw, up[1], up[2], m0), m0)
-        c_down, e_down = _canonical(pulled[0], _exponent_matrix(*tw, pulled[1], pulled[2], m0), m0)
-        differ = (c_up != c_down) | (e_up != e_down)
-        if differ.any():
-            t, j = np.unravel_index(np.argmax(differ), differ.shape)
-            return False, {"k": k, "twist": list(rows[chunk.start + int(t)][1]),
-                           "class_key": list(map(int, classes[j].key))}
-
+    levels, levels_small = _rows_by_level(big), _rows_by_level(G)
+    for k in range(1, G.s + 1):
+        rows = levels.get(k, [])
+        if sorted(row[1] for row in rows) != sorted(row[1] for row in levels_small.get(k, [])):
+            return False, {"k": k, "reason": "twist sets differ"}
+        ta, tb = _twist_columns(rows)
+        for chunk in _row_chunks(len(rows), len(classes)):
+            tw = ta[chunk], tb[chunk]
+            c_up, e_up = _canonical(coeffs[k], _exponent_matrix(*tw, ea, eb, m0), m0)
+            c_down, e_down = _canonical(coeffs_down[k], _exponent_matrix(*tw, ea_down, eb_down, m0), m0)
+            differ = (c_up != c_down) | (e_up != e_down)
+            if differ.any():
+                t, j = np.unravel_index(np.argmax(differ), differ.shape)
+                return False, {"k": k, "twist": list(rows[chunk.start + int(t)][1]),
+                               "class_key": list(map(int, classes[j].key))}
     return _kernel_trivial_census(G)
 
 
@@ -422,12 +426,10 @@ def orthogonality_check(G):
     level) order.
     """
     p, r, s = G.p, G.r, G.s
-    classes, coeffs, ea, eb = value_table(G)
+    classes, coeffs, ea, eb = _value_arrays(G)
     m0 = twist_order(G)
     powers, entries, starts, out, phi, max_r = _reduction_nonzeros(m0)
-    ea, eb = np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
-    coeff = [np.array(row, dtype=np.int64) for row in coeffs]
 
     def misses(weights, da, db, target):
         """Per difference twist (da, db): whether the sum over the classes
@@ -459,7 +461,7 @@ def orthogonality_check(G):
     delta = np.arange(m0, dtype=np.int64)
     da, db = delta // n, delta % n
     targets = [np.where(delta == 0, G.order, 0)] + [np.zeros(m0, dtype=np.int64)] * s
-    missed = np.array([misses(sizes * coeff[0] * coeff[k], da, db, targets[k]) for k in range(s + 1)])
+    missed = np.array([misses(sizes * coeffs[0] * coeffs[k], da, db, targets[k]) for k in range(s + 1)])
     if missed.any():
         d = int(np.flatnonzero(missed.any(axis=0))[0])
         k = int(np.argmax(missed[:, d]))
@@ -475,7 +477,7 @@ def orthogonality_check(G):
             # twist dies on the inducing subgroup
             same = (db % p ** (r - k1) == 0) & (k1 == k2)
             target = np.where(same, G.order, 0)
-            missed = misses(sizes * coeff[k1] * coeff[k2], np.zeros(n, dtype=np.int64), db, target)
+            missed = misses(sizes * coeffs[k1] * coeffs[k2], np.zeros(n, dtype=np.int64), db, target)
             if missed.any():
                 return False, {"pair_kind": "induced-induced", "k": [k1, k2], "delta_b": int(np.argmax(missed))}
 
@@ -539,7 +541,7 @@ def null_subgroup_scan_check(G):
     and a row whose exponents differ from the directly evaluated
     (ta * ea + tb * eb) mod m0 of its twist fails.  A failure names the
     first row in table order, with the first test it fails."""
-    classes, coeffs, ea, eb = value_table(G)
+    classes, coeffs, ea, eb = _value_arrays(G)
     _, cidx = _closed_class_index(G)
     I, U = element_grid(G)
     d = unit_decomp(G.p, G.r)
@@ -559,9 +561,7 @@ def null_subgroup_scan_check(G):
     units_at = [np.flatnonzero(hits((I == 0) & m)) for m in level]
     congruence = {}  # (x, y) -> hits of depth[x] & level[y], on first use
 
-    columns = [(ea, eb)] * (G.s + 1)
-    ea, eb = np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64)
-    coeff = [np.array(row, dtype=np.int64) for row in coeffs]
+    columns = [(ea.tolist(), eb.tolist())] * (G.s + 1)
     for rows, stepped in _level_runs(exponent_rows(G, columns), max(1, _CHUNK_CELLS // ncls)):
         k = rows[0][3]
         ta, tb = _twist_columns(rows)
@@ -569,7 +569,7 @@ def null_subgroup_scan_check(G):
         wrong = stepped != want
         # chi(g) = chi(1) needs coefficient chi(1) = degree and exponent 0
         degree = np.array([row[2] for row in rows], dtype=np.int64)[:, None]
-        null = (coeff[k] == degree) & (want == 0)
+        null = (coeffs[k] == degree) & (want == 0)
 
         # largest cyclic depth fully inside the scan result: cyclic_at[x]
         # grows with x, so the first x that fails bounds it
@@ -641,20 +641,13 @@ def verification_report(G, max_order=None):
         ok = total == G.order
         return ok, None if ok else {"sum": total, "order": G.order}
 
-    def quotient_lift_checks():
-        for k in range(1, G.s + 1):
-            ok, detail = lift_check(G, k)
-            if not ok:
-                return False, detail
-        return True, None
-
     checks = run_checks([
         ("orbit_partition", lambda: orbit_partition_check(G, max_order)),
         ("class_count_closed_form", class_count_check),
         ("degree_square_sum", degree_square_check),
         ("row_orthogonality", lambda: orthogonality_check(G)),
         ("frobenius_induction", lambda: frobenius_induction_check(G.p, G.r)),
-        ("quotient_lift", quotient_lift_checks),
+        ("quotient_lift", lambda: lift_check(G)),
         ("null_subgroup_scan", lambda: null_subgroup_scan_check(G)),
     ])
     ok = all(c["status"] != "fail" for c in checks)

@@ -433,6 +433,7 @@ def _negated_value_rows(capsys, monkeypatch, attr, fault):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     clean = _verify_rows(out)
+    oracle._value_arrays.cache_clear()  # the clean run's tables must not serve the faulty one
     monkeypatch.setattr(chartab, attr, fault)
     code, out, _ = run(capsys, *argv)
     rows = _verify_rows(out)
@@ -491,7 +492,7 @@ def test_verify_catches_one_negated_per_cell_value(capsys, fresh_caches, monkeyp
     assert all(rows[key] == clean[key] for key in rows if key != ("oracle", "row_orthogonality"))
 
 
-def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
+def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, monkeypatch):
     _census_moved(monkeypatch)
     code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "1", "--json")
     assert code == 3
@@ -503,7 +504,8 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, monkeypatch):
 @pytest.fixture
 def fresh_caches():
     """No table or oracle result cached from before or after a mutation."""
-    caches = (chartab.character_table, oracle._kernel_trivial_census, oracle.frobenius_induction_check)
+    caches = (chartab.character_table, oracle._kernel_trivial_census, oracle.frobenius_induction_check,
+              oracle._value_arrays)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -585,6 +587,7 @@ for name in json.loads(sys.argv[2]):
     setattr(chartab, attr, fault)
     oracle.frobenius_induction_check.cache_clear()
     oracle._kernel_trivial_census.cache_clear()
+    oracle._value_arrays.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         runs.append([main(argv), out.getvalue()])

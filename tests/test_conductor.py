@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from radical_ram import chartab, conductor, ramfil
-from radical_ram.chartab import census_mismatch, character_json, character_table, count_by, table_rows
+from radical_ram.chartab import census_mismatch, character_json, character_table, count_by, null_subgroup, table_rows
 from radical_ram.conductor import (
+    _c_closed,
+    _c_definitional,
     bucket_conductor,
-    c_exp_closed,
-    c_exp_definitional,
     conductor_buckets,
     conductor_checks,
     conductor_json,
@@ -122,7 +122,8 @@ def test_two_routes_explicit(ctx):
     here rather than trusting the module's internal assert."""
     filt = upper_filtration(ctx)
     for chi in character_table(ctx.group()):
-        assert c_exp_definitional(chi, filt) == c_exp_closed(chi, ctx.case)
+        c_def = _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
+        assert c_def == _c_closed(ctx.case, chi.group.p, chi.level, chi.prim_degree)
 
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)

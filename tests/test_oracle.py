@@ -3,6 +3,7 @@ second, even dumber route (python-object union-find over literal
 conjugation), plus the documented behavior of induction, lifting and
 exact inner products."""
 
+import numpy as np
 import pytest
 
 from radical_ram import chartab, oracle
@@ -70,6 +71,52 @@ def test_orbit_partition_check(G):
     assert ok, detail
 
 
+def planted_classes(monkeypatch, edit):
+    """oracle._closed_class_index with edit(classes, cidx), which returns
+    the pair to use, applied to fresh copies of each result."""
+    real = oracle._closed_class_index
+
+    def closed_class_index(G):
+        classes, cidx = real(G)
+        return edit(list(classes), cidx.copy())
+
+    monkeypatch.setattr(oracle, "_closed_class_index", closed_class_index)
+
+
+@pytest.mark.parametrize("i", [6, 3])
+def test_orbit_partition_names_the_orbit_that_leaves_its_class(monkeypatch, i):
+    """The element (i, 1) of (3,2,2), element index i, put in the
+    identity's class: its orbit {(3, 1), (6, 1)} now meets two classes,
+    and the check names the orbit by its least member, with the orbit's
+    size (not the element moved, nor, for i = 3, the size of the class
+    its root now has)."""
+    G = GroupDesc(3, 2, 2)
+
+    def moved(classes, cidx):
+        cidx[i] = class_at(G, (1, 2))
+        return classes, cidx
+
+    planted_classes(monkeypatch, moved)
+    assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [3, 1], "orbit_size": 2})
+
+
+def test_orbit_partition_gives_each_class_one_orbit(monkeypatch):
+    """The elements of unit 5 in (3,2,2) put in the class of unit 8, of
+    the same size: every orbit still lies in one class of its size, but
+    two orbits share a class, and the later root's orbit is named."""
+    G = GroupDesc(3, 2, 2)
+    planted_classes(monkeypatch, lambda classes, cidx: (
+        classes, np.where(cidx == class_at(G, (5, 0)), class_at(G, (8, 0)), cidx)))
+    assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [0, 8], "orbit_size": 9})
+
+
+def test_orbit_partition_counts_the_classes(monkeypatch):
+    """A closed class list one too long fails the orbit count first."""
+    G = GroupDesc(3, 2, 2)
+    planted_classes(monkeypatch, lambda classes, cidx: (classes + classes[-1:], cidx))
+    assert orbit_partition_check(G) == (False, {"reason": "orbit count", "brute": 10, "closed": 11})
+
+
 # --------------------------------------------------------------- induction
 
 
@@ -114,7 +161,8 @@ def test_frobenius_induction_check(p, r):
 @pytest.fixture
 def clear_oracle_caches():
     """A mutated run must neither read nor leave cached oracle results."""
-    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check, oracle._pullback_index)
+    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check, oracle._pullback_index,
+              oracle._value_arrays)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -178,6 +226,7 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
 
     assert oracle._kernel_trivial_census(G) == (True, None)
     oracle._kernel_trivial_census.cache_clear()
+    oracle._value_arrays.cache_clear()
     planted(monkeypatch, big, trivial_on_kernel)
     ok, detail = oracle._kernel_trivial_census(G)
     assert not ok
@@ -214,21 +263,27 @@ def test_lift_check_catches_one_pulled_back_exponent(clear_oracle_caches, monkey
 
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
     planted(monkeypatch, G, shifted)
-    assert lift_check(G, 1) == (False, {"k": 1, "twist": [0, 1], "class_key": [7, 1]})
+    assert lift_check(G) == (False, {"k": 1, "twist": [0, 1], "class_key": [7, 1]})
 
 
-@pytest.mark.parametrize(
-    "G,k",
-    [
-        (GroupDesc(3, 2, 1), 1),
-        (GroupDesc(3, 2, 2), 2),
-        (GroupDesc(3, 3, 1), 1),
-        (GroupDesc(3, 3, 2), 2),
-        (GroupDesc(5, 2, 1), 1),
-    ],
-)
-def test_lift_check(G, k):
-    ok, detail = lift_check(G, k)
+def test_lift_check_catches_one_pulled_back_coefficient(clear_oracle_caches, monkeypatch):
+    """The level-1 coefficient of (3,2,1) on its class (1, 1) negated:
+    the lift fails at the first twist, (0, 0), on the first upstairs
+    class that pulls back there."""
+    G = GroupDesc(3, 2, 1)
+    j = class_at(G, (1, 1))
+
+    def negated(classes, coeffs, ea, eb):
+        coeffs[1][j] = -coeffs[1][j]
+
+    planted(monkeypatch, G, negated)
+    assert lift_check(G) == (False, {"k": 1, "twist": [0, 0], "class_key": [1, 1]})
+
+
+@pytest.mark.parametrize("G", [GroupDesc(3, 2, 1), GroupDesc(3, 2, 2), GroupDesc(3, 3, 1), GroupDesc(3, 3, 2),
+                               GroupDesc(5, 2, 1)])
+def test_lift_check(G):
+    ok, detail = lift_check(G)
     assert ok, detail
 
 
@@ -245,8 +300,7 @@ def test_lift_check_pulls_each_class_back_once(clear_oracle_caches, monkeypatch)
         return real(g, H)
 
     monkeypatch.setattr(oracle, "conj_class_of", counting)
-    for k in range(1, G.s + 1):
-        assert lift_check(G, k)[0]
+    assert lift_check(G)[0]
     assert len(pulled) == class_count(GroupDesc(3, 3, 3))
 
 
@@ -316,7 +370,7 @@ def test_orthogonality_check(G):
 
 
 @pytest.mark.parametrize("cells", CHUNKS)
-def test_orthogonality_names_the_first_difference_that_misses(monkeypatch, cells):
+def test_orthogonality_names_the_first_difference_that_misses(clear_oracle_caches, monkeypatch, cells):
     """The ea exponent of the first class of (3,2,2) moved by 2: every
     difference twist (0, b) still meets its target, and (1, 0), the first
     with da != 0 in (da, db) order, is the one named."""
@@ -360,17 +414,13 @@ def test_null_scan_catches_a_class_hit_only_partly(monkeypatch, cells):
     it now covers that class only partly.  Every row before passes, and
     the level-2 row fails the exact test, not an earlier one."""
     G = GroupDesc(3, 2, 2)
-    real = oracle._closed_class_index
 
-    def moved(H):
-        classes, cidx = real(H)
-        if H == G:
-            cidx = cidx.copy()
-            cidx[3] = class_at(G, (1, 2))  # element index of (3, 1) is 0 * 9 + 3
+    def moved(classes, cidx):
+        cidx[3] = class_at(G, (1, 2))  # element index of (3, 1) is 0 * 9 + 3
         return classes, cidx
 
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    monkeypatch.setattr(oracle, "_closed_class_index", moved)
+    planted_classes(monkeypatch, moved)
     top = [chi for chi in character_table(G) if chi.level == 2]
     assert null_subgroup_scan_check(G) == (False, {"character": character_json(top[0].row),
                                                    "reason": "induced null set is not exactly the descriptor"})
