@@ -14,7 +14,6 @@ every checking module can import them from here.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
@@ -24,31 +23,12 @@ from operator import sub
 
 class ResourceLimitError(RuntimeError):
     """A computation was asked for more work than its documented bound:
-    a brute-force pass over too many elements, or a factorization that
-    spent its Pollard-Brent budget."""
+    a group above the oracle's order bound, or a factorization that spent
+    its Pollard-Brent budget."""
 
 
+# verify's default --max-order, which admits its whole default grid
 DEFAULT_MAX_ORDER = 200000
-
-
-def resolve_max_order(max_order=None):
-    """The largest group order a brute-force pass may enumerate: the
-    argument (verify's --max-order), else env RADICAL_RAM_MAX_ORDER, else
-    DEFAULT_MAX_ORDER.  A bound below 1 or an env value that is not an
-    integer raises ValueError naming its source."""
-    source = "--max-order"
-    if max_order is None:
-        env = os.environ.get("RADICAL_RAM_MAX_ORDER")
-        if not env:
-            return DEFAULT_MAX_ORDER
-        source = "RADICAL_RAM_MAX_ORDER"
-        try:
-            max_order = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer (got {env!r})") from None
-    if max_order < 1:
-        raise ValueError(f"{source} must be at least 1 (got {max_order})")
-    return max_order
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +587,9 @@ def run_checks(checks):
     """Report rows {name, status, detail} for (name, check) pairs.
 
     Each check returns (ok, detail).  An AssertionError inside a check is
-    a fail row whose detail is the assertion text; a ResourceLimitError
-    is a skipped row; any other exception is a fail row whose detail is
-    "<type>: <text>", so one check cannot abort the others."""
+    a fail row whose detail is the assertion text, and any other
+    exception a fail row whose detail is "<type>: <text>", so one check
+    cannot abort the others."""
     rows = []
     for name, check in checks:
         try:
@@ -617,8 +597,6 @@ def run_checks(checks):
             status = "pass" if ok else "fail"
         except AssertionError as exc:
             status, detail = "fail", str(exc)
-        except ResourceLimitError as exc:
-            status, detail = "skipped", {"reason": str(exc)}
         except Exception as exc:
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
         rows.append({"name": name, "status": status, "detail": detail})

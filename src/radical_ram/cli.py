@@ -29,7 +29,6 @@ from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .arith import DEFAULT_MAX_ORDER, HOLE, ResourceLimitError, Rows, Stamp, ensure, is_prime
-from .arith import resolve_max_order
 from .chartab import bucket_stamps, census, character_samples, exponent_rows
 from .chartab import table_rows, twist_order, value_table
 from .conductor import conductor_checks, conductor_json
@@ -320,7 +319,8 @@ def _context_check_rows(ctx):
 
 
 def verify_sweep(ps, rs, s_filter, max_order):
-    """Oracle reports plus named self-checks for every group in range."""
+    """Oracle reports plus named self-checks for every group in range; a
+    group the oracle refuses is a skip entry with the refusal's reason."""
     from .oracle import verification_report  # numpy is needed by verify only
 
     results = []
@@ -331,13 +331,14 @@ def verify_sweep(ps, rs, s_filter, max_order):
                     continue
                 G = GroupDesc(p, r, s)
                 group = {"p": p, "r": r, "s": s, "order": G.order}
-                if G.order > max_order:
-                    skipped = f"order {G.order} exceeds bound {max_order}"
-                    results.append({"group": group, "skipped": skipped})
+                try:
+                    report = verification_report(G, max_order)
+                except ResourceLimitError as exc:
+                    results.append({"group": group, "skipped": str(exc)})
                     continue
                 entry = {
                     "group": group,
-                    "oracle": verification_report(G, max_order),
+                    "oracle": report,
                     "unit_checks": _context_check_rows(wild_context(p, r, s, UNIT, 0)),
                 }
                 if s == r:
@@ -367,13 +368,17 @@ def cmd_verify(args, parser):
         # no group of the sweep has s > r: it would check nothing
         parser.error(f"--s {args.s} exceeds the sweep's largest r, {max(rs)}")
 
-    try:
-        max_order = resolve_max_order(args.max_order)
-    except ValueError as exc:
-        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
-        return EXIT_USAGE
+    from .oracle import within_bound
+
     ps = [args.p] if args.p is not None else [3, 5, 7]
-    results = verify_sweep(ps, rs, args.s, max_order)
+    smallest = GroupDesc(min(ps), min(rs), 0)
+    if not within_bound(smallest, args.max_order):
+        # every group of the sweep would be skipped, so it would check
+        # nothing; the order is not printed, as a huge r makes it too long
+        sys.stderr.write(f"{parser.prog}: error: --max-order {args.max_order} is below the order of the "
+                         f"smallest group, p={smallest.p} r={smallest.r} s=0\n")
+        return EXIT_USAGE
+    results = verify_sweep(ps, rs, args.s, args.max_order)
 
     n_pass = n_fail = n_skip = 0
     for entry in results:
@@ -400,7 +405,7 @@ def cmd_verify(args, parser):
 
     ok = n_fail == 0
     if args.json:
-        canonical_json({"max_order": max_order, "groups": results, "ok": ok})
+        canonical_json({"max_order": args.max_order, "groups": results, "ok": ok})
     else:
         sys.stdout.write(
             f"{n_pass} checks passed, {n_fail} failed, {n_skip} groups skipped\n"
@@ -508,8 +513,9 @@ def make_parser():
     pv.add_argument(
         "--max-order",
         type=int,
-        default=None,
-        help=f"largest group order to enumerate (default env RADICAL_RAM_MAX_ORDER or {DEFAULT_MAX_ORDER})",
+        default=DEFAULT_MAX_ORDER,
+        help=f"largest group order the brute-force oracle enumerates (default {DEFAULT_MAX_ORDER}); "
+        "a larger group is skipped, and a bound below every group of the sweep is a usage error",
     )
     pv.add_argument("--json", action="store_true", help="canonical JSON output")
     pv.set_defaults(_sub=pv)

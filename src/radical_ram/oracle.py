@@ -23,11 +23,11 @@ import numpy as np
 
 from ._kernels import orbit_roots
 from .arith import (
+    DEFAULT_MAX_ORDER,
     CycInt,
     ResourceLimitError,
     _reduction_rows,
     ensure,
-    resolve_max_order,
     run_checks,
     unit_decomp,
     vp,
@@ -84,19 +84,25 @@ def _conj_perms(G):
     return perms
 
 
-def _orbit_labels(G, max_order=None):
-    """orbit_roots of the conjugation action: each element labelled by the
-    least index in its orbit, once |G| is within the bound."""
-    bound = resolve_max_order(max_order)
-    if G.order > bound:
-        raise ResourceLimitError(f"|G| = {G.order} exceeds the bound {bound}")
-    return orbit_roots(_conj_perms(G))
+def within_bound(G, max_order):
+    """Whether |G| <= max_order: the one test of the order bound.  As
+    |G| = (p - 1) p^(r + s - 1) >= 2^(r + s), a huge r is refused without
+    building p^r."""
+    return G.r + G.s <= max_order.bit_length() and G.order <= max_order
 
 
-def classes_bruteforce(G, max_order=None):
+def admit(G, max_order):
+    """Refuse G, before any pass over its elements, unless within_bound:
+    raises ResourceLimitError "order |G| exceeds bound max_order"."""
+    if not within_bound(G, max_order):
+        raise ResourceLimitError(f"order {G.order} exceeds bound {max_order}")
+
+
+def classes_bruteforce(G, max_order=DEFAULT_MAX_ORDER):
     """Conjugation orbits as ascending arrays of element indices, in the
-    order of their least members."""
-    roots = _orbit_labels(G, max_order)
+    order of their least members, for a G that admit lets through."""
+    admit(G, max_order)
+    roots = orbit_roots(_conj_perms(G))
     order = np.argsort(roots, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
 
@@ -119,12 +125,12 @@ def _closed_class_index(G):
     return classes, cidx
 
 
-def orbit_partition_check(G, max_order=None):
+def orbit_partition_check(G):
     """Brute orbits against the closed-form classes, in one pass over the
     orbit labels: as many orbits as classes, every element in its root's
     class, one root per class, and each orbit of exactly its class's size.
     A failure names the orbit of least root that breaks one of them."""
-    roots = _orbit_labels(G, max_order)
+    roots = orbit_roots(_conj_perms(G))
     classes, cidx = _closed_class_index(G)
     heads = np.flatnonzero(roots == np.arange(len(roots)))
     if len(heads) != len(classes):
@@ -314,7 +320,6 @@ def _twist_columns(rows):
 # ----------------------------------------------------------------- lifting
 
 
-@lru_cache(maxsize=None)
 def _pullback_index(G):
     """For each class of the s = r group, in all_classes order, the index
     in all_classes(G) of the class conj_class_of puts its reduced
@@ -335,7 +340,6 @@ def _rows_by_level(G):
     return out
 
 
-@lru_cache(maxsize=None)
 def _kernel_trivial_census(G):
     """Rows of the s = r table that are trivial on the kernel of the
     reduction onto C(p^s), checked on the classes conj_class_of puts the
@@ -627,8 +631,10 @@ def null_subgroup_scan_check(G):
 # ----------------------------------------------------------------- report
 
 
-def verification_report(G, max_order=None):
-    """Per-check pass/fail with a first counterexample on failure."""
+def verification_report(G, max_order=DEFAULT_MAX_ORDER):
+    """Per-check pass/fail with a first counterexample on failure.  A
+    group above max_order is refused by admit before any check runs."""
+    admit(G, max_order)
 
     def class_count_check():
         enumerated = len(all_classes(G))
@@ -642,7 +648,7 @@ def verification_report(G, max_order=None):
         return ok, None if ok else {"sum": total, "order": G.order}
 
     checks = run_checks([
-        ("orbit_partition", lambda: orbit_partition_check(G, max_order)),
+        ("orbit_partition", lambda: orbit_partition_check(G)),
         ("class_count_closed_form", class_count_check),
         ("degree_square_sum", degree_square_check),
         ("row_orthogonality", lambda: orthogonality_check(G)),

@@ -1,11 +1,15 @@
 """Acceptance gate: nine criteria, one test and one printed verdict line
-per criterion.
+per criterion, and one test that the range does not depend on the
+environment.
 
-The parameter range everywhere is p in {3, 5, 7}, r <= 3, s <= r, with
-group order bounded by RADICAL_RAM_MAX_ORDER (default 200000), which
-admits all 27 triples.
+The parameter range everywhere is all 27 triples p in {3, 5, 7}, r <= 3,
+s <= r.  The largest group, (7,3,3) of order 100842, is within the
+oracle's default order bound, arith.DEFAULT_MAX_ORDER = 200000, which
+is the bound criterion 1's brute-force enumeration runs under.
 """
 
+import importlib.util
+import os
 import random
 import time
 from fractions import Fraction
@@ -27,7 +31,6 @@ from radical_ram.oracle import (
     lift_check,
     null_subgroup_scan_check,
     orthogonality_check,
-    resolve_max_order,
 )
 from radical_ram.ramfil import (
     cyclotomic_quotient_check,
@@ -42,15 +45,7 @@ from radical_ram.ramfil import (
 
 from helpers import eis_ctx, unit_ctx
 
-MAX_ORDER = resolve_max_order()
-
-TRIPLES = [
-    (p, r, s)
-    for p in (3, 5, 7)
-    for r in (1, 2, 3)
-    for s in range(r + 1)
-    if GroupDesc(p, r, s).order <= MAX_ORDER
-]
+TRIPLES = [(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
 
 
 def wild_contexts():
@@ -186,3 +181,32 @@ def test_criterion_9_validation(capsys):
         ok = ok and code == 2 and needle in out
     with capsys.disabled():
         verdict(9, ok, "even m, perfect power, bad valuation all exit 2 with diagnostics")
+
+
+class EveryVariableSet(dict):
+    """An os.environ in which every variable is set, all to one value."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def __getitem__(self, key):
+        return self.value
+
+    def get(self, key, default=None):
+        return self.value
+
+    def __contains__(self, key):
+        return True
+
+
+def test_range_ignores_the_environment(monkeypatch, capsys):
+    """A fresh copy of this module, loaded and run with every environment
+    variable set to "10", still takes and checks all 27 triples."""
+    monkeypatch.setattr(os, "environ", EveryVariableSet("10"))
+    spec = importlib.util.spec_from_file_location("acceptance_copy", __file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert len(copy.TRIPLES) == 27
+    copy.test_criterion_1_class_counts()
+    assert "ACCEPTANCE 1: PASS - class counts on 27 triples" in capsys.readouterr().out

@@ -367,31 +367,53 @@ def test_verify_respects_max_order(capsys):
     assert "SKIP" in out and "exceeds bound 1000" in out
 
 
-def test_verify_bad_env_bound_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", "abc")
-    code, out, err = run(capsys, "verify", "--p", "3", "--r", "1")
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "RADICAL_RAM_MAX_ORDER" in err
+def below_the_bound(bound, p, r):
+    return f"radical-ram verify: error: --max-order {bound} is below the order of the smallest group, p={p} r={r} s=0\n"
 
 
-@pytest.mark.parametrize("env,flag", [(None, "0"), (None, "-3"), ("-5", None), ("0", None)])
-def test_verify_nonpositive_bound_is_a_usage_error(capsys, monkeypatch, env, flag):
+@pytest.mark.parametrize("flag", ["0", "-3"])
+def test_verify_nonpositive_bound_is_a_usage_error(capsys, flag):
     """A bound below 1 would skip every group and pass vacuously."""
-    monkeypatch.delenv("RADICAL_RAM_MAX_ORDER", raising=False)
-    if env is not None:
-        monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", env)
-    argv = ["verify", "--p", "3"] + (["--max-order", flag] if flag is not None else [])
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1
-    assert ("--max-order" if flag is not None else "RADICAL_RAM_MAX_ORDER") in err
+    code, out, err = run(capsys, "verify", "--p", "3", "--max-order", flag)
+    assert (code, out, err) == (1, "", below_the_bound(flag, 3, 1))
 
 
-def test_verify_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("RADICAL_RAM_MAX_ORDER", "50")
-    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "2")
+@pytest.mark.parametrize("argv,p,r", [
+    (["--p", "3", "--r", "9000"], 3, 9000),
+    (["--r", "4000", "--json"], 3, 4000),
+    (["--p", "3", "--r", "12"], 3, 12),
+    (["--p", "7", "--r", "3", "--max-order", "293"], 7, 3),
+    (["--p", "200003"], 200003, 1),
+    (["--max-order", "1"], 3, 1),
+], ids=["huge-r", "huge-r-json", "r-past-bound", "p-r-past-bound", "huge-p", "default-sweep"])
+def test_verify_sweep_past_the_bound_is_a_usage_error(capsys, argv, p, r):
+    """A sweep whose smallest group, the s = 0 group of its least p and r,
+    is above the bound would only print skip entries: a usage error
+    instead, one line on stderr, with no order written out."""
+    code, out, err = run(capsys, "verify", *argv)
+    bound = argv[-1] if "--max-order" in argv else "200000"
+    assert (code, out, err) == (1, "", below_the_bound(bound, p, r))
+
+
+def test_verify_admits_a_sweep_whose_smallest_group_is_at_the_bound(capsys):
+    """(7,3,0) has order 294: it is checked, and the rest of the sweep is
+    skipped."""
+    code, out, _ = run(capsys, "verify", "--p", "7", "--r", "3", "--max-order", "294")
     assert code == 0
-    assert "exceeds bound 50" in out
+    assert out.splitlines()[-1] == "14 checks passed, 0 failed, 3 groups skipped"
+
+
+def test_verify_resource_limit_past_the_oracle_is_exit_4(capsys, monkeypatch):
+    """Only the oracle's refusal is a skip entry: a resource limit from
+    the self-checks' context, as factorint's budget, is exit 4."""
+
+    def over_budget(*args):
+        raise arith.ResourceLimitError("factorint: Pollard-Brent budget spent")
+
+    monkeypatch.setattr(cli, "wild_context", over_budget)
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, "verify", "--p", "3", "--r", "1", *flags)
+        assert (code, out, err) == (4, "", "resource limit: factorint: Pollard-Brent budget spent\n")
 
 
 def _verify_rows(out):
@@ -504,8 +526,7 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, mon
 @pytest.fixture
 def fresh_caches():
     """No table or oracle result cached from before or after a mutation."""
-    caches = (chartab.character_table, oracle._kernel_trivial_census, oracle.frobenius_induction_check,
-              oracle._value_arrays)
+    caches = (chartab.character_table, oracle.frobenius_induction_check, oracle._value_arrays)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -586,7 +607,6 @@ for name in json.loads(sys.argv[2]):
     real = getattr(chartab, attr)
     setattr(chartab, attr, fault)
     oracle.frobenius_induction_check.cache_clear()
-    oracle._kernel_trivial_census.cache_clear()
     oracle._value_arrays.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -1044,8 +1064,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def _run_python(code, *args):
     src = Path(radical_ram.__file__).parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "RADICAL_RAM_MAX_ORDER"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

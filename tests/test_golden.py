@@ -13,7 +13,6 @@ why.
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,9 +35,7 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize("name", sorted(load_cases()))
-def test_golden(name, monkeypatch):
-    # verify prints the order bound, which the environment can override
-    monkeypatch.delenv("RADICAL_RAM_MAX_ORDER", raising=False)
+def test_golden(name):
     case = load_cases()[name]
     out, code = run_cli(case["argv"])
     assert code == case["exit"]
@@ -46,7 +43,6 @@ def test_golden(name, monkeypatch):
 
 
 def regenerate():
-    os.environ.pop("RADICAL_RAM_MAX_ORDER", None)
     cases = load_cases()
     for name, case in cases.items():
         out, case["exit"] = run_cli(case["argv"])

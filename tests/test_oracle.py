@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from radical_ram import chartab, oracle
-from radical_ram.arith import CycInt
+from radical_ram.arith import CycInt, ResourceLimitError
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
 from radical_ram.oracle import (
     DenseClassFunction,
-    ResourceLimitError,
     classes_bruteforce,
     element_grid,
     frobenius_induction_check,
@@ -24,6 +23,7 @@ from radical_ram.oracle import (
     orbit_partition_check,
     orthogonality_check,
     verification_report,
+    within_bound,
 )
 
 from helpers import SMALL, brute_orbits
@@ -31,10 +31,10 @@ from helpers import SMALL, brute_orbits
 MEDIUM = SMALL + [GroupDesc(5, 2, 2), GroupDesc(7, 2, 2), GroupDesc(3, 3, 2)]
 
 
-def kernel_orbits_as_sets(G, max_order=None):
+def kernel_orbits_as_sets(G):
     I, U = element_grid(G)
     out = []
-    for orbit in classes_bruteforce(G, max_order):
+    for orbit in classes_bruteforce(G):
         out.append({HolomorphElement(int(I[e]), int(U[e])) for e in orbit})
     return out
 
@@ -63,6 +63,17 @@ def test_bruteforce_examples():
 def test_bruteforce_resource_limit():
     with pytest.raises(ResourceLimitError):
         classes_bruteforce(GroupDesc(3, 3, 3), max_order=100)
+
+
+@pytest.mark.parametrize("G", [GroupDesc(3, 1, 0), GroupDesc(3, 3, 3), GroupDesc(7, 3, 2)])
+def test_within_bound_is_exact_at_the_bound(G):
+    assert [within_bound(G, G.order + d) for d in (-1, 0, 1)] == [False, True, True]
+
+
+def test_within_bound_refuses_a_huge_r_without_building_its_order():
+    """p^r for r = 10^12 could not be built at all: the group is refused
+    from r alone."""
+    assert not within_bound(GroupDesc(3, 10**12, 0), 200000)
 
 
 @pytest.mark.parametrize("G", MEDIUM)
@@ -161,8 +172,7 @@ def test_frobenius_induction_check(p, r):
 @pytest.fixture
 def clear_oracle_caches():
     """A mutated run must neither read nor leave cached oracle results."""
-    caches = (oracle._kernel_trivial_census, oracle.frobenius_induction_check, oracle._pullback_index,
-              oracle._value_arrays)
+    caches = (oracle.frobenius_induction_check, oracle._value_arrays)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -225,7 +235,6 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
                 coeffs[2][j] = chartab.level_degree(2, big.p)
 
     assert oracle._kernel_trivial_census(G) == (True, None)
-    oracle._kernel_trivial_census.cache_clear()
     oracle._value_arrays.cache_clear()
     planted(monkeypatch, big, trivial_on_kernel)
     ok, detail = oracle._kernel_trivial_census(G)
@@ -465,9 +474,27 @@ def test_verification_report_all_pass(G):
 
 
 def test_verification_report_skips_oversized_bruteforce():
-    report = verification_report(GroupDesc(3, 3, 3), max_order=100)
-    by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["orbit_partition"]["status"] == "skipped"
-    # everything that does not enumerate |G| elements still runs
-    assert by_name["row_orthogonality"]["status"] == "pass"
-    assert report["ok"]
+    """A group one above the bound is refused whole, with the reason
+    verify prints; at the bound every check runs and passes."""
+    G = GroupDesc(3, 3, 3)
+    with pytest.raises(ResourceLimitError) as info:
+        verification_report(G, max_order=G.order - 1)
+    assert str(info.value) == f"order {G.order} exceeds bound {G.order - 1}"
+    report = verification_report(G, max_order=G.order)
+    assert report["ok"] and {c["status"] for c in report["checks"]} == {"pass"}
+
+
+@pytest.mark.parametrize("G,bound", [(GroupDesc(3, 3, 3), {"max_order": 100}), (GroupDesc(3, 6, 6), {})],
+                         ids=["explicit-bound", "default-bound"])
+def test_refused_group_runs_no_check(monkeypatch, G, bound):
+    """The bound is decided before the first check: a refused group never
+    reaches a pass over its elements or its table."""
+
+    def untouchable(G):
+        raise AssertionError(f"a check ran on {G}")
+
+    monkeypatch.setattr(oracle, "element_grid", untouchable)
+    monkeypatch.setattr(oracle, "value_table", untouchable)
+    monkeypatch.setattr(oracle, "all_classes", untouchable)
+    with pytest.raises(ResourceLimitError, match=f"order {G.order} exceeds bound"):
+        verification_report(G, **bound)
