@@ -329,7 +329,9 @@ def compute_s(a, p, r):
 # An element of Z[zeta_N] is a length-N integer vector c with meaning
 # sum_j c[j] * zeta_N^j.  The canonical form is the remainder modulo the
 # N-th cyclotomic polynomial, zero-padded back to length N; equality and
-# exact integer division are decided there.
+# exact integer division are decided there.  As Phi_N(x) = Phi_rad(N)(x^q)
+# with q = N / rad(N) (Washington, Introduction to Cyclotomic Fields,
+# sec. 2), only the reduction table of the squarefree rad(N) is built.
 
 
 @lru_cache(maxsize=None)
@@ -367,13 +369,8 @@ def _reduction_rows(n):
     n-th cyclotomic polynomial, for j = 0..n-1."""
     phi = list(cyclotomic_poly(n))
     deg = len(phi) - 1
-    rows = []
-    row = [0] * deg
-    if deg > 0:
-        row[0] = 1
-    else:  # n = 1: Phi_1 = x - 1, every power of zeta_1 is 1... deg = 1 anyway
-        row = [1]
-    rows.append(tuple(row))
+    row = [1] + [0] * (deg - 1)
+    rows = [tuple(row)]
     for _ in range(1, n):
         lead = row[-1]
         row = [0] + row[:-1]
@@ -383,6 +380,14 @@ def _reduction_rows(n):
                 row[j] -= lead * phi[j]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _radical_rows(n):
+    """(_reduction_rows(rad n), q = n // rad n): zeta_n^(a*q + b), 0 <= b < q,
+    reduces to row a of that table placed at stride q and offset b."""
+    rad = prod(factorint(n))
+    return _reduction_rows(rad), n // rad
 
 
 @dataclass
@@ -408,16 +413,12 @@ class CycInt:
 
     @staticmethod
     def root(e, n):
-        c = [0] * n
-        c[e % n] = 1
-        return CycInt(n, tuple(c))
+        return CycInt.from_pairs([(1, e)], n)
 
     @staticmethod
     def term(k, e, n):
         """k * zeta_n^e."""
-        c = [0] * n
-        c[e % n] += k
-        return CycInt(n, tuple(c))
+        return CycInt.from_pairs([(k, e)], n)
 
     @staticmethod
     def from_pairs(pairs, n):
@@ -460,28 +461,21 @@ class CycInt:
 
     def conj(self):
         """Complex conjugation: zeta^e -> zeta^{-e}."""
-        n = self.order
-        c = [0] * n
-        for j, a in enumerate(self.coeffs):
-            if a:
-                c[(-j) % n] += a
-        return CycInt(n, tuple(c))
+        return CycInt.from_pairs(((a, -j) for j, a in enumerate(self.coeffs) if a), self.order)
 
     # -- canonical form -----------------------------------------------------
 
     def reduce(self):
         """Canonical representative mod the N-th cyclotomic polynomial."""
         n = self.order
-        rows = _reduction_rows(n)
-        deg = len(rows[0])
-        acc = [0] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[j]
-                for k in range(deg):
-                    if row[k]:
-                        acc[k] += c * row[k]
-        return CycInt(n, tuple(acc) + (0,) * (n - deg))
+        rows, q = _radical_rows(n)
+        acc = [0] * n
+        for j in compress(range(n), self.coeffs):
+            a, b = divmod(j, q)
+            for k, x in enumerate(rows[a]):
+                if x:
+                    acc[k * q + b] += self.coeffs[j] * x
+        return CycInt(n, tuple(acc))
 
     def __eq__(self, other):
         if not isinstance(other, CycInt):
@@ -589,12 +583,15 @@ def run_checks(checks):
     Each check returns (ok, detail).  An AssertionError inside a check is
     a fail row whose detail is the assertion text, and any other
     exception a fail row whose detail is "<type>: <text>", so one check
-    cannot abort the others."""
+    cannot abort the others.  A MemoryError is a resource limit, not a
+    disagreement: it propagates."""
     rows = []
     for name, check in checks:
         try:
             ok, detail = check()
             status = "pass" if ok else "fail"
+        except MemoryError:
+            raise
         except AssertionError as exc:
             status, detail = "fail", str(exc)
         except Exception as exc:

@@ -15,8 +15,9 @@ the hypotheses (odd m, non-power a, valuation condition) — the report
 lists each violation; 3 an internal cross-check failed, meaning the
 library disagrees with itself and the output cannot be trusted; 4 a
 resource limit was hit (a radicand or exponent whose factorization needs
-more than arith.FACTOR_BUDGET Pollard-Brent steps); 141 stdout was closed
-by its reader (as by `| head`), the shell's code for a SIGPIPE death.
+more than arith.FACTOR_BUDGET Pollard-Brent steps, or the process ran
+out of memory); 141 stdout was closed by its reader (as by `| head`),
+the shell's code for a SIGPIPE death.
 """
 
 from __future__ import annotations
@@ -531,9 +532,10 @@ def make_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; a resource limit or an internal inconsistency
-    raised by any of them is exit 4 or 3, with one line on stderr.  A
-    stdout closed by its reader is exit 141, with nothing on stderr."""
+    """Run one subcommand; a resource limit, running out of memory
+    included, or an internal inconsistency raised by any of them is exit
+    4 or 3, with one line on stderr.  A stdout closed by its reader is
+    exit 141, with nothing on stderr."""
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
@@ -549,8 +551,8 @@ def main(argv=None):
         # the interpreter flushes stdout once more at exit: into devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
+    except (ResourceLimitError, MemoryError) as exc:
+        sys.stderr.write(f"resource limit: {str(exc) or 'out of memory'}\n")
         return EXIT_RESOURCE
     except AssertionError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")

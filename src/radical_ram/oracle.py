@@ -26,7 +26,7 @@ from .arith import (
     DEFAULT_MAX_ORDER,
     CycInt,
     ResourceLimitError,
-    _reduction_rows,
+    _radical_rows,
     ensure,
     run_checks,
     unit_decomp,
@@ -225,7 +225,9 @@ def inner_product(f, g):
 
 def _induction_sum_small(G, i):
     """The same Frobenius sum in the small ring Z[zeta_{p^s}] where it
-    natively lives, so reducing it is cheap even for p = 7."""
+    natively lives, whose reduction table has p rows: the ring of the
+    table's values, of radical p * rad(p - 1), can need a large one
+    (930 x 240 for p = 31)."""
     return CycInt.from_pairs([(1, i * t % G.ps) for t in unit_list(G)], G.ps)
 
 
@@ -401,16 +403,12 @@ def lift_check(G):
 # ------------------------------------------------------ orthogonality batch
 
 
-def _reduction_nonzeros(m0):
-    """_reduction_rows(m0), the reduction of zeta_{m0}^j for j < m0, as its
-    nonzero entries ordered by output coefficient: (powers j, entries,
-    segment starts, output coefficients, phi(m0), max |entry|).  A bin
-    matrix B (one row per difference, one column per power) reduces to
-    the reduceat of B[:, powers] * entries over the segments."""
-    R = np.array(_reduction_rows(m0), dtype=np.int64)
-    out, powers = np.nonzero(R.T)
-    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
-    return powers, R[powers, out], starts, out[starts], R.shape[1], int(np.abs(R).max())
+def _reduce_bins(bins, table, q):
+    """Each row of bins, one sum over the powers of zeta_m0, reduced mod
+    Phi_m0 to phi(m0) coefficients, for (table, q) = arith._radical_rows(m0):
+    the bin of zeta^(a*q + b) goes through row a at stride q and offset b."""
+    n = len(bins)
+    return np.einsum("nab,ak->nkb", bins.reshape(n, len(table), q), table).reshape(n, -1)
 
 
 def orthogonality_check(G):
@@ -421,8 +419,8 @@ def orthogonality_check(G):
     twist), so a product of a row with a conjugated row depends on the
     twists only through their difference.  One pass per (kind, level
     pair) bins the size-weighted powers of every difference twist into an
-    exponent-binned integer matrix and reduces it through the nonzeros of
-    the reduction rows; the expected value is |G| exactly on the
+    exponent-binned integer matrix and reduces it through the rad(m0)
+    table (_reduce_bins); the expected value is |G| exactly on the
     diagonal, which in difference terms means a trivial difference twist
     (for equal-level rows, a difference twist trivial on the inducing
     subgroup, which for canonical representatives forces equality).  A
@@ -432,7 +430,9 @@ def orthogonality_check(G):
     p, r, s = G.p, G.r, G.s
     classes, coeffs, ea, eb = _value_arrays(G)
     m0 = twist_order(G)
-    powers, entries, starts, out, phi, max_r = _reduction_nonzeros(m0)
+    rows, q = _radical_rows(m0)
+    table = np.array(rows, dtype=np.int64)
+    max_r = int(np.abs(table).max())
     sizes = np.array([c.size for c in classes], dtype=np.int64)
 
     def misses(weights, da, db, target):
@@ -446,15 +446,13 @@ def orthogonality_check(G):
         # exact integer bins: one unweighted bincount per distinct weight
         groups = [(v, np.flatnonzero(w == v)) for v in np.unique(w).tolist()]
         missed = np.empty(len(da), dtype=bool)
-        for chunk in _row_chunks(len(da), max(len(support), len(powers))):
+        for chunk in _row_chunks(len(da), max(len(support), m0)):
             n = chunk.stop - chunk.start
             keys = _exponent_matrix(da[chunk], db[chunk], sa, sb, m0) + m0 * np.arange(n)[:, None]
             bins = np.zeros(n * m0, dtype=np.int64)
             for v, cols in groups:
                 bins += v * np.bincount(keys[:, cols].ravel(), minlength=n * m0)
-            bins = bins.reshape(n, m0)
-            red = np.zeros((n, phi), dtype=np.int64)
-            red[:, out] = np.add.reduceat(bins[:, powers] * entries, starts, axis=1)
+            red = _reduce_bins(bins.reshape(n, m0), table, q)
             red[:, 0] -= target[chunk]
             missed[chunk] = red.any(axis=1)
         return missed

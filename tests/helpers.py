@@ -13,6 +13,12 @@ from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
 from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
 
 
+# Rings Z[zeta_n] of the shapes the package reduces in, p^r, phi(p^r) and
+# p^r (p - 1) for odd p, between 300 and 3000: those past the every-n range
+# of the reduction tests, each with its dense table small enough to build.
+RADICAL_RINGS = sorted({n for p in (3, 5, 7, 11, 13) for r in range(1, 8)
+                        for n in (p**r, p ** (r - 1) * (p - 1), p**r * (p - 1)) if 300 < n <= 3000})
+
 # (p, r, s) that name no group: p not an odd prime, r < 1, or s outside [0, r]
 BAD_GROUPS = [(9, 1, 0), (4, 1, 0), (2, 1, 0), (1, 1, 0), (15, 2, 1), (3, 0, 0), (3, 1, 2), (3, 2, -1)]
 
@@ -178,3 +184,17 @@ def assert_same_text(got, want, what="text"):
     start = max(0, lo - 40)
     pytest.fail(f"{what}: lengths {len(got)} and {len(want)}, first difference at offset {lo}:\n"
                 f"  got  {got[start:lo + 40]!r}\n  want {want[start:lo + 40]!r}", pytrace=False)
+
+
+def perturbed_radical_rows(real):
+    """arith._radical_rows with one entry of the rad(n) = 6 table, the one
+    every p = 3 ring of characters reduces through, one too large: the
+    first entry of its last row."""
+
+    def perturbed(n):
+        rows, q = real(n)
+        if len(rows) == 6:
+            rows = rows[:-1] + ((rows[-1][0] + 1,) + rows[-1][1:],)
+        return rows, q
+
+    return perturbed

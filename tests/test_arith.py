@@ -401,3 +401,12 @@ def test_root_order_relation():
     # zeta_12^4 is a primitive cube root: 1 + z^4 + z^8 = 0 in Z[zeta_12]
     s = CycInt.from_pairs([(1, 0), (1, 4), (1, 8)], 12)
     assert s.is_zero()
+
+
+def test_radical_rows_builds_only_the_squarefree_table():
+    """Z[zeta_(2 * 3^8)] reduces through the table of rad = 6, at stride
+    3^7; tests/test_oracle.py checks the reduction against the dense
+    table of the ring itself."""
+    rows, q = arith._radical_rows(2 * 3**8)
+    assert (len(rows), q) == (6, 3**7)
+    assert rows == arith._reduction_rows(6)

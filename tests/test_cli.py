@@ -24,7 +24,14 @@ from radical_ram.chartab import char_coefficient, character_json, character_tabl
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc, all_classes
 
-from helpers import CELL_GRID, ROW_FAULTS, faulty_table_rows, off_by_one_prim_degree, printed_value_fault
+from helpers import (
+    CELL_GRID,
+    ROW_FAULTS,
+    faulty_table_rows,
+    off_by_one_prim_degree,
+    perturbed_radical_rows,
+    printed_value_fault,
+)
 
 
 def run(capsys, *argv):
@@ -416,6 +423,31 @@ def test_verify_resource_limit_past_the_oracle_is_exit_4(capsys, monkeypatch):
         assert (code, out, err) == (4, "", "resource limit: factorint: Pollard-Brent budget spent\n")
 
 
+def _allocate_4_eib(G):
+    """numpy's own MemoryError: no allocator can serve 4 EiB."""
+    import numpy as np
+
+    np.empty(1 << 62, dtype=np.uint8)
+
+
+def _raise_memory_error(G):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("check,err", [(_raise_memory_error, "resource limit: out of memory\n"),
+                                       (_allocate_4_eib, "resource limit: Unable to allocate 4.00 EiB")],
+                         ids=["MemoryError", "numpy"])
+def test_verify_out_of_memory_in_a_check_is_exit_4(capsys, monkeypatch, check, err):
+    """Running out of memory inside an oracle check is a resource limit:
+    exit 4 with one stderr line and nothing on stdout, neither a failed
+    check (exit 3) nor a skipped group."""
+    monkeypatch.setattr(oracle, "orthogonality_check", check)
+    for flags in ([], ["--json"]):
+        code, out, got = run(capsys, "verify", "--p", "3", "--r", "1", *flags)
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert got.startswith(err) and got.count("\n") == 1
+
+
 def _verify_rows(out):
     """(section, check) -> row over every check row of a verify --json report."""
     rows = {}
@@ -627,6 +659,54 @@ def test_verify_catches_a_wrong_printed_value_under_O():
     assert len(runs) == len(PRINTED_VALUE_FAULTS)
     for name, (code, out) in zip(PRINTED_VALUE_FAULTS, runs):
         _assert_printed_value_caught(name, code, out)
+
+
+RADICAL_FAULT_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+
+
+def _assert_radical_fault_caught(code, out):
+    """In every group of p = 3, r = 2, exactly two checks fail: row
+    orthogonality, whose bins reduce through the table, and the Frobenius
+    check's comparison in the big ring, through CycInt.reduce."""
+    assert code == 3
+    for entry in json.loads(out)["groups"]:
+        failed = {row["name"]: row["detail"] for row in cli._iter_check_rows(entry) if row["status"] == "fail"}
+        assert failed == {"row_orthogonality": {"pair_kind": "linear-linear", "delta": [1, 1]},
+                          "frobenius_induction": {"class_key": [1, 0], "reason": "big-ring mismatch"}}, entry["group"]
+
+
+def test_verify_catches_one_wrong_entry_of_the_radical_table(capsys, fresh_caches, monkeypatch):
+    """One entry of the small rad(n) reduction table one off fails verify:
+    the reduction through the radical is not a vacuous pass."""
+    perturbed = perturbed_radical_rows(arith._radical_rows)
+    monkeypatch.setattr(arith, "_radical_rows", perturbed)
+    monkeypatch.setattr(oracle, "_radical_rows", perturbed)
+    _assert_radical_fault_caught(*run(capsys, *RADICAL_FAULT_ARGV)[:2])
+
+
+RADICAL_FAULT_RUN = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import arith, oracle
+from radical_ram.cli import main
+from helpers import perturbed_radical_rows
+arith._radical_rows = oracle._radical_rows = perturbed_radical_rows(arith._radical_rows)
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+sys.stdout.write(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_verify_catches_one_wrong_entry_of_the_radical_table_under_O():
+    """The same planted entry under python -O."""
+    src = Path(radical_ram.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", RADICAL_FAULT_RUN, json.dumps(RADICAL_FAULT_ARGV)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _assert_radical_fault_caught(*json.loads(proc.stdout))
 
 
 PRIM_DEGREE_ARGVS = [

@@ -5,8 +5,9 @@ exact inner products."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radical_ram import chartab, oracle
+from radical_ram import arith, chartab, oracle
 from radical_ram.arith import CycInt, ResourceLimitError
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
@@ -26,7 +27,7 @@ from radical_ram.oracle import (
     within_bound,
 )
 
-from helpers import SMALL, brute_orbits
+from helpers import RADICAL_RINGS, SMALL, brute_orbits
 
 MEDIUM = SMALL + [GroupDesc(5, 2, 2), GroupDesc(7, 2, 2), GroupDesc(3, 3, 2)]
 
@@ -391,6 +392,43 @@ def test_orthogonality_names_the_first_difference_that_misses(clear_oracle_cache
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
     planted(monkeypatch, G, shifted)
     assert orthogonality_check(G) == (False, {"pair_kind": "linear-linear", "delta": [1, 0]})
+
+
+# Both reductions in Z[zeta_n], CycInt.reduce and the orthogonality bins,
+# read the small table of rad(n) through Phi_n(x) = Phi_rad(n)(x^(n / rad n)).
+# The dense table of n itself, built by _reduction_rows uncached, is the
+# reference they must equal.
+
+
+def _reduced_bins(bins, n):
+    table, q = arith._radical_rows(n)
+    return oracle._reduce_bins(bins, np.array(table, dtype=np.int64), q)
+
+
+def test_reductions_match_the_dense_table_up_to_300():
+    """For every n <= 300: every root zeta_n^j through CycInt.reduce, and
+    four seeded random rows of bins through the orthogonality reduction."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        rows = arith._reduction_rows.__wrapped__(n)
+        pad = (0,) * (n - len(rows[0]))
+        assert all(CycInt.root(j, n).reduce().coeffs == row + pad for j, row in enumerate(rows)), n
+        bins = rng.integers(-9, 10, size=(4, n))
+        assert np.array_equal(_reduced_bins(bins, n), bins @ np.array(rows, dtype=np.int64)), n
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.sampled_from(RADICAL_RINGS), st.integers(0, 2**32 - 1))
+def test_reductions_match_the_dense_table_on_larger_rings(n, seed):
+    """Rings of the package's shapes up to 3000: a random element of 8
+    terms through CycInt.reduce, and three random rows of bins."""
+    rng = np.random.default_rng(seed)
+    dense = np.array(arith._reduction_rows.__wrapped__(n), dtype=np.int64)
+    x = CycInt.from_pairs(zip(rng.integers(-9, 10, 8).tolist(), rng.integers(0, n, 8).tolist()), n)
+    want = (np.array(x.coeffs, dtype=np.int64) @ dense).tolist()
+    assert x.reduce().coeffs == tuple(want) + (0,) * (n - len(want))
+    bins = rng.integers(-9, 10, size=(3, n))
+    assert np.array_equal(_reduced_bins(bins, n), bins @ dense)
 
 
 def test_batched_engine_agrees_with_naive_on_larger_group():
