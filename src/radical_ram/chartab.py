@@ -156,7 +156,7 @@ def table_rows(G):
 
 @lru_cache(maxsize=None)
 def character_table(G):
-    """table_rows as Characters: the whole table, for verify and the tests.
+    """table_rows as Characters: the whole table, for the library and the tests.
 
     Cached per group; callers must treat the list as read-only."""
     out = [Character(G, *row) for row in table_rows(G)]

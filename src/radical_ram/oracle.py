@@ -3,7 +3,9 @@
 Nothing here consults the classified answers: orbits come from explicit
 conjugation, the degree-phi(p^r) character comes from the Frobenius
 induction sum, quotient rows come from honest pullback, and inner products
-are exact cyclotomic arithmetic with an exactness-checked division.  The
+are exact integer bins over the powers of a root of unity, reduced in
+Z[zeta_n] through the small table of rad(n) (_reduce_bins).  Every check
+reads the one table chartab prints, value_table, as integer arrays.  The
 closed forms in holomorph/chartab must match all of it.
 
 Conjugation acts within a fixed unit coordinate:
@@ -16,7 +18,6 @@ cyclic coordinate.  Element index convention: e = unit_index * p^s + i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from ._kernels import orbit_roots
 from .arith import (
     DEFAULT_MAX_ORDER,
-    CycInt,
     ResourceLimitError,
     _radical_rows,
     ensure,
@@ -34,15 +34,12 @@ from .arith import (
 )
 from .chartab import (
     Character,
-    char_value,
     character_json,
-    character_table,
     exponent_rows,
     null_subgroup,
     table_rows,
     twist_order,
     value_table,
-    zeta_order,
 )
 from .holomorph import GroupDesc, all_classes, class_count, conj_class_of, element
 
@@ -152,117 +149,6 @@ def orbit_partition_check(G):
             "element": [e % G.ps, unit_list(G)[e // G.ps]],
             "orbit_size": int(sizes[t]),
         }
-    return True, None
-
-
-# ------------------------------------------------------------- class funcs
-
-
-@dataclass
-class DenseClassFunction:
-    """A class function stored on every class key of its group."""
-
-    group: GroupDesc
-    values: dict
-
-    @staticmethod
-    def from_character(chi, G):
-        return DenseClassFunction(G, {c.key: char_value(chi, c, G) for c in all_classes(G)})
-
-    def value(self, cls):
-        return self.values[cls.key]
-
-
-def induction_formula_at(G, i, u):
-    """The Frobenius sum for the character induced from the faithful
-    character of the cyclic part: zero off the cyclic part, else the sum of
-    zeta_{p^s}^{i*t} over all units t."""
-    n = zeta_order(G)
-    if u % G.pr != 1:
-        return CycInt.zero(n)
-    step = n // G.ps
-    return CycInt.from_pairs([(1, i * t % G.ps * step) for t in unit_list(G)], n)
-
-
-def induce_from_cyclic(G):
-    """Induction to the full group of the faithful cyclic character; only
-    meaningful when the cyclic part has full length s = r."""
-    ensure(G.s == G.r)
-    values = {}
-    for c in all_classes(G):
-        rep = c.representative
-        values[c.key] = induction_formula_at(G, rep.i, rep.u)
-    return DenseClassFunction(G, values)
-
-
-def _class_terms(f, conjugate=False):
-    """Per class of f's group, the nonzero (exponent, coefficient) pairs of
-    f's value, or of its complex conjugate."""
-    values = (f.value(c) for c in all_classes(f.group))
-    return [[(j, a) for j, a in enumerate((v.conj() if conjugate else v).coeffs) if a] for v in values]
-
-
-def _pairing(G, f_terms, g_bar_terms):
-    """(1/|G|) sum of size * f * g_bar over the classes, from _class_terms,
-    accumulated in one coefficient list and reduced once by the
-    exactness-checked division."""
-    n = zeta_order(G)
-    acc = [0] * n
-    for c, fs, gs in zip(all_classes(G), f_terms, g_bar_terms):
-        for i, a in fs:
-            a *= c.size
-            for j, b in gs:
-                acc[(i + j) % n] += a * b
-    return CycInt(n, tuple(acc)).divide_exact(G.order)
-
-
-def inner_product(f, g):
-    """(1/|G|) sum of size * f * conj(g); the division must come out exact."""
-    if f.group != g.group:
-        raise ValueError("inner product across different groups")
-    return _pairing(f.group, _class_terms(f), _class_terms(g, conjugate=True))
-
-
-def _induction_sum_small(G, i):
-    """The same Frobenius sum in the small ring Z[zeta_{p^s}] where it
-    natively lives, whose reduction table has p rows: the ring of the
-    table's values, of radical p * rad(p - 1), can need a large one
-    (930 x 240 for p = 31)."""
-    return CycInt.from_pairs([(1, i * t % G.ps) for t in unit_list(G)], G.ps)
-
-
-@lru_cache(maxsize=None)
-def frobenius_induction_check(p, r):
-    """induce_from_cyclic against the closed-form top-level row at s = r.
-
-    The honest sum is an algebraic integer in Z[zeta_{p^r}]; after exact
-    reduction it must be the plain integer the table's level-r coefficient
-    row predicts (the level's one twist is (0, 0), of exponent 0 on every
-    class).  Off the cyclic part (u != 1) the sum is empty, so the closed
-    coefficient must be 0 there.  On small rings the comparison is
-    additionally repeated in the common big ring through the public entry
-    point, one reduced difference per class.
-    """
-    big = GroupDesc(p, r, r)
-    classes, coeffs, _, _ = _value_arrays(big)
-    for c, closed in zip(classes, coeffs[r].tolist()):
-        rep = c.representative
-        honest = 0
-        if rep.u == 1:
-            try:
-                honest = _induction_sum_small(big, rep.i).as_int()
-            except ValueError:
-                return False, {"class_key": list(map(int, c.key)), "reason": "non-integer sum"}
-        if honest != closed:
-            return False, {"class_key": list(map(int, c.key)), "honest": honest, "closed": closed}
-    if zeta_order(big) <= 500:
-        rows = [c for c in character_table(big) if c.kind == "induced" and c.level == r]
-        ensure(len(rows) == 1 and rows[0].twist == (0, 0))
-        f = induce_from_cyclic(big)
-        g = DenseClassFunction.from_character(rows[0], big)
-        for c in classes:
-            if not (f.value(c) - g.value(c)).is_zero():
-                return False, {"class_key": list(map(int, c.key)), "reason": "big-ring mismatch"}
     return True, None
 
 
@@ -483,23 +369,59 @@ def orthogonality_check(G):
             if missed.any():
                 return False, {"pair_kind": "induced-induced", "k": [k1, k2], "delta_b": int(np.argmax(missed))}
 
-    # on small tables, cross-check the batched engine against the naive
-    # exact inner product, pair by pair, each row conjugated once
-    if len(classes) <= 12:
-        funcs = [DenseClassFunction.from_character(chi, G) for chi in character_table(G)]
-        terms = [_class_terms(f) for f in funcs]
-        conj_terms = [_class_terms(f, conjugate=True) for f in funcs]
-        n = zeta_order(G)
-        for i, f_terms in enumerate(terms):
-            for j, g_terms in enumerate(conj_terms):
-                expect = CycInt.integer(1 if i == j else 0, n)
-                try:
-                    got = _pairing(G, f_terms, g_terms)
-                except ArithmeticError as exc:
-                    return False, {"pair_kind": "naive-crosscheck", "pair": [i, j], "reason": str(exc)}
-                if got != expect:
-                    return False, {"pair_kind": "naive-crosscheck", "pair": [i, j]}
     return True, None
+
+
+# --------------------------------------------------------------- induction
+
+
+def _induction_sums(G):
+    """Per class of G, an s = r group, the Frobenius sum for the character
+    induced from the faithful character of the cyclic part, reduced in
+    Z[zeta_{p^r}]: its constant coefficients and whether every other
+    coefficient is zero, as two arrays in class order.
+
+    On a class (i, 1) of the cyclic part the sum is that of zeta_{p^r}^(i*t)
+    over all units t: one pass bincounts i*t mod p^r and reduces the bins
+    as orthogonality_check does, through the rad = p table (_reduce_bins).
+    Off the cyclic part (u != 1) the sum is empty: 0."""
+    classes = all_classes(G)
+    rows, q = _radical_rows(G.pr)
+    table = np.array(rows, dtype=np.int64)
+    units = np.array(unit_list(G), dtype=np.int64)
+    cyclic = np.flatnonzero([c.representative.u == 1 for c in classes])
+    i = np.array([classes[j].representative.i for j in cyclic], dtype=np.int64)
+    honest = np.zeros(len(classes), dtype=np.int64)
+    integral = np.ones(len(classes), dtype=bool)
+    for chunk in _row_chunks(len(cyclic), G.pr):
+        n = chunk.stop - chunk.start
+        keys = np.outer(i[chunk], units) % G.pr + G.pr * np.arange(n)[:, None]
+        bins = np.bincount(keys.ravel(), minlength=n * G.pr).reshape(n, G.pr)
+        red = _reduce_bins(bins, table, q)
+        honest[cyclic[chunk]] = red[:, 0]
+        integral[cyclic[chunk]] = ~red[:, 1:].any(axis=1)
+    return honest, integral
+
+
+@lru_cache(maxsize=None)
+def frobenius_induction_check(p, r):
+    """_induction_sums of the s = r group against the closed-form level-r
+    coefficients value_table gives it (the level's one twist is (0, 0), of
+    exponent 0 on every class): every sum must come out a plain integer,
+    equal to the table's coefficient.  A failure names the first class, in
+    class order, that misses.
+    """
+    big = GroupDesc(p, r, r)
+    classes, coeffs, _, _ = _value_arrays(big)
+    honest, integral = _induction_sums(big)
+    bad = ~integral | (honest != coeffs[r])
+    if not bad.any():
+        return True, None
+    j = int(np.argmax(bad))
+    key = list(map(int, classes[j].key))
+    if not integral[j]:
+        return False, {"class_key": key, "reason": "non-integer sum"}
+    return False, {"class_key": key, "honest": int(honest[j]), "closed": int(coeffs[r][j])}
 
 
 # ---------------------------------------------------------- null subgroups

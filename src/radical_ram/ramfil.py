@@ -627,7 +627,7 @@ def unit_corner_note(ctx):
     return None
 
 
-def _roundtrip_grid(low, up, p):
+def _roundtrip_grid(low, p):
     """phi and psi are piecewise linear with breakpoints exactly at the
     filtration breaks, so agreement at every break, at a point inside
     every segment, and at two points past the last break proves the
@@ -652,7 +652,7 @@ def herbrand_roundtrip_check(ctx):
     up, low = ctx.upper, ctx.lower
     if ctx.case in (UNRAMIFIED, TAME):
         return True
-    for u in _roundtrip_grid(low, up, ctx.p):
+    for u in _roundtrip_grid(low, ctx.p):
         if herbrand_psi(up, herbrand_phi(low, u)) != u:
             return False
     # Breaks must correspond both ways.

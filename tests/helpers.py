@@ -186,14 +186,15 @@ def assert_same_text(got, want, what="text"):
                 f"  got  {got[start:lo + 40]!r}\n  want {want[start:lo + 40]!r}", pytrace=False)
 
 
-def perturbed_radical_rows(real):
-    """arith._radical_rows with one entry of the rad(n) = 6 table, the one
-    every p = 3 ring of characters reduces through, one too large: the
-    first entry of its last row."""
+def perturbed_radical_rows(real, rad):
+    """arith._radical_rows with one entry of the rad(n) = rad table one too
+    large: the first entry of its last row.  For p = 3, the table of 6 is
+    the one the rings of characters reduce through, and the table of 3 the
+    one the rings Z[zeta_(3^r)] of the Frobenius sums reduce through."""
 
     def perturbed(n):
         rows, q = real(n)
-        if len(rows) == 6:
+        if len(rows) == rad:
             rows = rows[:-1] + ((rows[-1][0] + 1,) + rows[-1][1:],)
         return rows, q
 

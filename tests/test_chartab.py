@@ -78,6 +78,19 @@ def test_degree_square_sum_and_count(G):
     assert sum(chi.degree**2 for chi in table) == G.order
 
 
+def test_character_table_checks_its_degree_squares(monkeypatch):
+    """A level-1 degree one too large: character_table fails its own
+    check, with the sum and the order."""
+    real = chartab.level_degree
+    monkeypatch.setattr(chartab, "level_degree", lambda k, p: real(k, p) + (k == 1))
+    character_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"degree squares sum to 11, not \|G\| = 6"):
+            character_table(GroupDesc(3, 1, 1))
+    finally:
+        character_table.cache_clear()
+
+
 def test_table_deterministic():
     G = GroupDesc(3, 2, 2)
     a, b = character_table(G), character_table(G)
@@ -159,9 +172,13 @@ def inner(chi1, chi2, table_classes, G):
     return acc
 
 
-@pytest.mark.parametrize(
-    "G", [GroupDesc(3, 1, 1), GroupDesc(3, 2, 1), GroupDesc(3, 2, 2), GroupDesc(5, 1, 1)]
-)
+# Every group of at most 12 classes (the largest is (13,1,0)): exact
+# inner products of every pair of rows, cell by cell through char_value.
+FEW_CLASSES = [G for G in (GroupDesc(p, r, s) for p in (3, 5, 7, 11, 13, 17) for r in (1, 2, 3) for s in range(r + 1))
+               if class_count(G) <= 12]
+
+
+@pytest.mark.parametrize("G", FEW_CLASSES)
 def test_row_orthogonality_exact(G):
     table, classes = table_and_classes(G)
     n = zeta_order(G)
@@ -360,7 +377,13 @@ def value_rows(G):
     return classes, [(chi, coeffs[chi.level], exponent_row(chi.twist, ea, eb, m0)) for chi in character_table(G)]
 
 
-@pytest.mark.parametrize("G", [GroupDesc(3, 2, 2), GroupDesc(5, 2, 2)])
+# Every s = r group whose ring of values Z[zeta_(p^r (p - 1))] has at most
+# 500 roots, and (3,2,1).
+CELLWISE = [GroupDesc(p, r, r) for p in (3, 5, 7, 11, 13, 17, 19) for r in range(1, 6)
+            if p**r * (p - 1) <= 500] + [GroupDesc(3, 2, 1)]
+
+
+@pytest.mark.parametrize("G", CELLWISE)
 def test_value_table_matches_char_value(G):
     classes, rows = value_rows(G)
     n = zeta_order(G)

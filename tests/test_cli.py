@@ -27,6 +27,7 @@ from radical_ram.holomorph import GroupDesc, all_classes
 from helpers import (
     CELL_GRID,
     ROW_FAULTS,
+    assert_same_text,
     faulty_table_rows,
     off_by_one_prim_degree,
     perturbed_radical_rows,
@@ -522,30 +523,6 @@ def test_verify_catches_one_negated_value(capsys, fresh_caches, monkeypatch):
     assert all(rows[key] == clean[key] for key in rows if key not in hit)
 
 
-def test_verify_catches_one_negated_per_cell_value(capsys, fresh_caches, monkeypatch):
-    """The same value negated in the per-cell route instead (chartab's
-    linear_exponent, which char_value reads and value_table does not):
-    the naive inner products of row_orthogonality see it and must fail
-    (a non-exact division, not a crash).  The quotient lift and the
-    batched engine read value_table and pass."""
-    small = GroupDesc(3, 2, 1)
-    real = chartab.linear_exponent
-
-    def negated(twist, u, G):
-        e = real(twist, u, G)
-        if G == small and twist == (0, 1) and u == 7:
-            m0 = chartab.twist_order(G)
-            e = (e + m0 // 2) % m0
-        return e
-
-    code, rows, clean = _negated_value_rows(capsys, monkeypatch, "linear_exponent", negated)
-    assert code == 3
-    naive = rows[("oracle", "row_orthogonality")]
-    assert naive["status"] == "fail" and naive["detail"]["pair_kind"] == "naive-crosscheck"
-    assert naive["detail"]["reason"].startswith("non-exact division")
-    assert all(rows[key] == clean[key] for key in rows if key != ("oracle", "row_orthogonality"))
-
-
 def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, monkeypatch):
     _census_moved(monkeypatch)
     code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "1", "--json")
@@ -574,8 +551,7 @@ def prim_degree_off_by_one(fresh_caches, monkeypatch):
 
 def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch):
     """A level-1 degree one too large fails degree_square_sum with the
-    sum and the order as its detail, and each check that reads the
-    character table with character_table's message."""
+    sum and the order as its detail."""
     real = chartab.level_degree
     monkeypatch.setattr(chartab, "level_degree", lambda k, p: real(k, p) + (k == 1))
     code, out, _ = run(capsys, "verify", "--p", "3", "--r", "1", "--json")
@@ -585,7 +561,6 @@ def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch
     assert checks[0]["degree_square_sum"]["status"] == "pass"
     assert checks[1]["degree_square_sum"] == {"name": "degree_square_sum", "status": "fail",
                                               "detail": {"sum": 11, "order": 6}}
-    assert checks[1]["row_orthogonality"]["detail"] == "degree squares sum to 11, not |G| = 6"
 
 
 PRINTED_VALUE_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
@@ -662,51 +637,92 @@ def test_verify_catches_a_wrong_printed_value_under_O():
 
 
 RADICAL_FAULT_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+# Per rad(n) table planted with one wrong entry, the one check that fails
+# in every group of p = 3, r = 2, with its detail: row orthogonality
+# reduces its bins in Z[zeta_6] through the table of 6, and the Frobenius
+# check its sums in Z[zeta_9] through the table of 3.
+RADICAL_FAULTS = {
+    6: {"row_orthogonality": {"pair_kind": "linear-linear", "delta": [1, 1]}},
+    3: {"frobenius_induction": {"class_key": [1, 0], "reason": "non-integer sum"}},
+}
 
 
-def _assert_radical_fault_caught(code, out):
-    """In every group of p = 3, r = 2, exactly two checks fail: row
-    orthogonality, whose bins reduce through the table, and the Frobenius
-    check's comparison in the big ring, through CycInt.reduce."""
+def _assert_radical_fault_caught(rad, code, out):
+    """verify exits 3 and exactly the check that reduces through the
+    planted table fails, in every group."""
     assert code == 3
     for entry in json.loads(out)["groups"]:
         failed = {row["name"]: row["detail"] for row in cli._iter_check_rows(entry) if row["status"] == "fail"}
-        assert failed == {"row_orthogonality": {"pair_kind": "linear-linear", "delta": [1, 1]},
-                          "frobenius_induction": {"class_key": [1, 0], "reason": "big-ring mismatch"}}, entry["group"]
+        assert failed == RADICAL_FAULTS[rad], (rad, entry["group"])
+
+
+def _verify_with_radical_fault(capsys, monkeypatch, rad):
+    perturbed = perturbed_radical_rows(arith._radical_rows, rad)
+    monkeypatch.setattr(arith, "_radical_rows", perturbed)
+    monkeypatch.setattr(oracle, "_radical_rows", perturbed)
+    _assert_radical_fault_caught(rad, *run(capsys, *RADICAL_FAULT_ARGV)[:2])
 
 
 def test_verify_catches_one_wrong_entry_of_the_radical_table(capsys, fresh_caches, monkeypatch):
-    """One entry of the small rad(n) reduction table one off fails verify:
-    the reduction through the radical is not a vacuous pass."""
-    perturbed = perturbed_radical_rows(arith._radical_rows)
-    monkeypatch.setattr(arith, "_radical_rows", perturbed)
-    monkeypatch.setattr(oracle, "_radical_rows", perturbed)
-    _assert_radical_fault_caught(*run(capsys, *RADICAL_FAULT_ARGV)[:2])
+    """One entry of the small rad(n) = 6 reduction table one off fails
+    row orthogonality: the reduction through the radical is not a vacuous
+    pass."""
+    _verify_with_radical_fault(capsys, monkeypatch, 6)
 
 
-RADICAL_FAULT_RUN = """
+def test_verify_catches_one_wrong_entry_of_the_frobenius_radical_table(capsys, fresh_caches, monkeypatch):
+    """One entry of the rad(p^r) = p table one off fails the Frobenius
+    check, whose sums live in Z[zeta_(p^r)]."""
+    _verify_with_radical_fault(capsys, monkeypatch, 3)
+
+
+RADICAL_FAULT_RUNS = """
 import contextlib, io, json, sys
 if __debug__:
     sys.exit("expected python -O")
 from radical_ram import arith, oracle
 from radical_ram.cli import main
 from helpers import perturbed_radical_rows
-arith._radical_rows = oracle._radical_rows = perturbed_radical_rows(arith._radical_rows)
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-sys.stdout.write(json.dumps([code, out.getvalue()]))
+real, runs = arith._radical_rows, []
+for rad in json.loads(sys.argv[2]):
+    arith._radical_rows = oracle._radical_rows = perturbed_radical_rows(real, rad)
+    oracle.frobenius_induction_check.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs.append([main(json.loads(sys.argv[1])), out.getvalue()])
+sys.stdout.write(json.dumps(runs))
 """
 
 
 def test_verify_catches_one_wrong_entry_of_the_radical_table_under_O():
-    """The same planted entry under python -O."""
+    """Both planted entries under python -O, in one process."""
     src = Path(radical_ram.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-O", "-c", RADICAL_FAULT_RUN, json.dumps(RADICAL_FAULT_ARGV)],
-                          capture_output=True, text=True, env=env)
+    rads = list(RADICAL_FAULTS)
+    proc = subprocess.run([sys.executable, "-O", "-c", RADICAL_FAULT_RUNS, json.dumps(RADICAL_FAULT_ARGV),
+                           json.dumps(rads)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    _assert_radical_fault_caught(*json.loads(proc.stdout))
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(rads)
+    for rad, (code, out) in zip(rads, runs):
+        _assert_radical_fault_caught(rad, code, out)
+
+
+def test_verify_evaluates_no_cell_and_no_cyclotomic_integer(capsys, fresh_caches, monkeypatch):
+    """verify reads value_table alone and reduces only integer arrays: with
+    the per-cell route (char_value) and CycInt.reduce made to raise, the
+    default sweep prints byte for byte what it prints without."""
+    argv = ("verify", "--max-order", "100000", "--json")
+
+    def untouchable(*args):
+        raise AssertionError("verify evaluated a cyclotomic integer")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chartab, "char_value", untouchable)
+        patch.setattr(arith.CycInt, "reduce", untouchable)
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert_same_text(out, run(capsys, *argv)[1], "verify --json")
 
 
 PRIM_DEGREE_ARGVS = [

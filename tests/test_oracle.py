@@ -1,7 +1,8 @@
 """Oracle tests: the brute-force machinery against itself and against a
 second, even dumber route (python-object union-find over literal
-conjugation), plus the documented behavior of induction, lifting and
-exact inner products."""
+conjugation), plus the documented behavior of induction, lifting,
+orthogonality and the null-subgroup scan, and a planted fault each
+check must catch."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,9 @@ from radical_ram.arith import CycInt, ResourceLimitError
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
 from radical_ram.oracle import (
-    DenseClassFunction,
     classes_bruteforce,
     element_grid,
     frobenius_induction_check,
-    induce_from_cyclic,
-    induction_formula_at,
-    inner_product,
     lift_check,
     null_subgroup_scan_check,
     orbit_partition_check,
@@ -27,7 +24,7 @@ from radical_ram.oracle import (
     within_bound,
 )
 
-from helpers import RADICAL_RINGS, SMALL, brute_orbits
+from helpers import RADICAL_RINGS, SMALL, brute_orbits, perturbed_radical_rows
 
 MEDIUM = SMALL + [GroupDesc(5, 2, 2), GroupDesc(7, 2, 2), GroupDesc(3, 3, 2)]
 
@@ -132,33 +129,32 @@ def test_orbit_partition_counts_the_classes(monkeypatch):
 # --------------------------------------------------------------- induction
 
 
+def induction_sums(G):
+    """oracle._induction_sums as {class key: sum}, every sum an integer."""
+    honest, integral = oracle._induction_sums(G)
+    assert integral.all()
+    return {c.key: h for c, h in zip(all_classes(G), honest.tolist())}
+
+
 def test_induction_formula_pointwise():
-    G = GroupDesc(3, 1, 1)
-    n = zeta_order(G)
-    assert induction_formula_at(G, 0, 1).as_int() == 2
-    assert induction_formula_at(G, 1, 1).as_int() == -1
-    assert induction_formula_at(G, 1, 2) == CycInt.zero(n)
-
-    G = GroupDesc(3, 2, 2)
-    assert induction_formula_at(G, 0, 1).as_int() == 6
-    assert induction_formula_at(G, 3, 1).as_int() == -3
-    assert induction_formula_at(G, 1, 1).as_int() == 0
-
-
-def test_induction_constant_on_brute_orbits():
-    G = GroupDesc(3, 2, 2)
-    for orbit in brute_orbits(G):
-        vals = [induction_formula_at(G, g.i, g.u) for g in orbit]
-        assert all(v == vals[0] for v in vals)
+    """The sum of zeta_{p^r}^(i*t) over the units t on the cyclic classes
+    (u, beta) = (1, v_p(i)), and 0 off the cyclic part."""
+    assert induction_sums(GroupDesc(3, 1, 1)) == {(2, 0): 0, (1, 0): -1, (1, 1): 2}
+    sums = induction_sums(GroupDesc(3, 2, 2))
+    assert [sums[1, beta] for beta in range(3)] == [0, -3, 6]
+    assert all(h == 0 for (u, _), h in sums.items() if u != 1)
 
 
 @pytest.mark.parametrize("G", [GroupDesc(3, 1, 1), GroupDesc(3, 2, 2), GroupDesc(3, 3, 3),
                                GroupDesc(5, 1, 1), GroupDesc(5, 2, 2)])
 def test_induce_from_cyclic_matches_table(G):
-    honest = induce_from_cyclic(G)
+    """The reduced Frobenius sums against the level-r row evaluated cell
+    by cell (char_value), in Z[zeta_(p^r (p - 1))]."""
+    sums = induction_sums(G)
     top = [c for c in character_table(G) if c.kind == "induced" and c.level == G.r][0]
+    n = zeta_order(G)
     for cls in all_classes(G):
-        assert honest.value(cls) == char_value(top, cls, G)
+        assert char_value(top, cls, G) == CycInt.integer(sums[cls.key], n)
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -222,6 +218,20 @@ def class_at(G, key):
 # A planted fault must give the same first counterexample when a chunked
 # pass runs one row per chunk.
 CHUNKS = [pytest.param(oracle._CHUNK_CELLS, id="chunks"), pytest.param(1, id="one-row-chunks")]
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_frobenius_names_the_first_class_that_misses(clear_oracle_caches, monkeypatch, cells):
+    """One entry of the rad(9) = 3 reduction table one off: the sums on
+    the cyclic classes (1, 0) and (1, 1) of (3,2,2) both come out wrong,
+    and the first in class order is named, as a non-integer sum."""
+    G = GroupDesc(3, 2, 2)
+    monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(arith._radical_rows, 3))
+    honest, integral = oracle._induction_sums(G)
+    cyclic = [class_at(G, (1, beta)) for beta in range(3)]
+    assert honest[cyclic].tolist() == [0, 0, 6] and integral[cyclic].tolist() == [False, True, True]
+    assert frobenius_induction_check(3, 2) == (False, {"class_key": [1, 0], "reason": "non-integer sum"})
 
 
 def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, monkeypatch):
@@ -314,62 +324,6 @@ def test_lift_check_pulls_each_class_back_once(clear_oracle_caches, monkeypatch)
     assert len(pulled) == class_count(GroupDesc(3, 3, 3))
 
 
-# ---------------------------------------------------------- inner products
-
-
-def test_inner_product_orthonormal_rows():
-    G = GroupDesc(3, 2, 2)
-    table = character_table(G)
-    funcs = [DenseClassFunction.from_character(chi, G) for chi in table]
-    n = zeta_order(G)
-    one, zero = CycInt.integer(1, n), CycInt.zero(n)
-    assert inner_product(funcs[0], funcs[0]) == one
-    assert inner_product(funcs[-1], funcs[-1]) == one
-    assert inner_product(funcs[0], funcs[-1]) == zero
-    assert inner_product(funcs[2], funcs[7]) == zero
-
-
-def test_inner_product_regular_character():
-    # The regular character (sum of degree * row) contains the trivial
-    # character exactly once.
-    G = GroupDesc(3, 2, 1)
-    table = character_table(G)
-    n = zeta_order(G)
-    values = {}
-    for cls in all_classes(G):
-        acc = CycInt.zero(n)
-        for chi in table:
-            acc = acc + chi.degree * char_value(chi, cls, G)
-        values[cls.key] = acc
-    regular = DenseClassFunction(G, values)
-    trivial = DenseClassFunction.from_character(table[0], G)
-    assert inner_product(regular, trivial) == CycInt.integer(1, n)
-
-
-def test_inner_product_non_exact_division():
-    G = GroupDesc(3, 2, 2)
-    classes = all_classes(G)
-    n = zeta_order(G)
-    ident = [c for c in classes if c.size == 1][0]
-    delta = DenseClassFunction(
-        G, {c.key: CycInt.integer(1 if c is ident else 0, n) for c in classes}
-    )
-    trivial = DenseClassFunction.from_character(character_table(G)[0], G)
-    with pytest.raises(ArithmeticError):
-        inner_product(delta, trivial)
-
-
-def test_inner_product_group_mismatch():
-    f = DenseClassFunction.from_character(
-        character_table(GroupDesc(3, 1, 1))[0], GroupDesc(3, 1, 1)
-    )
-    g = DenseClassFunction.from_character(
-        character_table(GroupDesc(3, 2, 1))[0], GroupDesc(3, 2, 1)
-    )
-    with pytest.raises(ValueError):
-        inner_product(f, g)
-
-
 # ------------------------------------------------------------ batch engine
 
 
@@ -429,20 +383,6 @@ def test_reductions_match_the_dense_table_on_larger_rings(n, seed):
     assert x.reduce().coeffs == tuple(want) + (0,) * (n - len(want))
     bins = rng.integers(-9, 10, size=(3, n))
     assert np.array_equal(_reduced_bins(bins, n), bins @ dense)
-
-
-def test_batched_engine_agrees_with_naive_on_larger_group():
-    # The batched difference-twist engine asserts the whole pair matrix at
-    # once; independently confirm sampled pairs with the naive route.
-    G = GroupDesc(3, 3, 3)
-    table = character_table(G)
-    n = zeta_order(G)
-    picks = [0, 5, len(table) - 4, len(table) - 1]
-    funcs = {i: DenseClassFunction.from_character(table[i], G) for i in picks}
-    for i in picks:
-        for j in picks:
-            expect = CycInt.integer(1 if i == j else 0, n)
-            assert inner_product(funcs[i], funcs[j]) == expect
 
 
 # ------------------------------------------------------------- null scans
@@ -509,6 +449,16 @@ def test_verification_report_all_pass(G):
     ]
     assert all(c["status"] == "pass" for c in report["checks"])
     assert report["group"]["order"] == G.order
+
+
+def test_class_count_check_catches_a_closed_count_off_by_one(monkeypatch):
+    """The closed class count one too large fails class_count_closed_form
+    with both counts, and no other check."""
+    real = oracle.class_count
+    monkeypatch.setattr(oracle, "class_count", lambda G: real(G) + 1)
+    report = verification_report(GroupDesc(3, 2, 2))
+    failed = {c["name"]: c["detail"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {"class_count_closed_form": {"enumerated": 10, "closed": 11}}
 
 
 def test_verification_report_skips_oversized_bruteforce():
