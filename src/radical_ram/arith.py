@@ -465,19 +465,33 @@ class CycInt:
 
     # -- canonical form -----------------------------------------------------
 
-    def reduce(self):
-        """Canonical representative mod the N-th cyclotomic polynomial."""
+    def _terms(self):
+        """(exponent, coefficient) of every nonzero coefficient."""
+        c = self.coeffs
+        return [(j, c[j]) for j in compress(range(self.order), c)]
+
+    def _reduced(self, terms):
+        """The canonical coefficients, as a list, of the sum of c * zeta_N^j
+        over terms: zeta_N^(a*q + b) goes through row a of the rad(N) table
+        (_radical_rows) at stride q and offset b."""
         n = self.order
         rows, q = _radical_rows(n)
         acc = [0] * n
-        for j in compress(range(n), self.coeffs):
+        for j, c in terms:
             a, b = divmod(j, q)
             for k, x in enumerate(rows[a]):
                 if x:
-                    acc[k * q + b] += self.coeffs[j] * x
-        return CycInt(n, tuple(acc))
+                    acc[k * q + b] += c * x
+        return acc
+
+    def reduce(self):
+        """Canonical representative mod the N-th cyclotomic polynomial."""
+        return CycInt(self.order, tuple(self._reduced(self._terms())))
 
     def __eq__(self, other):
+        """Equal exactly when the difference reduces to zero: the terms of
+        self and the negated terms of other go through one reduction, unless
+        the two coefficient vectors are already the same."""
         if not isinstance(other, CycInt):
             if isinstance(other, int):
                 other = CycInt.integer(other, self.order)
@@ -485,12 +499,14 @@ class CycInt:
                 return NotImplemented
         if self.order != other.order:
             return False
-        return self.reduce().coeffs == other.reduce().coeffs
+        if self.coeffs == other.coeffs:
+            return True
+        return not any(self._reduced(self._terms() + [(j, -c) for j, c in other._terms()]))
 
     __hash__ = None
 
     def is_zero(self):
-        return not any(self.reduce().coeffs)
+        return not any(self._reduced(self._terms()))
 
     def as_int(self):
         """The rational integer this element equals; error if it is not one."""

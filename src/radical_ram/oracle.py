@@ -104,9 +104,12 @@ def classes_bruteforce(G, max_order=DEFAULT_MAX_ORDER):
     return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
 
 
+@lru_cache(maxsize=1)
 def _closed_class_index(G):
-    """For every element, the index of its closed-form class; also returns
-    the class list used."""
+    """For every element, the index of its closed-form class, as a
+    read-only int64 array; also returns the class list used.  Built once
+    per group for the orbit partition and the null-subgroup scan; the
+    next group evicts it."""
     classes = all_classes(G)
     units = unit_list(G)
     uidx = {u: j for j, u in enumerate(units)}
@@ -119,6 +122,7 @@ def _closed_class_index(G):
     beta = np.minimum(_vp_capped(G.ps, G.p, G.s)[I], np.repeat(cap, G.ps))
     cidx = lookup[np.repeat(np.arange(len(units)), G.ps), beta]
     ensure((cidx >= 0).all())
+    cidx.flags.writeable = False
     return classes, cidx
 
 

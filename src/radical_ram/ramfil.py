@@ -32,6 +32,7 @@ printed pairs are satisfied only by the trivial group.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,6 +249,30 @@ class Filtration:
     numbering: str
     steps: tuple
 
+    @cached_property
+    def herbrand(self):
+        """The table of this filtration's Herbrand function, phi for LOWER
+        and psi for UPPER: (knots, values, slopes, offsets), one entry per
+        segment.  knots is 0 followed by the breaks, values the exact
+        integral at each knot, slopes the segment's slope from that knot on
+        (the trivial group's above the last break) and offsets the
+        segment's value at 0, so that on it the function is
+        slope * x + offset.  phi's slope is |G_t| / |G_0|, psi's
+        |G^0| / |G^w|.  A break at 0 leaves a segment of length 0, which a
+        lookup passes over."""
+        orders = [_step_order(h, self.group) for _, h in self.steps] + [1]
+        base = orders[0]
+        if self.numbering == LOWER:
+            slopes = tuple(Fraction(o, base) for o in orders)
+        else:
+            slopes = tuple(Fraction(base, o) for o in orders)
+        knots, values = [Fraction(0)], [Fraction(0)]
+        for (b, _), slope in zip(self.steps, slopes):
+            values.append(values[-1] + (b - knots[-1]) * slope)
+            knots.append(b)
+        offsets = tuple(v - k * slope for k, v, slope in zip(knots, values, slopes))
+        return tuple(knots), tuple(values), slopes, offsets
+
 
 def _step_order(h, G):
     if isinstance(h, CyclicInertia):
@@ -379,42 +404,37 @@ def upper_filtration(ctx):
 # --- Herbrand transforms ---------------------------------------------------
 
 
-def _herbrand(filt, x, numbering, rate):
-    """integral_0^x rate(|G_t|, |G_0|) dt along a filtration in
-    `numbering`: piecewise linear with one slope per step (the trivial
-    group's above the last break); exact in rationals."""
+def _herbrand(filt, x, numbering):
+    """The Herbrand function of a filtration in `numbering` at x >= 0,
+    exactly: one bisect into the filtration's table (Filtration.herbrand)
+    and one multiply-add on the segment found."""
     ensure(filt.numbering == numbering)
     x = Fraction(x)
     ensure(x >= 0)
-    base = order_at(filt, 0)
-    total = Fraction(0)
-    prev = Fraction(0)
-    for b, h in filt.steps:
-        slope = rate(_step_order(h, filt.group), base)
-        if x <= b:
-            return total + (x - prev) * slope
-        total += (b - prev) * slope
-        prev = b
-    return total + (x - prev) * rate(1, base)
+    knots, _, slopes, offsets = filt.herbrand
+    j = bisect_right(knots, x) - 1
+    return slopes[j] * x + offsets[j]
 
 
 def herbrand_phi(filt, u):
     """phi(u) = integral_0^u dt / [G_0 : G_t] for a LOWER filtration:
-    slope |G_t| / |G_0| on each step."""
-    return _herbrand(filt, u, LOWER, lambda order, base: Fraction(order, base))
+    slope |G_t| / |G_0| on each step, read from the filtration's table."""
+    return _herbrand(filt, u, LOWER)
 
 
 def herbrand_psi(filt, v):
-    """psi(v) = integral_0^v [G^0 : G^w] dw for an UPPER filtration; the
-    exact inverse of herbrand_phi on the matching lower filtration."""
-    return _herbrand(filt, v, UPPER, lambda order, base: Fraction(base, order))
+    """psi(v) = integral_0^v [G^0 : G^w] dw for an UPPER filtration, read
+    from the filtration's table; the exact inverse of herbrand_phi on the
+    matching lower filtration."""
+    return _herbrand(filt, v, UPPER)
 
 
-def _transform(filt, source, target, herbrand):
-    """The `target` filtration with the breaks of `filt` sent through
-    `herbrand` and the groups unchanged."""
+def _transform(filt, source, target):
+    """The `target` filtration with the breaks of `filt` sent through its
+    Herbrand function and the groups unchanged: each break's image is the
+    table's value at that break."""
     ensure(filt.numbering == source)
-    entries = [(herbrand(filt, b), h) for b, h in filt.steps]
+    entries = [(v, h) for v, (_, h) in zip(filt.herbrand[1][1:], filt.steps)]
     if filt.group is None:
         return Filtration(None, target, tuple(entries))
     return canonicalize(filt.group, target, entries)
@@ -422,12 +442,12 @@ def _transform(filt, source, target, herbrand):
 
 def psi_transform(filt):
     """UPPER filtration -> the matching LOWER one (breaks through psi)."""
-    return _transform(filt, UPPER, LOWER, herbrand_psi)
+    return _transform(filt, UPPER, LOWER)
 
 
 def phi_transform(filt):
     """LOWER filtration -> the matching UPPER one (breaks through phi)."""
-    return _transform(filt, LOWER, UPPER, herbrand_phi)
+    return _transform(filt, LOWER, UPPER)
 
 
 # --- printed lower-index membership checks ---------------------------------

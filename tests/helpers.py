@@ -6,11 +6,13 @@ for them.  unit_ctx/eis_ctx are the synthetic wild contexts the suites
 sweep.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from radical_ram.arith import HOLE, Rows, Stamp, unit_decomp, vp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
-from radical_ram.ramfil import EISENSTEIN, UNIT, wild_context
+from radical_ram.ramfil import EISENSTEIN, LOWER, UNIT, Filtration, _step_order, order_at, wild_context
 
 
 # Rings Z[zeta_n] of the shapes the package reduces in, p^r, phi(p^r) and
@@ -66,6 +68,37 @@ def brute_orbits(G):
     for g in els:
         orbits.setdefault(find(index[g]), set()).add(g)
     return list(orbits.values())
+
+
+def walk_herbrand(filt, x):
+    """The filtration's Herbrand function at x, phi for LOWER and psi for
+    UPPER, by walking its steps in rationals: the integral of |G_t| / |G_0|
+    (phi) or |G^0| / |G^w| (psi), one slope per step and the trivial
+    group's above the last break.  The reference for ramfil's table."""
+    x = Fraction(x)
+    base = order_at(filt, 0)
+    if filt.numbering == LOWER:
+        def rate(order):
+            return Fraction(order, base)
+    else:
+        def rate(order):
+            return Fraction(base, order)
+    total, prev = Fraction(0), Fraction(0)
+    for b, h in filt.steps:
+        slope = rate(_step_order(h, filt.group))
+        if x <= b:
+            return total + (x - prev) * slope
+        total += (b - prev) * slope
+        prev = b
+    return total + (x - prev) * rate(1)
+
+
+def moved_break(filt, i, by=1):
+    """filt with its i-th break moved by `by` and its groups unchanged."""
+    steps = list(filt.steps)
+    b, h = steps[i]
+    steps[i] = (b + by, h)
+    return Filtration(filt.group, filt.numbering, tuple(steps))
 
 
 # s = r groups have every level, and so every level's zero cells
@@ -199,3 +232,9 @@ def perturbed_radical_rows(real, rad):
         return rows, q
 
     return perturbed
+
+
+def planted_lower_filtration(real):
+    """ramfil.lower_filtration, for wild contexts, with the last break one
+    too large (moved_break) and the groups unchanged."""
+    return lambda ctx: moved_break(real(ctx), -1)

@@ -31,6 +31,7 @@ from helpers import (
     faulty_table_rows,
     off_by_one_prim_degree,
     perturbed_radical_rows,
+    planted_lower_filtration,
     printed_value_fault,
 )
 
@@ -535,7 +536,8 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, mon
 @pytest.fixture
 def fresh_caches():
     """No table or oracle result cached from before or after a mutation."""
-    caches = (chartab.character_table, oracle.frobenius_induction_check, oracle._value_arrays)
+    caches = (chartab.character_table, oracle.frobenius_induction_check, oracle._value_arrays,
+              oracle._closed_class_index)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -830,6 +832,50 @@ def test_cross_checks_fail_under_O():
     assert raised == [True, True, True]
     assert (verify_code, analyze_code) == (3, 3)
     assert analyze_err.startswith("internal inconsistency: conductor mismatch")
+
+
+MOVED_BREAK_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+
+
+def _assert_moved_break_caught(code, out):
+    """verify exits 3 and the herbrand_roundtrip row of every wild context
+    fails: unit s = 0, 1, 2 and Eisenstein s = 2."""
+    assert code == 3
+    rows = [row for entry in json.loads(out)["groups"] for row in cli._iter_check_rows(entry)
+            if row["name"] == "herbrand_roundtrip"]
+    assert [row["status"] for row in rows] == ["fail"] * 4
+
+
+def test_verify_catches_a_lower_break_moved_by_one(capsys, monkeypatch):
+    """Every lower filtration with its last break one too large: the
+    round trip through the Herbrand tables fails."""
+    monkeypatch.setattr(ramfil, "lower_filtration", planted_lower_filtration(ramfil.lower_filtration))
+    _assert_moved_break_caught(*run(capsys, *MOVED_BREAK_ARGV)[:2])
+
+
+MOVED_BREAK_RUN = """
+import contextlib, io, json, sys
+if __debug__:
+    sys.exit("expected python -O")
+from radical_ram import ramfil
+from radical_ram.cli import main
+from helpers import planted_lower_filtration
+ramfil.lower_filtration = planted_lower_filtration(ramfil.lower_filtration)
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+sys.stdout.write(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_verify_catches_a_lower_break_moved_by_one_under_O():
+    """The same planted filtrations under python -O."""
+    src = Path(radical_ram.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", MOVED_BREAK_RUN, json.dumps(MOVED_BREAK_ARGV)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _assert_moved_break_caught(*json.loads(proc.stdout))
 
 
 PRINTED_F_ARGVS = [["verify", "--p", "3", "--r", "2", "--json"], ["analyze", "2", "9"]]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radical_ram import arith, chartab, oracle
+from radical_ram._kernels import orbit_roots
 from radical_ram.arith import CycInt, ResourceLimitError
 from radical_ram.chartab import char_value, character_json, character_table, zeta_order
 from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
@@ -72,6 +73,68 @@ def test_within_bound_refuses_a_huge_r_without_building_its_order():
     """p^r for r = 10^12 could not be built at all: the group is refused
     from r alone."""
     assert not within_bound(GroupDesc(3, 10**12, 0), 200000)
+
+
+def sweep_orbit_roots(perms):
+    """Orbit labels (least member index) by moving each label one graph
+    step per sweep, across every permutation and its inverse, until a
+    sweep changes nothing: the reference for orbit_roots' doubling."""
+    labels = np.arange(perms.shape[1], dtype=np.int64)
+    directed = list(perms) + [np.argsort(q, kind="stable") for q in perms]
+    changed = True
+    while changed:
+        changed = False
+        for q in directed:
+            pulled = np.minimum(labels, labels[q])
+            if not np.array_equal(pulled, labels):
+                labels, changed = pulled, True
+    return labels
+
+
+DEFAULT_GRID = [GroupDesc(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
+
+
+@pytest.mark.parametrize("G", DEFAULT_GRID, ids=str)
+def test_doubling_labels_equal_the_sweep_on_the_default_grid(G):
+    perms = oracle._conj_perms(G)
+    assert np.array_equal(orbit_roots(perms), sweep_orbit_roots(perms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)))
+def test_doubling_labels_equal_the_sweep_on_random_permutations(perms):
+    perms = np.array(perms, dtype=np.int64)
+    assert np.array_equal(orbit_roots(perms), sweep_orbit_roots(perms))
+
+
+def test_doubling_takes_logarithmically_many_steps_on_a_long_cycle(monkeypatch):
+    """One cycle of 2^14 elements, each sent to its predecessor, so that
+    label 0 must travel the whole cycle: each step compares the labels
+    once, and doubling settles them in about log2(2^14) steps a round,
+    where one graph step per sweep would take 2^14 sweeps."""
+    n = 1 << 14
+    calls = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or real(a, b))
+    labels = orbit_roots(np.array([(np.arange(n) - 1) % n], dtype=np.int64))
+    assert not labels.any()
+    assert len(calls) <= 2 * (14 + 2)
+
+
+def test_orbit_partition_fails_with_two_orbits_merged(monkeypatch):
+    """The kernel's labels with the orbit of (0, 5) in (3,2,2) relabelled
+    to the root of the orbit of (0, 8): one orbit too few."""
+    G = GroupDesc(3, 2, 2)
+    real = oracle.orbit_roots
+
+    def merged(perms):
+        roots = real(perms)
+        five, eight = (oracle.unit_list(G).index(u) * G.ps for u in (5, 8))
+        return np.where(roots == roots[five], roots[eight], roots)
+
+    monkeypatch.setattr(oracle, "orbit_roots", merged)
+    assert orbit_partition_check(G) == (False, {"reason": "orbit count", "brute": 9, "closed": 10})
 
 
 @pytest.mark.parametrize("G", MEDIUM)
@@ -169,7 +232,7 @@ def test_frobenius_induction_check(p, r):
 @pytest.fixture
 def clear_oracle_caches():
     """A mutated run must neither read nor leave cached oracle results."""
-    caches = (oracle.frobenius_induction_check, oracle._value_arrays)
+    caches = (oracle.frobenius_induction_check, oracle._value_arrays, oracle._closed_class_index)
     for fn in caches:
         fn.cache_clear()
     yield

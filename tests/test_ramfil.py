@@ -28,6 +28,7 @@ from radical_ram.ramfil import (
     UNRAMIFIED,
     UPPER,
     CyclicInertia,
+    _roundtrip_grid,
     canonicalize,
     classify_prime,
     cyclotomic_quotient_check,
@@ -55,7 +56,7 @@ from radical_ram.ramfil import (
     wild_context,
 )
 
-from helpers import BAD_GROUPS, eis_ctx, unit_ctx
+from helpers import BAD_GROUPS, eis_ctx, moved_break, unit_ctx, walk_herbrand
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
@@ -379,6 +380,63 @@ def test_roundtrip_random_points(num, den, idx):
     low = lower_filtration(ctx)
     up = upper_filtration(ctx)
     assert herbrand_psi(up, herbrand_phi(low, u)) == u
+
+
+def assert_table_is_the_walk(ctx, u):
+    """phi of ctx.lower at u, and psi of ctx.upper at u and at phi(u),
+    equal the step walk."""
+    up, low = ctx.upper, ctx.lower
+    v = walk_herbrand(low, u)
+    assert herbrand_phi(low, u) == v
+    assert herbrand_psi(up, u) == walk_herbrand(up, u)
+    assert herbrand_psi(up, v) == walk_herbrand(up, v)
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD, ids=lambda c: f"{c.case[:4]}-{c.p}-{c.r}-{c.s}")
+def test_herbrand_table_is_the_step_walk_on_the_roundtrip_grid(ctx):
+    for u in _roundtrip_grid(ctx.lower, ctx.p):
+        assert_table_is_the_walk(ctx, u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num=st.integers(min_value=0, max_value=3000),
+    den=st.integers(min_value=1, max_value=24),
+    idx=st.integers(min_value=0, max_value=len(ALL_WILD) - 1),
+)
+def test_herbrand_table_is_the_step_walk_at_random_points(num, den, idx):
+    assert_table_is_the_walk(ALL_WILD[idx], F(num, den))
+
+
+def tower_layers(ctx):
+    """The lower filtration of every layer H_{i-1} that tower_step_check
+    restricts to."""
+    return [subgroup_filtration(ctx.lower, SubgroupDesc(ctx.s - i + 1, 1)) for i in range(1, ctx.s + 1)]
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD + [classify_prime(7, 3, 10), classify_prime(5, 3, 5)],
+                         ids=lambda c: f"{c.case[:4]}-{c.p}-{c.r}-{c.s}")
+def test_transforms_send_each_break_through_the_step_walk(ctx):
+    """psi_transform and phi_transform keep the groups and put each break
+    where the step walk sends it, on the context's filtrations (an
+    unramified and a tame one among them) and on the tower's layers."""
+    for filt, transform in [(ctx.upper, psi_transform), (ctx.lower, phi_transform)] + [
+            (layer, phi_transform) for layer in tower_layers(ctx)]:
+        image = transform(filt)
+        assert [h for _, h in image.steps] == [h for _, h in filt.steps]
+        assert [b for b, _ in image.steps] == [walk_herbrand(filt, b) for b, _ in filt.steps]
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD, ids=lambda c: f"{c.case[:4]}-{c.p}-{c.r}-{c.s}")
+def test_roundtrip_fails_with_a_lower_break_moved_by_one(ctx):
+    """Every lower break moved by +1, and by -1 where it stays >= 0, one at
+    a time: psi(phi(u)) = u fails on the grid."""
+    low = ctx.lower
+    for i, (b, _) in enumerate(low.steps):
+        for by in (1, -1) if b >= 1 else (1,):
+            planted = wild_context(ctx.p, ctx.r, ctx.s, ctx.case, ctx.vp_a)
+            planted.__dict__["lower"] = moved_break(low, i, by)  # what ctx.lower then reads
+            assert not herbrand_roundtrip_check(planted), (i, by)
 
 
 def test_transforms_are_inverse_on_filtrations():
