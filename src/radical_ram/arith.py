@@ -14,7 +14,6 @@ every checking module can import them from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -390,16 +389,16 @@ def _radical_rows(n):
     return _reduction_rows(rad), n // rad
 
 
-@dataclass
 class CycInt:
     """An element of the group ring Z[mu_N]; order = N, coeffs indexed by
     the exponent of zeta_N."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        ensure(len(self.coeffs) == self.order)
+    def __init__(self, order, coeffs):
+        ensure(len(coeffs) == order)
+        self.order = order
+        self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------------
 
@@ -583,8 +582,10 @@ class Stamp:
     sorted, list items in order).  A Stamp is the one kind of row the
     canonical writer renders from a template: its sample's text, built
     once per sample and indent, where a float or a non-str key fails
-    ensure as anywhere else in a payload.  A run of Stamps in a list is
-    rendered one block of about cli.BLOCK_CHARS characters at a time."""
+    ensure as anywhere else in a payload, and so does an item that is
+    not of type int in the ints of the Stamp it is built from.  A run of
+    Stamps in a list is rendered one block of about cli.BLOCK_CHARS
+    characters at a time."""
 
     __slots__ = ("sample", "ints")
 

@@ -23,23 +23,20 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd
 
 from .arith import HOLE, CycInt, Stamp, discrete_log, ensure, unit_decomp, vp
-from .holomorph import GroupDesc, all_classes, class_count
+from .holomorph import all_classes, class_count
 
 
-@dataclass(frozen=True)
-class SubgroupDesc:
+class SubgroupDesc(namedtuple("SubgroupDesc", "x y")):
     """C(p^x) x| G(p^r)^y inside a fixed ambient group (y = 0 meaning the
     full unit part).  Containment is componentwise: larger cyclic piece,
     smaller congruence level."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
 
 def subgroup_order(sd, G):
@@ -71,17 +68,11 @@ def trivial_subgroup(G):
     return SubgroupDesc(0, G.r)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "group kind twist degree level prim_degree")):
     """A table row: kind 'linear' or 'induced', with its defining exponent
     pair, degree, level and primitive degree."""
 
-    group: GroupDesc
-    kind: str
-    twist: tuple
-    degree: int
-    level: int
-    prim_degree: int
+    __slots__ = ()
 
     def is_trivial(self):
         return self.kind == "linear" and self.twist == (0, 0)

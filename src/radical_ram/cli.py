@@ -23,7 +23,6 @@ the shell's code for a SIGPIPE death.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from itertools import compress, islice
@@ -86,7 +85,9 @@ def write_canonical(obj, write):
     generated while they are written, so it is never held whole.  A
     Stamp is written as its sample with its ints in the holes.  A float
     or a dict key that is not a str fails ensure: canonical JSON holds
-    neither.
+    neither.  So does a Stamp whose ints are not all of type int (a float
+    or a bool), but only the Stamp a sample's template is built from is
+    checked: later Stamps of the same sample are not checked again.
 
     The walk is the stdlib encoder's, except that a Stamp is rendered
     from its sample's template, built once per sample and indent, and a
@@ -103,6 +104,8 @@ def write_canonical(obj, write):
         key = id(stamp.sample), level
         known = shapes.get(key)
         if known is None:
+            bad = [i for i in stamp.ints if type(i) is not int]
+            ensure(not bad, "Stamp value {!r} in canonical JSON is not an int", *bad[:1])
             known = shapes[key] = _stamp_template(stamp.sample, level), stamp.sample
         return known
 
@@ -198,7 +201,7 @@ def prime_block(gpd, characters):
     block = {
         "p": ctx.p,
         "case": ctx.case,
-        "context": dataclasses.asdict(ctx),
+        "context": ctx._asdict(),
         "e_global": gpd.e_global,
         "filtration": {
             "upper": filtration_json(ctx.upper),

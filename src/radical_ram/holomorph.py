@@ -19,23 +19,26 @@ invariant, so (u, beta) keys the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import ensure, is_prime, vp
 
 
-@dataclass(frozen=True)
-class GroupDesc:
-    p: int
-    r: int
-    s: int
+class GroupDesc(namedtuple("GroupDesc", "p r s")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"GroupDesc: p = {self.p} must be an odd prime")
-        if not 0 <= self.s <= self.r or self.r < 1:
-            raise ValueError(f"GroupDesc: need r >= 1 and 0 <= s <= r (got r={self.r}, s={self.s})")
+    def __new__(cls, p, r, s):
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"GroupDesc: p = {p} must be an odd prime")
+        if not 0 <= s <= r or r < 1:
+            raise ValueError(f"GroupDesc: need r >= 1 and 0 <= s <= r (got r={r}, s={s})")
+        return super().__new__(cls, p, r, s)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, so that _replace validates too."""
+        return cls(*iterable)
 
     @property
     def order(self):
@@ -51,10 +54,7 @@ class GroupDesc:
         return self.p**self.r
 
 
-@dataclass(frozen=True)
-class HolomorphElement:
-    i: int
-    u: int
+HolomorphElement = namedtuple("HolomorphElement", "i u")
 
 
 def element(G, i, u):
@@ -84,12 +84,8 @@ def conj(g, h, G):
     return mul(mul(h, g, G), inv(h, G), G)
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    alpha: int
-    beta: int
-    representative: HolomorphElement
-    size: int
+class ConjClass(namedtuple("ConjClass", "alpha beta representative size")):
+    __slots__ = ()
 
     @property
     def key(self):

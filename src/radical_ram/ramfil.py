@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -132,8 +132,7 @@ def validate(m, a, factors_of_m=None):
 # Per-prime case analysis.
 
 
-@dataclass(frozen=True)
-class PrimeLocalContext:
+class PrimeLocalContext(namedtuple("PrimeLocalContext", "p r vp_a case s g e f_res")):
     """The local shape of Q(zeta_m, a^(1/m)) at one prime.
 
     vp_a is the valuation of a BEFORE normalization; s is the wild depth
@@ -145,14 +144,7 @@ class PrimeLocalContext:
     kept, so the next read builds (and raises) again.
     """
 
-    p: int
-    r: int
-    vp_a: int
-    case: str
-    s: int
-    g: int | None
-    e: int
-    f_res: int | None
+    # no __slots__: cached_property keeps its value in the instance __dict__
 
     def group(self):
         """Ambient holomorph descriptor, for the wildly ramified cases."""
@@ -226,16 +218,14 @@ def classify_prime(p, m, a):
 # Filtrations.
 
 
-@dataclass(frozen=True)
-class CyclicInertia:
+class CyclicInertia(namedtuple("CyclicInertia", "order")):
     """Degenerate step group for the TAME case: cyclic, order is all we
     track (it is not a subgroup of any C(p^s) x| G(p^r))."""
 
-    order: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(namedtuple("Filtration", "group numbering steps")):
     """Right-continuous decreasing step function on [0, oo).
 
     steps is a sorted tuple of (break, group); the group holds on the
@@ -245,9 +235,7 @@ class Filtration:
     carry CyclicInertia markers instead of SubgroupDesc).
     """
 
-    group: GroupDesc | None
-    numbering: str
-    steps: tuple
+    # no __slots__: cached_property keeps its value in the instance __dict__
 
     @cached_property
     def herbrand(self):
@@ -595,10 +583,7 @@ def filtration_json(filt):
 # Global assembly.
 
 
-@dataclass(frozen=True)
-class GlobalPrimeData:
-    context: PrimeLocalContext
-    e_global: int
+GlobalPrimeData = namedtuple("GlobalPrimeData", "context e_global")
 
 
 def global_ram(m, a):

@@ -222,6 +222,9 @@ REJECTED = {
     "mixed-keys": ({"b": 1, 2: 3}, "dict key 2 "),
     "bool-key": ({True: 1}, "dict key True "),
     "stamp-sample-int-key": ([Stamp({0: HOLE}, (1,))], "dict key 0 "),
+    "stamp-float-int": ([Stamp([HOLE], (1.5,)), Stamp(HOLE, (True,))], "Stamp value 1.5 "),
+    "stamp-bool-int": ([Stamp(HOLE, (True,)), Stamp([HOLE], (1.5,))], "Stamp value True "),
+    "stamp-run-float-int": (lazy([Stamp(SAMPLE["twist"], (1, 0.5))] * 9), "Stamp value 0.5 "),
 }
 
 
@@ -235,29 +238,42 @@ def test_write_canonical_rejects_floats_and_non_str_keys(obj, message):
             written(obj)
 
 
-FLOAT_FILTRATION = """
+PLANTED_FLOAT = """
 import contextlib, io, json, sys
-from radical_ram import cli
+from radical_ram import chartab, cli, conductor
 
-real = cli.filtration_json
-cli.filtration_json = lambda filt: {**real(filt), "x": 0.5}
+{plant}
 err = io.StringIO()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
 sys.stdout.write(json.dumps([code, err.getvalue()]))
 """
+PLANTS = {
+    "filtration": ("""
+real = cli.filtration_json
+cli.filtration_json = lambda filt: {**real(filt), "x": 0.5}
+""", "float 0.5 in canonical JSON"),
+    "stamp-ints": ("""
+real = chartab.bucket_stamps
+conductor.bucket_stamps = lambda rows, samples: (
+    chartab.Stamp(s.sample, (s.ints[0] + 0.5,) + s.ints[1:]) for s in real(rows, samples))
+""", "Stamp value 0.5 in canonical JSON is not an int"),
+}
 
 
+@pytest.mark.parametrize("plant,message", PLANTS.values(), ids=PLANTS)
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_float_in_a_payload_exits_3(flags):
-    """analyze --json whose filtration carries a float exits 3 with one
-    line on stderr, with and without python -O."""
+def test_float_in_a_payload_exits_3(flags, plant, message):
+    """analyze --json whose filtration, or the ints of whose conductor
+    rows, carry a float exits 3 with one line on stderr, with and
+    without python -O."""
     src = Path(radical_ram.__file__).parents[1]
-    proc = subprocess.run([sys.executable, *flags, "-c", FLOAT_FILTRATION, "analyze", "2", "9", "--json"],
+    proc = subprocess.run([sys.executable, *flags, "-c", PLANTED_FLOAT.replace("{plant}", plant),
+                           "analyze", "2", "9", "--json"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     code, err = json.loads(proc.stdout)
-    assert (code, err) == (3, "internal inconsistency: float 0.5 in canonical JSON\n")
+    assert (code, err) == (3, f"internal inconsistency: {message}\n")
 
 
 # ------------------------------------------------ end to end, in blocks

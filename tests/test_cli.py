@@ -1204,28 +1204,32 @@ def test_missing_subcommand_is_usage_error(capsys):
 # import path
 
 
-def _run_python(code, *args):
+def _run_python(code, *args, flags=()):
     src = Path(radical_ram.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 IMPORTS_AFTER_ANALYZE = """
 import contextlib, io, json, sys
+unwanted = {"sympy", "numpy", "dataclasses", "inspect"}
 import radical_ram.cli
-loaded = [sorted({"sympy", "numpy"} & set(sys.modules))]
+loaded = [sorted(unwanted & set(sys.modules))]
 with contextlib.redirect_stdout(io.StringIO()):
     code = radical_ram.cli.main(["analyze", "2", "2401"])
-loaded.append(sorted({"sympy", "numpy"} & set(sys.modules)))
+loaded.append(sorted(unwanted & set(sys.modules)))
 sys.stdout.write(json.dumps([code, loaded]))
 """
 
 
-def test_cli_imports_neither_sympy_nor_numpy():
-    """numpy is imported by verify only, and sympy not at all."""
-    assert json.loads(_run_python(IMPORTS_AFTER_ANALYZE)) == [0, [[], []]]
+def test_cli_imports_no_sympy_numpy_dataclasses_or_inspect():
+    """numpy is imported by verify only, and sympy not at all.  The
+    records are named tuples, so the CLI's start-up pays for neither
+    dataclasses nor the inspect module it imports.  The child runs with
+    -S, so that no site hook can import a module or hide one."""
+    assert json.loads(_run_python(IMPORTS_AFTER_ANALYZE, flags=["-S"])) == [0, [[], []]]
 
 
 def test_src_modules_use_every_name_they_import():

@@ -7,7 +7,6 @@ parameter sets, and sweep the dual/triple-route identities across every
 wild context the rest of the suite uses.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -285,7 +284,7 @@ def test_census_mismatch_names_the_bucket():
     assert rows == list(table_rows(G))
     assert census_mismatch(G, rows) is None
     assert census_mismatch(G, rows[1:]) == "(level 0, prim_degree 0): 0 characters, census 1"
-    stray = replace(table[0], prim_degree=5).row
+    stray = table[0]._replace(prim_degree=5).row
     assert census_mismatch(G, [stray] + rows[1:]) == (
         "(level 0, prim_degree 0): 0 characters, census 1"
     )

@@ -74,8 +74,11 @@ def test_group_axioms_random(G, data):
 
 @pytest.mark.parametrize("p,r,s", BAD_GROUPS)
 def test_group_desc_rejects_bad_parameters(p, r, s):
-    with pytest.raises(ValueError):
-        GroupDesc(p, r, s)
+    """Built positionally, by keyword, or through _replace and _make."""
+    for build in (lambda: GroupDesc(p, r, s), lambda: GroupDesc(p=p, r=r, s=s),
+                  lambda: GroupDesc(3, 1, 0)._replace(p=p, r=r, s=s), lambda: GroupDesc._make((p, r, s))):
+        with pytest.raises(ValueError, match="GroupDesc: "):
+            build()
 
 
 def test_element_rejects_nonunit():

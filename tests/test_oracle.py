@@ -44,7 +44,7 @@ def kernel_orbits_as_sets(G):
 @pytest.mark.parametrize("G", SMALL)
 def test_kernel_orbits_match_object_union_find(G):
     # Two fully independent brute routes: the affine-map kernel versus
-    # literal conjugation of dataclass elements.
+    # literal conjugation of HolomorphElement records.
     got = {frozenset(o) for o in kernel_orbits_as_sets(G)}
     want = {frozenset(o) for o in brute_orbits(G)}
     assert got == want
