@@ -5,7 +5,7 @@ Artin conductors, and discriminant valuations, with every closed formula
 cross-checked against independent brute-force computations.
 """
 
-from .chartab import character_table, count_by, null_subgroup
+from .chartab import count_by, null_subgroup
 from .conductor import (
     conductor_buckets,
     disc_vp_global,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupDesc",
     "all_classes",
-    "character_table",
     "class_count",
     "classify_prime",
     "conductor_buckets",

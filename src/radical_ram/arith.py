@@ -1,10 +1,7 @@
-"""Exact arithmetic primitives: p-adic valuations, unit group structure
-mod p^r, and an integral cyclotomic ring with canonical reduction.
-
-Everything here is arbitrary-precision and exact.  No floats ever touch a
-root of unity: an element of Z[zeta_N] is carried as an integer vector on
-the group ring of mu_N and compared after reduction modulo the N-th
-cyclotomic polynomial.
+"""Exact integer arithmetic: primality, integer roots and factoring,
+p-adic valuations, the unit group structure mod p^r and its discrete
+logarithms, and the wild depth s.  Everything here is arbitrary-precision
+and exact; no float is ever used.
 
 It also holds ensure, the one way a cross-check fails, the one runner
 that turns named self-checks into report rows, and Rows and Stamp, the
@@ -17,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import sub
 
 
 class ResourceLimitError(RuntimeError):
@@ -320,212 +316,6 @@ def compute_s(a, p, r):
         return 0
     v = vp(t, p)
     return r + 1 - v
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic integers.
-#
-# An element of Z[zeta_N] is a length-N integer vector c with meaning
-# sum_j c[j] * zeta_N^j.  The canonical form is the remainder modulo the
-# N-th cyclotomic polynomial, zero-padded back to length N; equality and
-# exact integer division are decided there.  As Phi_N(x) = Phi_rad(N)(x^q)
-# with q = N / rad(N) (Washington, Introduction to Cyclotomic Fields,
-# sec. 2), only the reduction table of the squarefree rad(N) is built.
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n):
-    """Coefficient tuple (ascending) of the n-th cyclotomic polynomial,
-    by exact division of x^n - 1 by the proper-divisor cyclotomics."""
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num, den):
-    """Exact quotient of integer polynomials (ascending coeffs); the
-    divisor must be monic here, and the remainder must vanish."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd]
-        if c:
-            quot[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    ensure(all(c == 0 for c in num), "non-exact polynomial division")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(n):
-    """Row j = coefficients (length phi(n)) of zeta_n^j reduced mod the
-    n-th cyclotomic polynomial, for j = 0..n-1."""
-    phi = list(cyclotomic_poly(n))
-    deg = len(phi) - 1
-    row = [1] + [0] * (deg - 1)
-    rows = [tuple(row)]
-    for _ in range(1, n):
-        lead = row[-1]
-        row = [0] + row[:-1]
-        if lead:
-            # subtract lead * (Phi - x^deg), i.e. add lead * (x^deg mod Phi)
-            for j in range(deg):
-                row[j] -= lead * phi[j]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _radical_rows(n):
-    """(_reduction_rows(rad n), q = n // rad n): zeta_n^(a*q + b), 0 <= b < q,
-    reduces to row a of that table placed at stride q and offset b."""
-    rad = prod(factorint(n))
-    return _reduction_rows(rad), n // rad
-
-
-class CycInt:
-    """An element of the group ring Z[mu_N]; order = N, coeffs indexed by
-    the exponent of zeta_N."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        ensure(len(coeffs) == order)
-        self.order = order
-        self.coeffs = coeffs
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(n):
-        return CycInt(n, (0,) * n)
-
-    @staticmethod
-    def integer(k, n):
-        return CycInt(n, (k,) + (0,) * (n - 1))
-
-    @staticmethod
-    def root(e, n):
-        return CycInt.from_pairs([(1, e)], n)
-
-    @staticmethod
-    def term(k, e, n):
-        """k * zeta_n^e."""
-        return CycInt.from_pairs([(k, e)], n)
-
-    @staticmethod
-    def from_pairs(pairs, n):
-        c = [0] * n
-        for k, e in pairs:
-            c[e % n] += k
-        return CycInt(n, tuple(c))
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other):
-        if self.order != other.order:
-            raise ValueError(f"CycInt order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other):
-        self._check(other)
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return CycInt(self.order, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CycInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.order, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        n = self.order
-        out = [0] * n
-        nz = [(j, c) for j, c in enumerate(other.coeffs) if c]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in nz:
-                    out[(i + j) % n] += a * b
-        return CycInt(n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        """Complex conjugation: zeta^e -> zeta^{-e}."""
-        return CycInt.from_pairs(((a, -j) for j, a in enumerate(self.coeffs) if a), self.order)
-
-    # -- canonical form -----------------------------------------------------
-
-    def _terms(self):
-        """(exponent, coefficient) of every nonzero coefficient."""
-        c = self.coeffs
-        return [(j, c[j]) for j in compress(range(self.order), c)]
-
-    def _reduced(self, terms):
-        """The canonical coefficients, as a list, of the sum of c * zeta_N^j
-        over terms: zeta_N^(a*q + b) goes through row a of the rad(N) table
-        (_radical_rows) at stride q and offset b."""
-        n = self.order
-        rows, q = _radical_rows(n)
-        acc = [0] * n
-        for j, c in terms:
-            a, b = divmod(j, q)
-            for k, x in enumerate(rows[a]):
-                if x:
-                    acc[k * q + b] += c * x
-        return acc
-
-    def reduce(self):
-        """Canonical representative mod the N-th cyclotomic polynomial."""
-        return CycInt(self.order, tuple(self._reduced(self._terms())))
-
-    def __eq__(self, other):
-        """Equal exactly when the difference reduces to zero: the terms of
-        self and the negated terms of other go through one reduction, unless
-        the two coefficient vectors are already the same."""
-        if not isinstance(other, CycInt):
-            if isinstance(other, int):
-                other = CycInt.integer(other, self.order)
-            else:
-                return NotImplemented
-        if self.order != other.order:
-            return False
-        if self.coeffs == other.coeffs:
-            return True
-        return not any(self._reduced(self._terms() + [(j, -c) for j, c in other._terms()]))
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not any(self._reduced(self._terms()))
-
-    def as_int(self):
-        """The rational integer this element equals; error if it is not one."""
-        red = self.reduce().coeffs
-        if any(red[1:]):
-            raise ValueError(f"CycInt is not a rational integer: {red}")
-        return red[0]
-
-    def divide_exact(self, k):
-        """Exact division by a nonzero integer in the reduced representation;
-        a non-exact division signals a broken computation upstream."""
-        red = self.reduce().coeffs
-        if any(c % k for c in red):
-            raise ArithmeticError(f"non-exact division of {red} by {k}")
-        return CycInt(self.order, tuple(c // k for c in red))
-
-    def __repr__(self):
-        terms = [f"{c}*z^{j}" for j, c in enumerate(self.coeffs) if c]
-        body = " + ".join(terms) if terms else "0"
-        return f"CycInt({self.order}: {body})"
 
 
 # ---------------------------------------------------------------------------

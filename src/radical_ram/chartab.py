@@ -12,11 +12,14 @@ The table has two families:
     G(p^r)^k exactly once (property verified by test, not assumed).
 
 Every value is (integer coefficient) x (root of unity of order dividing
-phi(p^r)); the induced coefficient at a class with depths (alpha, beta) is
-0 / -p^{k-1} / p^{k-1}(p-1) according to whether the class is too shallow
-(alpha < k or beta < k-1), critical (beta = k-1), or deep (beta >= k).
-Values are returned in Z[zeta_N] with N = p^r(p-1), one ring that also
-contains every root needed by the brute-force induction sums.
+m0 = phi(p^r)); the induced coefficient at a class with depths (alpha,
+beta) is 0 / -p^{k-1} / p^{k-1}(p-1) according to whether the class is too
+shallow (alpha < k or beta < k-1), critical (beta = k-1), or deep
+(beta >= k).  value_table gives the whole table in that form, as integers:
+one coefficient row per level, and per class the two scaled discrete logs
+ea[j], eb[j] of its unit part (class_exponents), so the level-k character
+of twist (ta, tb) is coeffs[k][j] * zeta_{m0}^((ta * ea[j] + tb * eb[j])
+% m0) on class j.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, namedtuple
-from functools import lru_cache
 from math import gcd
 
-from .arith import HOLE, CycInt, Stamp, discrete_log, ensure, unit_decomp, vp
-from .holomorph import all_classes, class_count
+from .arith import HOLE, Stamp, discrete_log, ensure, unit_decomp, vp
+from .holomorph import all_classes
 
 
 class SubgroupDesc(namedtuple("SubgroupDesc", "x y")):
@@ -88,26 +90,15 @@ def twist_order(G):
     return G.p ** (G.r - 1) * (G.p - 1)
 
 
-def zeta_order(G):
-    """p^r(p-1): the common cyclotomic ring for values and induction sums."""
-    return G.p**G.r * (G.p - 1)
-
-
-def linear_exponent(twist, u, G):
-    """Exponent e with psi_twist(u) = zeta_{m0}^e, m0 = phi(p^r)."""
-    d = unit_decomp(G.p, G.r)
-    a, b = discrete_log(u, d)
-    m0 = twist_order(G)
-    ta, tb = twist
-    return (ta * a * d.principal_order + tb * b * d.torsion_order) % m0
-
-
 def prim_degree(twist, G):
     """The least t with psi_twist trivial on G(p^r)^t.
 
-    By linear_exponent, psi_(a, b) is trivial on G(p^r)^t (t >= 1) iff
-    p^(r-t) | b, and on the torsion generator iff a = 0.  So the answer
-    is 0 for the trivial twist, 1 for b = 0, else r - v_p(b)."""
+    psi_(a, b) takes u = torsion_gen^x * principal_gen^y to
+    zeta_{m0}^(a x p^(r-1) + b y (p-1)), m0 = phi(p^r) (class_exponents),
+    so it is trivial on G(p^r)^t (t >= 1), generated by
+    principal_gen^(p^(t-1)), iff p^(r-t) | b, and on the torsion
+    generator iff a = 0.  So the answer is 0 for the trivial twist, 1 for
+    b = 0, else r - v_p(b)."""
     a, b = twist
     if b == 0:
         return 0 if a == 0 else 1
@@ -145,18 +136,6 @@ def table_rows(G):
             yield "induced", (0, b), deg, k, max(k, by_gcd[gcd(b, n)])
 
 
-@lru_cache(maxsize=None)
-def character_table(G):
-    """table_rows as Characters: the whole table, for the library and the tests.
-
-    Cached per group; callers must treat the list as read-only."""
-    out = [Character(G, *row) for row in table_rows(G)]
-    ensure(len(out) == class_count(G), "{} characters for {} classes", len(out), class_count(G))
-    total = sum(chi.degree**2 for chi in out)
-    ensure(total == G.order, "degree squares sum to {}, not |G| = {}", total, G.order)
-    return out
-
-
 def induced_coefficient(k, alpha, beta, p):
     """The integer factor of an induced level-k value at class (alpha, beta)."""
     if alpha < k or beta < k - 1:
@@ -164,50 +143,6 @@ def induced_coefficient(k, alpha, beta, p):
     if beta == k - 1:
         return -(p ** (k - 1))
     return p ** (k - 1) * (p - 1)
-
-
-def char_coefficient(chi, cls):
-    if chi.kind == "linear":
-        return 1
-    return induced_coefficient(chi.level, cls.alpha, cls.beta, chi.group.p)
-
-
-def canonical_monomial(c, e, n):
-    """The canonical pair of c * zeta_n^e for even n: (0, 0) when c = 0,
-    otherwise the exponent taken mod n and moved into [0, n/2), with the
-    sign of c flipped when it moves (zeta_n^(n/2) = -1)."""
-    if c == 0:
-        return (0, 0)
-    half = n // 2
-    e %= n
-    if e >= half:
-        return (-c, e - half)
-    return (c, e)
-
-
-def char_monomial(chi, cls, G):
-    """Exact value of chi on the class as the canonical pair (c, e) of
-    c * zeta_N^e, N = p^r(p-1) (see canonical_monomial).
-
-    N is even, and two values are equal exactly when their pairs are:
-    both zero, or c1 z^e1 = c2 z^e2 with c1, c2 nonzero, which forces
-    z^(e1-e2) = c2/c1, a rational root of unity, so +1 or -1.  Then
-    (c1, e1) = (c2, e2) or (c1, e1) = (-c2, e2 + N/2), mod N, and both
-    cases land on one canonical pair.  Comparing pairs is O(1) where a
-    CycInt comparison reduces all N coefficients."""
-    if chi.group != G:
-        raise ValueError(f"character of {chi.group} evaluated in {G}")
-    n = zeta_order(G)
-    coeff = char_coefficient(chi, cls)
-    if coeff == 0:
-        return (0, 0)
-    e = linear_exponent(chi.twist, cls.representative.u, G)
-    return canonical_monomial(coeff, e * (n // twist_order(G)), n)
-
-
-def char_value(chi, cls, G):
-    """Exact value of chi on the class, as a CycInt of order p^r(p-1)."""
-    return CycInt.term(*char_monomial(chi, cls, G), zeta_order(G))
 
 
 def null_subgroup(chi):
@@ -261,9 +196,9 @@ def census_mismatch(G, rows):
 
 
 def class_exponents(G, classes):
-    """(ea, eb): the linear_exponent formula split per class, with each
-    class's discrete log taken once, so that psi_(ta, tb) is
-    zeta_{m0}^((ta * ea[j] + tb * eb[j]) % m0) on class j."""
+    """(ea, eb): per class, the two discrete logs (x, y) of its unit part,
+    taken once, scaled to x p^(r-1) and y (p-1) mod m0 = phi(p^r), so that
+    psi_(ta, tb) is zeta_{m0}^((ta * ea[j] + tb * eb[j]) % m0) on class j."""
     d = unit_decomp(G.p, G.r)
     m0 = twist_order(G)
     logs = [discrete_log(c.representative.u, d) for c in classes]

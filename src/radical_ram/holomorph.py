@@ -65,25 +65,6 @@ def element(G, i, u):
     return HolomorphElement(i, u)
 
 
-def identity(G):
-    return HolomorphElement(0, 1 % G.pr)
-
-
-def mul(g, h, G):
-    # sigma acts through reduction mod p^s
-    return HolomorphElement((g.i + g.u * h.i) % G.ps, (g.u * h.u) % G.pr)
-
-
-def inv(g, G):
-    uinv = pow(g.u, -1, G.pr)
-    return HolomorphElement((-uinv * g.i) % G.ps, uinv)
-
-
-def conj(g, h, G):
-    """h g h^{-1}."""
-    return mul(mul(h, g, G), inv(h, G), G)
-
-
 class ConjClass(namedtuple("ConjClass", "alpha beta representative size")):
     __slots__ = ()
 

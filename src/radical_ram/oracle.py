@@ -4,9 +4,10 @@ Nothing here consults the classified answers: orbits come from explicit
 conjugation, the degree-phi(p^r) character comes from the Frobenius
 induction sum, quotient rows come from honest pullback, and inner products
 are exact integer bins over the powers of a root of unity, reduced in
-Z[zeta_n] through the small table of rad(n) (_reduce_bins).  Every check
-reads the one table chartab prints, value_table, as integer arrays.  The
-closed forms in holomorph/chartab must match all of it.
+Z[zeta_n] through the small table of rad(n) built here (_radical_rows,
+_reduce_bins).  Every check reads the one table chartab prints,
+value_table, as integer arrays.  The closed forms in holomorph/chartab
+must match all of it.
 
 Conjugation acts within a fixed unit coordinate:
 
@@ -19,6 +20,7 @@ cyclic coordinate.  Element index convention: e = unit_index * p^s + i.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from ._kernels import orbit_roots
 from .arith import (
     DEFAULT_MAX_ORDER,
     ResourceLimitError,
-    _radical_rows,
     ensure,
+    factorint,
     run_checks,
     unit_decomp,
     vp,
@@ -93,15 +95,6 @@ def admit(G, max_order):
     raises ResourceLimitError "order |G| exceeds bound max_order"."""
     if not within_bound(G, max_order):
         raise ResourceLimitError(f"order {G.order} exceeds bound {max_order}")
-
-
-def classes_bruteforce(G, max_order=DEFAULT_MAX_ORDER):
-    """Conjugation orbits as ascending arrays of element indices, in the
-    order of their least members, for a G that admit lets through."""
-    admit(G, max_order)
-    roots = orbit_roots(_conj_perms(G))
-    order = np.argsort(roots, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
 
 
 @lru_cache(maxsize=1)
@@ -193,11 +186,11 @@ def _exponent_matrix(ta, tb, ea, eb, m0):
 
 def _canonical(coeff, exps, m0):
     """The canonical pairs of coeff * zeta_{m0}^exps, elementwise, exponents
-    already reduced mod m0: as chartab.canonical_monomial, the exponent
-    moved into [0, m0/2) with the sign flipped when it moves, and (0, 0)
-    for a zero coefficient.  Scaling the exponent by N / m0 into
-    char_monomial's ring keeps both the half turn and the pairs' equality,
-    so two values are equal exactly when these pairs are."""
+    already reduced mod m0: the exponent moved into [0, m0/2) with the
+    sign flipped when it moves (zeta_{m0}^(m0/2) = -1, m0 being even), and
+    (0, 0) for a zero coefficient.  Two nonzero values c1 z^e1 = c2 z^e2
+    force z^(e1 - e2) = c2 / c1, a rational root of unity, so +1 or -1:
+    two values are equal exactly when these pairs are."""
     half = m0 // 2
     flip = exps >= half
     live = coeff != 0
@@ -292,10 +285,72 @@ def lift_check(G):
 
 # ------------------------------------------------------ orthogonality batch
 
+# Reduction in Z[zeta_n].  A sum over the powers of zeta_n is reduced
+# modulo the n-th cyclotomic polynomial Phi_n.  As Phi_n(x) =
+# Phi_rad(n)(x^q) with q = n / rad(n) (Washington, Introduction to
+# Cyclotomic Fields, sec. 2), only the reduction table of the squarefree
+# rad(n) is built.
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Coefficient tuple (ascending) of the n-th cyclotomic polynomial,
+    by exact division of x^n - 1 by the proper-divisor cyclotomics."""
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _polydiv_exact(num, list(cyclotomic_poly(d)))
+    return tuple(num)
+
+
+def _polydiv_exact(num, den):
+    """Exact quotient of integer polynomials (ascending coeffs); the
+    divisor must be monic here, and the remainder must vanish."""
+    num = list(num)
+    dn, dd = len(num) - 1, len(den) - 1
+    quot = [0] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        c = num[k + dd]
+        if c:
+            quot[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    ensure(all(c == 0 for c in num), "non-exact polynomial division")
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n):
+    """Row j = coefficients (length phi(n)) of zeta_n^j reduced mod the
+    n-th cyclotomic polynomial, for j = 0..n-1."""
+    phi = list(cyclotomic_poly(n))
+    deg = len(phi) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = [tuple(row)]
+    for _ in range(1, n):
+        lead = row[-1]
+        row = [0] + row[:-1]
+        if lead:
+            # subtract lead * (Phi - x^deg), i.e. add lead * (x^deg mod Phi)
+            for j in range(deg):
+                row[j] -= lead * phi[j]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _radical_rows(n):
+    """(_reduction_rows(rad n), q = n // rad n): zeta_n^(a*q + b), 0 <= b < q,
+    reduces to row a of that table placed at stride q and offset b."""
+    rad = prod(factorint(n))
+    return _reduction_rows(rad), n // rad
+
 
 def _reduce_bins(bins, table, q):
     """Each row of bins, one sum over the powers of zeta_m0, reduced mod
-    Phi_m0 to phi(m0) coefficients, for (table, q) = arith._radical_rows(m0):
+    Phi_m0 to phi(m0) coefficients, for (table, q) = _radical_rows(m0):
     the bin of zeta^(a*q + b) goes through row a at stride q and offset b."""
     n = len(bins)
     return np.einsum("nab,ak->nkb", bins.reshape(n, len(table), q), table).reshape(n, -1)

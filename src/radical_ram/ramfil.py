@@ -1,7 +1,8 @@
 """Higher ramification data of radical extensions, one prime at a time.
 
-For an odd squarefull-free setup Q(zeta_m, a^(1/m)) and a prime p, the
-p-local picture falls into four cases:
+For Q(zeta_m, a^(1/m)) under the paper's hypothesis (m odd, and for
+every p | m either p does not divide v_p(a) or p^(v_p(m)) divides v_p(a))
+and a prime p, the p-local picture falls into four cases:
 
   UNRAMIFIED   p divides neither m nor a; nothing happens at p.
   TAME         p | a but p does not divide m; inertia is cyclic of order
@@ -320,11 +321,6 @@ def value_at(filt, t):
         if t <= b:
             return h
     return None
-
-
-def order_at(filt, t):
-    h = value_at(filt, t)
-    return 1 if h is None else _step_order(h, filt.group)
 
 
 def last_break(filt):

@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 
 from radical_ram.arith import HOLE, Rows, Stamp, unit_decomp, vp
-from radical_ram.holomorph import GroupDesc, HolomorphElement, conj, element
-from radical_ram.ramfil import EISENSTEIN, LOWER, UNIT, Filtration, _step_order, order_at, wild_context
+from radical_ram.holomorph import GroupDesc, HolomorphElement, element
+from radical_ram.ramfil import EISENSTEIN, LOWER, UNIT, Filtration, _step_order, wild_context
+
+from reference import conj, order_at
 
 
 # Rings Z[zeta_n] of the shapes the package reduces in, p^r, phi(p^r) and
@@ -220,7 +222,7 @@ def assert_same_text(got, want, what="text"):
 
 
 def perturbed_radical_rows(real, rad):
-    """arith._radical_rows with one entry of the rad(n) = rad table one too
+    """oracle._radical_rows with one entry of the rad(n) = rad table one too
     large: the first entry of its last row.  For p = 3, the table of 6 is
     the one the rings of characters reduce through, and the table of 3 the
     one the rings Z[zeta_(3^r)] of the Frobenius sums reduce through."""

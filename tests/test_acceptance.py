@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from radical_ram.chartab import character_table, null_subgroup
+from radical_ram.chartab import null_subgroup
 from radical_ram.cli import main as cli_main
 from radical_ram.conductor import (
     _c_closed,
@@ -26,7 +26,6 @@ from radical_ram.conductor import (
 )
 from radical_ram.holomorph import GroupDesc, class_count
 from radical_ram.oracle import (
-    classes_bruteforce,
     frobenius_induction_check,
     lift_check,
     null_subgroup_scan_check,
@@ -44,6 +43,7 @@ from radical_ram.ramfil import (
 )
 
 from helpers import eis_ctx, unit_ctx
+from reference import character_table, classes_bruteforce
 
 TRIPLES = [(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
 

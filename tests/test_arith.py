@@ -10,17 +10,15 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radical_ram import arith
+from radical_ram import arith, oracle
 from radical_ram.arith import (
     FACTOR_BUDGET,
     MR_BOUND,
     TRIAL_LIMIT,
-    CycInt,
     ResourceLimitError,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     compute_s,
-    cyclotomic_poly,
     discrete_log,
     factorint,
     integer_nthroot,
@@ -29,7 +27,10 @@ from radical_ram.arith import (
     unit_decomp,
     vp,
 )
+from radical_ram.oracle import cyclotomic_poly
 from radical_ram.ramfil import _perfect_power_root
+
+from reference import CycInt
 
 
 # ---------------------------------------------------------------------- vp
@@ -327,6 +328,7 @@ def test_compute_s_exhaustive_power_residue_oracle(p, r):
 
 
 # ---------------------------------------------------------- cyclotomics
+# The oracle's cyclotomic polynomials and the reference CycInt of the tests.
 
 
 def test_cyclotomic_poly_small():
@@ -360,14 +362,6 @@ def test_cyc_equality_and_integer():
     assert CycInt.integer(12, 9).as_int() == 12
     with pytest.raises(ValueError):
         (CycInt.root(1, 9) + CycInt.integer(1, 9)).as_int()
-
-
-def test_cyc_divide_exact():
-    x = CycInt.from_pairs([(6, 0), (9, 1)], 9)
-    y = x.divide_exact(3)
-    assert y == CycInt.from_pairs([(2, 0), (3, 1)], 9)
-    with pytest.raises(ArithmeticError):
-        x.divide_exact(4)
 
 
 def test_cyc_conj():
@@ -407,6 +401,6 @@ def test_radical_rows_builds_only_the_squarefree_table():
     """Z[zeta_(2 * 3^8)] reduces through the table of rad = 6, at stride
     3^7; tests/test_oracle.py checks the reduction against the dense
     table of the ring itself."""
-    rows, q = arith._radical_rows(2 * 3**8)
+    rows, q = oracle._radical_rows(2 * 3**8)
     assert (len(rows), q) == (6, 3**7)
-    assert rows == arith._reduction_rows(6)
+    assert rows == oracle._reduction_rows(6)

@@ -195,6 +195,10 @@ def test_write_canonical_edge_cases():
         for size in SIZES:
             with block_chars(size):
                 assert_same_text("".join(written(obj)), dumps(obj), f"{obj!r:.60} at {size}")
+    # the reference itself refuses a Stamp with more ints than holes, also
+    # under python -O, where only a rewritten assert still runs
+    with pytest.raises(AssertionError, match="more ints than holes"):
+        dumps(Stamp({"a": HOLE}, (1, 2)))
 
 
 @pytest.mark.parametrize("items,length,message", [

@@ -20,20 +20,20 @@ from hypothesis import strategies as st
 
 import radical_ram
 from radical_ram import arith, chartab, cli, conductor, oracle, ramfil
-from radical_ram.chartab import char_coefficient, character_json, character_table, linear_exponent
+from radical_ram.chartab import character_json
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc, all_classes
 
 from helpers import (
     CELL_GRID,
     ROW_FAULTS,
-    assert_same_text,
     faulty_table_rows,
     off_by_one_prim_degree,
     perturbed_radical_rows,
     planted_lower_filtration,
     printed_value_fault,
 )
+from reference import char_coefficient, character_table, linear_exponent
 
 
 def run(capsys, *argv):
@@ -253,15 +253,14 @@ def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
 
 def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
     """Text output reads the conductor buckets only: it must not need the
-    character table.  JSON output streams
-    its rows from chartab.table_rows and builds neither either."""
+    character table.  JSON output streams its rows from chartab.table_rows
+    and builds no Character either."""
     golden = (Path(__file__).parent / "golden" / "analyze-2-2401.out").read_text()
     json_out = run(capsys, "analyze", "2", "2401", "--json")[1]
 
     def forbidden(*args, **kwargs):
         raise RuntimeError("analyze must not build per-character data")
 
-    monkeypatch.setattr(chartab, "character_table", forbidden)
     monkeypatch.setattr(chartab, "Character", forbidden)
     assert run(capsys, "analyze", "2", "2401") == (0, golden, "")
     assert run(capsys, "analyze", "2", "2401", "--json") == (0, json_out, "")
@@ -536,8 +535,7 @@ def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, mon
 @pytest.fixture
 def fresh_caches():
     """No table or oracle result cached from before or after a mutation."""
-    caches = (chartab.character_table, oracle.frobenius_induction_check, oracle._value_arrays,
-              oracle._closed_class_index)
+    caches = (oracle.frobenius_induction_check, oracle._value_arrays, oracle._closed_class_index)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -659,9 +657,7 @@ def _assert_radical_fault_caught(rad, code, out):
 
 
 def _verify_with_radical_fault(capsys, monkeypatch, rad):
-    perturbed = perturbed_radical_rows(arith._radical_rows, rad)
-    monkeypatch.setattr(arith, "_radical_rows", perturbed)
-    monkeypatch.setattr(oracle, "_radical_rows", perturbed)
+    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(oracle._radical_rows, rad))
     _assert_radical_fault_caught(rad, *run(capsys, *RADICAL_FAULT_ARGV)[:2])
 
 
@@ -682,12 +678,12 @@ RADICAL_FAULT_RUNS = """
 import contextlib, io, json, sys
 if __debug__:
     sys.exit("expected python -O")
-from radical_ram import arith, oracle
+from radical_ram import oracle
 from radical_ram.cli import main
 from helpers import perturbed_radical_rows
-real, runs = arith._radical_rows, []
+real, runs = oracle._radical_rows, []
 for rad in json.loads(sys.argv[2]):
-    arith._radical_rows = oracle._radical_rows = perturbed_radical_rows(real, rad)
+    oracle._radical_rows = perturbed_radical_rows(real, rad)
     oracle.frobenius_induction_check.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -708,23 +704,6 @@ def test_verify_catches_one_wrong_entry_of_the_radical_table_under_O():
     assert len(runs) == len(rads)
     for rad, (code, out) in zip(rads, runs):
         _assert_radical_fault_caught(rad, code, out)
-
-
-def test_verify_evaluates_no_cell_and_no_cyclotomic_integer(capsys, fresh_caches, monkeypatch):
-    """verify reads value_table alone and reduces only integer arrays: with
-    the per-cell route (char_value) and CycInt.reduce made to raise, the
-    default sweep prints byte for byte what it prints without."""
-    argv = ("verify", "--max-order", "100000", "--json")
-
-    def untouchable(*args):
-        raise AssertionError("verify evaluated a cyclotomic integer")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(chartab, "char_value", untouchable)
-        patch.setattr(arith.CycInt, "reduce", untouchable)
-        code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert_same_text(out, run(capsys, *argv)[1], "verify --json")
 
 
 PRIM_DEGREE_ARGVS = [
@@ -1043,7 +1022,8 @@ def test_chartab_long_runs_keep_their_digest(capsys, argv):
 @pytest.mark.parametrize("p,r,s", CELL_GRID)
 def test_chartab_json_cells_match_the_characters(capsys, p, r, s):
     """chartab --json, read back from its text, against its table computed
-    cell by cell from character_table and all_classes: values[i][j] is
+    cell by cell from the tests' reference (character_table,
+    char_coefficient, linear_exponent) and all_classes: values[i][j] is
     [char_coefficient, linear_exponent, or 0 where the coefficient is].
     The route shares no row template and no class_exponents with the
     writer's, so it catches a wrong value baked into a template, which
@@ -1263,6 +1243,51 @@ def test_src_has_no_assert_statement():
                 raises.append(path.name)
     assert asserts == []
     assert raises == ["arith.py"]
+
+
+def _code_names(tree):
+    """Every name a module's code defines, imports or reads: function and
+    class names, each dotted part of an imported name and its alias, and
+    every name and attribute read or bound.  Docstrings and comments are
+    not code."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+                names.add(alias.asname)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+# The tests' per-cell reference, which only tests/reference.py may hold.
+REFERENCE_ONLY = {"CycInt", "char_value", "char_monomial", "character_table", "classes_bruteforce", "order_at"}
+
+
+def test_src_holds_one_route_to_a_character_value():
+    """The package computes a character value through value_table alone:
+    no module of src/ defines, imports or reads the per-cell reference of
+    the tests, and radical_ram exports none of it."""
+    found = {}
+    for path in sorted(Path(radical_ram.__file__).parent.glob("*.py")):
+        if hits := REFERENCE_ONLY & _code_names(ast.parse(path.read_text())):
+            found[path.name] = sorted(hits)
+    assert found == {}
+    assert REFERENCE_ONLY.isdisjoint(radical_ram.__all__)
+    assert [name for name in sorted(REFERENCE_ONLY) if hasattr(radical_ram, name)] == []
+
+
+def test_reference_reads_no_closed_form_it_checks():
+    """tests/reference.py neither imports nor reads the closed-form values
+    it is the reference for, nor the oracle's canonical pairs."""
+    closed = {"value_table", "class_exponents", "exponent_row", "exponent_rows", "packed_rows", "_canonical"}
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    assert sorted(closed & _code_names(tree)) == []
 
 
 GOLDEN_WITHOUT_SYMPY = """

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from radical_ram import chartab, conductor, ramfil
-from radical_ram.chartab import census_mismatch, character_json, character_table, count_by, null_subgroup, table_rows
+from radical_ram.chartab import census_mismatch, character_json, count_by, null_subgroup, table_rows
 from radical_ram.conductor import (
     _c_closed,
     _c_definitional,
@@ -38,6 +38,7 @@ from radical_ram.ramfil import (
 )
 
 from helpers import eis_ctx, materialised, unit_ctx
+from reference import character_table
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
@@ -297,7 +298,7 @@ def test_conductor_json_text_mode_has_no_rows():
 
 
 def test_conductor_json_builds_no_character(monkeypatch):
-    """The rows come from table_rows alone: no Character, no table."""
+    """The rows come from table_rows alone: no Character is built."""
 
     def forbidden(*args, **kwargs):
         raise RuntimeError("conductor_json must not build per-character objects")
@@ -307,7 +308,6 @@ def test_conductor_json_builds_no_character(monkeypatch):
         {"character": character_json(chi.row), "c": frac_str(c), "f": f}
         for chi, (_, c, f) in zip(character_table(ctx.group()), conductor_rows(ctx), strict=True)
     ]
-    monkeypatch.setattr(chartab, "character_table", forbidden)
     monkeypatch.setattr(chartab, "Character", forbidden)
     rows = conductor_json(ctx)["characters"]
     assert len(rows) == len(expected)

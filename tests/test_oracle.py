@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radical_ram import arith, chartab, oracle
+from radical_ram import chartab, oracle
 from radical_ram._kernels import orbit_roots
-from radical_ram.arith import CycInt, ResourceLimitError
-from radical_ram.chartab import char_value, character_json, character_table, zeta_order
-from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count
+from radical_ram.arith import ResourceLimitError
+from radical_ram.chartab import character_json
+from radical_ram.holomorph import GroupDesc, HolomorphElement, all_classes, class_count, conj_class_of
 from radical_ram.oracle import (
-    classes_bruteforce,
     element_grid,
     frobenius_induction_check,
     lift_check,
@@ -25,7 +24,8 @@ from radical_ram.oracle import (
     within_bound,
 )
 
-from helpers import RADICAL_RINGS, SMALL, brute_orbits, perturbed_radical_rows
+from helpers import RADICAL_RINGS, SMALL, brute_orbits, elements, perturbed_radical_rows
+from reference import CycInt, char_value, character_table, classes_bruteforce, mul, zeta_order
 
 MEDIUM = SMALL + [GroupDesc(5, 2, 2), GroupDesc(7, 2, 2), GroupDesc(3, 3, 2)]
 
@@ -290,7 +290,7 @@ def test_frobenius_names_the_first_class_that_misses(clear_oracle_caches, monkey
     and the first in class order is named, as a non-integer sum."""
     G = GroupDesc(3, 2, 2)
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(arith._radical_rows, 3))
+    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(oracle._radical_rows, 3))
     honest, integral = oracle._induction_sums(G)
     cyclic = [class_at(G, (1, beta)) for beta in range(3)]
     assert honest[cyclic].tolist() == [0, 0, 6] and integral[cyclic].tolist() == [False, True, True]
@@ -411,14 +411,15 @@ def test_orthogonality_names_the_first_difference_that_misses(clear_oracle_cache
     assert orthogonality_check(G) == (False, {"pair_kind": "linear-linear", "delta": [1, 0]})
 
 
-# Both reductions in Z[zeta_n], CycInt.reduce and the orthogonality bins,
-# read the small table of rad(n) through Phi_n(x) = Phi_rad(n)(x^(n / rad n)).
+# Both reductions in Z[zeta_n], the reference CycInt.reduce and the
+# orthogonality bins, read the oracle's small table of rad(n) through
+# Phi_n(x) = Phi_rad(n)(x^(n / rad n)).
 # The dense table of n itself, built by _reduction_rows uncached, is the
 # reference they must equal.
 
 
 def _reduced_bins(bins, n):
-    table, q = arith._radical_rows(n)
+    table, q = oracle._radical_rows(n)
     return oracle._reduce_bins(bins, np.array(table, dtype=np.int64), q)
 
 
@@ -427,7 +428,7 @@ def test_reductions_match_the_dense_table_up_to_300():
     four seeded random rows of bins through the orthogonality reduction."""
     rng = np.random.default_rng(0)
     for n in range(1, 301):
-        rows = arith._reduction_rows.__wrapped__(n)
+        rows = oracle._reduction_rows.__wrapped__(n)
         pad = (0,) * (n - len(rows[0]))
         assert all(CycInt.root(j, n).reduce().coeffs == row + pad for j, row in enumerate(rows)), n
         bins = rng.integers(-9, 10, size=(4, n))
@@ -440,7 +441,7 @@ def test_reductions_match_the_dense_table_on_larger_rings(n, seed):
     """Rings of the package's shapes up to 3000: a random element of 8
     terms through CycInt.reduce, and three random rows of bins."""
     rng = np.random.default_rng(seed)
-    dense = np.array(arith._reduction_rows.__wrapped__(n), dtype=np.int64)
+    dense = np.array(oracle._reduction_rows.__wrapped__(n), dtype=np.int64)
     x = CycInt.from_pairs(zip(rng.integers(-9, 10, 8).tolist(), rng.integers(0, n, 8).tolist()), n)
     want = (np.array(x.coeffs, dtype=np.int64) @ dense).tolist()
     assert x.reduce().coeffs == tuple(want) + (0,) * (n - len(want))
@@ -477,12 +478,8 @@ def test_null_scan_catches_a_class_hit_only_partly(monkeypatch, cells):
 
 
 def test_null_set_closed_under_multiplication():
-    from radical_ram.holomorph import conj_class_of, mul
-
     G = GroupDesc(3, 2, 2)
     n = zeta_order(G)
-    from helpers import elements
-
     for chi in character_table(G):
         deg = CycInt.integer(chi.degree, n)
         null = [g for g in elements(G) if char_value(chi, conj_class_of(g, G), G) == deg]

@@ -41,7 +41,6 @@ from radical_ram.ramfil import (
     herbrand_roundtrip_check,
     last_break,
     lower_filtration,
-    order_at,
     phi_transform,
     psi_transform,
     quotient_filtration,
@@ -57,6 +56,7 @@ from radical_ram.ramfil import (
 )
 
 from helpers import BAD_GROUPS, eis_ctx, moved_break, unit_ctx, walk_herbrand
+from reference import order_at
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]

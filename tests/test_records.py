@@ -1,10 +1,9 @@
-"""The package's records: nine named tuples and CycInt.
+"""The package's records: nine named tuples.
 
 A record keeps the repr text the error messages embed, cannot be changed
 field by field and hashes as the tuple of its fields, so dict and set
-orders do not depend on which class holds the fields.  CycInt compares
-by value in Z[zeta_N] and is not hashable.  No record reaches a canonical
-payload: the writer would give it as a JSON array.
+orders do not depend on which class holds the fields.  No record reaches
+a canonical payload: the writer would give it as a JSON array.
 """
 
 import contextlib
@@ -14,12 +13,13 @@ from fractions import Fraction
 import pytest
 
 from radical_ram import cli
-from radical_ram.arith import HOLE, CycInt, Rows, Stamp
-from radical_ram.chartab import SubgroupDesc, character_table
+from radical_ram.arith import HOLE, Rows, Stamp
+from radical_ram.chartab import SubgroupDesc
 from radical_ram.holomorph import GroupDesc, conj_class_of, element
 from radical_ram.ramfil import CyclicInertia, Filtration, PrimeLocalContext, global_ram
 
 from helpers import unit_ctx
+from reference import character_table
 
 G = GroupDesc(3, 2, 1)
 CTX = unit_ctx(3, 2, 1)
@@ -28,7 +28,6 @@ UPPER_TEXT = ("Filtration(group=GroupDesc(p=3, r=2, s=1), numbering='upper', "
               "(Fraction(1, 1), SubgroupDesc(x=0, y=1))))")
 CTX_TEXT = "PrimeLocalContext(p=3, r=2, vp_a=0, case='UNIT', s=1, g=3, e=18, f_res=1)"
 RECORDS = {
-    "CycInt": (CycInt(3, (1, 0, 2)), "CycInt(3: 1*z^0 + 2*z^2)"),
     "GroupDesc": (G, "GroupDesc(p=3, r=2, s=1)"),
     "HolomorphElement": (element(G, 1, 2), "HolomorphElement(i=1, u=2)"),
     "ConjClass": (conj_class_of(element(G, 1, 2), G),
@@ -48,14 +47,9 @@ RECORDS = {
 @pytest.mark.parametrize("rec,text", RECORDS.values(), ids=RECORDS)
 def test_record_semantics(rec, text):
     """The repr text is the one error messages embed.  A named tuple is
-    read-only, equals the plain tuple of its fields and hashes as it;
-    CycInt stays unhashable.  A built filtration or Herbrand table is
-    kept by its record."""
+    read-only, equals the plain tuple of its fields and hashes as it.  A
+    built filtration or Herbrand table is kept by its record."""
     assert repr(rec) == text
-    if type(rec) is CycInt:
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(rec)
-        return
     field = rec._fields[0]
     with pytest.raises(AttributeError):
         setattr(rec, field, getattr(rec, field))
