@@ -373,7 +373,8 @@ class Stamp:
     canonical writer renders from a template: its sample's text, built
     once per sample and indent, where a float or a non-str key fails
     ensure as anywhere else in a payload, and so does an item that is
-    not of type int in the ints of the Stamp it is built from.  A run of
+    not of type int in the ints of the Stamp it is built from, and a
+    Stamp whose ints are more or fewer than the holes.  A run of
     Stamps in a list is rendered one block of about cli.BLOCK_CHARS
     characters at a time."""
 

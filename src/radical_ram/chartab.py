@@ -56,12 +56,6 @@ def subgroup_eq(a, b, G):
     return subgroup_normal_form(a, G) == subgroup_normal_form(b, G)
 
 
-def subgroup_contains(big, small, G):
-    """Whether `small` is a subgroup of `big` (as actual groups)."""
-    a, b = subgroup_normal_form(big, G), subgroup_normal_form(small, G)
-    return a.x >= b.x and a.y <= b.y
-
-
 def subgroup_intersect(a, b, G):
     return SubgroupDesc(min(a.x, b.x), min(max(a.y, b.y), G.r))
 
@@ -306,13 +300,13 @@ def character_json(row):
     }
 
 
-def character_samples(G):
+def character_samples(G, counts):
     """{(level, prim_degree): the character_json that every row of the
-    bucket shares, with HOLE for the twist's two ints}, over the census:
-    a row's kind and degree are set by its level."""
+    bucket shares, with HOLE for the twist's two ints}, over `counts`,
+    the census of G: a row's kind and degree are set by its level."""
     return {
         (k, t): character_json(("induced" if k else "linear", (HOLE, HOLE), level_degree(k, G.p), k, t))
-        for k, t in census(G)
+        for k, t in counts
     }
 
 

@@ -69,13 +69,14 @@ _HOLE_MARK = "\0"  # a HOLE in a sample's text: JSON text has no raw NUL
 
 
 def _stamp_template(sample, level):
-    """The %-template of a Stamp's sample at indent `level`: the sample's
-    canonical text, written by write_canonical itself, with each literal
-    % doubled and %d at each HOLE."""
+    """(template, holes): the %-template of a Stamp's sample at indent
+    `level`, the sample's canonical text, written by write_canonical
+    itself, with each literal % doubled and %d at each HOLE, and the
+    number of HOLEs."""
     parts = []
     write_canonical(sample, parts.append)
     text = "".join(parts)[:-1].replace("%", "%%").replace("\n", "\n" + _INDENT * level)
-    return text.replace(_HOLE_MARK, "%d")
+    return text.replace(_HOLE_MARK, "%d"), text.count(_HOLE_MARK)
 
 
 def write_canonical(obj, write):
@@ -86,8 +87,11 @@ def write_canonical(obj, write):
     Stamp is written as its sample with its ints in the holes.  A float
     or a dict key that is not a str fails ensure: canonical JSON holds
     neither.  So does a Stamp whose ints are not all of type int (a float
-    or a bool), but only the Stamp a sample's template is built from is
-    checked: later Stamps of the same sample are not checked again.
+    or a bool), or are more or fewer than its sample's holes.  The Stamp
+    a sample's template is built from is checked in full; a later Stamp
+    of the same sample only when % refuses its ints (a wrong count, or an
+    item %d cannot format), so a float or a bool there is written as %d
+    writes it.
 
     The walk is the stdlib encoder's, except that a Stamp is rendered
     from its sample's template, built once per sample and indent, and a
@@ -98,16 +102,33 @@ def write_canonical(obj, write):
     buf = []
     append = buf.append
     counted = size = 0
-    shapes = {}  # (id(sample), level): (template, sample); holding the sample keeps its id
+    shapes = {}  # (id(sample), level): (template, holes, sample); holding the sample keeps its id
+    known = shapes.get
+
+    def check(stamp, holes):
+        ensure(len(stamp.ints) == holes, "Stamp with {} ints for a sample with {} holes",
+               len(stamp.ints), holes)
+        bad = [i for i in stamp.ints if type(i) is not int]
+        ensure(not bad, "Stamp value {!r} in canonical JSON is not an int", *bad[:1])
 
     def shape(stamp, level):
-        key = id(stamp.sample), level
-        known = shapes.get(key)
-        if known is None:
-            bad = [i for i in stamp.ints if type(i) is not int]
-            ensure(not bad, "Stamp value {!r} in canonical JSON is not an int", *bad[:1])
-            known = shapes[key] = _stamp_template(stamp.sample, level), stamp.sample
-        return known
+        found = known((id(stamp.sample), level))
+        if found is None:
+            template, holes = _stamp_template(stamp.sample, level)
+            check(stamp, holes)
+            found = shapes[id(stamp.sample), level] = template, holes, stamp.sample
+        return found
+
+    def fill(stamps, level):
+        """Each Stamp's template % its ints.  Only a Stamp that does not
+        fit its template makes % raise TypeError, and then every Stamp of
+        the block is checked, so the misfit fails ensure."""
+        try:
+            return [(known((id(x.sample), level)) or shape(x, level))[0] % x.ints for x in stamps]
+        except TypeError:
+            for x in stamps:
+                check(x, shape(x, level)[1])
+            raise
 
     def spill():
         nonlocal counted, size
@@ -120,7 +141,7 @@ def write_canonical(obj, write):
 
     def encode(o, level):
         if type(o) is Stamp:
-            append(shape(o, level)[0] % o.ints)
+            append(fill([o], level)[0])
         elif isinstance(o, str):
             append(_quote(o))
         elif o is None:
@@ -138,15 +159,12 @@ def write_canonical(obj, write):
             inner = "\n" + _INDENT * (level + 1)
             opening = sep = "[" + inner
             comma = "," + inner
-            known = shapes.get
             for item in items:
                 block = [item]
                 if type(item) is Stamp:
                     block += islice(items, BLOCK_CHARS // len(shape(item, level + 1)[0]))
                     if set(map(type, block)) == {Stamp}:
-                        append(sep + comma.join([
-                            (known((id(x.sample), level + 1)) or shape(x, level + 1))[0] % x.ints
-                            for x in block]))
+                        append(sep + comma.join(fill(block, level + 1)))
                         sep = comma
                         spill()
                         continue
@@ -188,10 +206,6 @@ def canonical_json(obj):
 # analyze
 
 
-def _count_by_summary(G):
-    return [{"level": k, "prim_degree": t, "count": n} for (k, t), n in census(G).items()]
-
-
 def prime_block(gpd, characters):
     """One per-prime report block; the wild cases carry the filtrations,
     the character census and the conductor/discriminant data, with the
@@ -210,11 +224,12 @@ def prime_block(gpd, characters):
     }
     if ctx.case in (UNIT, EISENSTEIN):
         G = ctx.group()
+        counts = census(G)
         block["characters"] = {
             "class_count": class_count(G),
-            "count_by": _count_by_summary(G),
+            "count_by": [{"level": k, "prim_degree": t, "count": n} for (k, t), n in counts.items()],
         }
-        block["conductors"] = conductor_json(ctx, characters)
+        block["conductors"] = conductor_json(ctx, characters, counts)
     return block
 
 
@@ -441,7 +456,7 @@ def chartab_payload(G):
     fills its level's, which holds the level's coefficients, [0, 0] at
     each zero and a HOLE for each other exponent."""
     classes, n, coeffs, rows = chartab_values(G)
-    characters = character_samples(G)
+    characters = character_samples(G, census(G))
     levels = [[[c, HOLE] if c else [0, 0] for c in row] for row in coeffs]
     class_sample = dict.fromkeys(("alpha", "beta", "size", "u"), HOLE)
     return {

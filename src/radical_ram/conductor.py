@@ -16,6 +16,12 @@ Since c(chi) depends on (level, primitive degree) alone, the checked
 value is computed once per (level, primitive degree) bucket of the
 closed census chartab.census (bucket_conductor), and conductor_buckets
 is the one conductor table: a character's (c, f) is its bucket's.
+The null subgroup of bucket (k, t), C(p^(s-k)) x| G(p^r)^t, is the
+intersection of C(p^(s-k)) x| G(p^r) and C(p^s) x| G(p^r)^t, and a
+group escapes an intersection exactly when it escapes one of the two.
+So the definitional exponent is the larger of two one-coordinate
+tables (escape_breaks), filled in one pass over the filtration's steps:
+the route reads each step once, however many buckets there are.
 analyze's JSON streams one row per chartab.table_rows tuple, a Stamp of
 its bucket's row, (c, f) included, filled with its twist, and builds no
 Character.  verify builds the same buckets and checks the table rows'
@@ -35,8 +41,8 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import Rows, ensure, run_checks
-from .chartab import SubgroupDesc, bucket_stamps, census, census_mismatch, character_samples
-from .chartab import count_by, level_degree, subgroup_contains, table_rows
+from .chartab import bucket_stamps, census, census_mismatch, character_samples
+from .chartab import count_by, level_degree, subgroup_normal_form, table_rows
 from .ramfil import (
     EISENSTEIN,
     UNIT,
@@ -47,15 +53,44 @@ from .ramfil import (
 )
 
 
-def _c_definitional(gr, trivial, filt):
-    """Largest break b of the canonical upper filtration filt with G^b not
-    inside gr, a character's null subgroup; -1 for the trivial character."""
-    if trivial:
-        return Fraction(-1)
-    best = Fraction(-1)
+def escape_breaks(G, filt):
+    """The definitional route's two tables, (A, B), from one pass over the
+    steps of filt, the upper filtration of G:
+
+      A[k] (0 <= k <= s), the largest break whose group is not inside
+           C(p^(s-k)) x| G(p^r);
+      B[t] (0 <= t <= r), the largest break whose group is not inside
+           C(p^s) x| G(p^r)^t;
+
+    each -1 where no break qualifies.  Containment is componentwise on
+    normal forms (SubgroupDesc), so a step (x, y) escapes the first group
+    iff x > s - k and the second iff y < t: it is recorded at the least
+    such k and t, a later step (a larger break) overwriting an earlier
+    one, and a running maximum carries it to every larger k and t."""
+    ensure(filt.numbering == UPPER and filt.group == G)
+    s, r = G.s, G.r
+    A = [Fraction(-1)] * (s + 1)
+    B = [Fraction(-1)] * (r + 1)
     for b, h in filt.steps:
-        if not subgroup_contains(gr, h, filt.group):
-            best = max(best, b)
+        x, y = subgroup_normal_form(h, G)
+        if x > 0:
+            A[s + 1 - x] = b
+        if y < r:
+            B[y + 1] = b
+    for table in A, B:
+        for i in range(1, len(table)):
+            table[i] = max(table[i], table[i - 1])
+    return A, B
+
+
+def _c_definitional(tables, lev, pr):
+    """Largest break whose group is not inside the null subgroup
+    C(p^(s-lev)) x| G(p^r)^pr, read from escape_breaks' tables; -1 for
+    the trivial character's bucket (0, 0)."""
+    if (lev, pr) == (0, 0):
+        return Fraction(-1)
+    A, B = tables
+    best = max(A[lev], B[pr])
     ensure(best >= 0, "a nontrivial character must be detected by some break")
     return best
 
@@ -92,19 +127,15 @@ def _f_printed(case, p, lev, pr):
     return deg * (lev + 1) + p ** (lev - 1)
 
 
-def bucket_conductor(ctx, lev, pr, filt):
+def bucket_conductor(ctx, lev, pr, tables):
     """(c, f) shared by every character of level lev and primitive degree
-    pr, with the definitional exponent (on the null subgroup
-    C(p^(s-lev)) x| G(p^r)^pr, trivial iff (lev, pr) = (0, 0)) and the
-    closed exponent reconciled, and f checked integral and equal to its
-    printed form.
+    pr, with the definitional exponent (read from `tables`,
+    escape_breaks of ctx's upper filtration) and the closed exponent
+    reconciled, and f checked integral and equal to its printed form.
     Disagreement is an internal inconsistency (it would falsify either
     the filtration canonicalization or the closed conductor data), hence
     an AssertionError."""
-    ensure(ctx.case in (UNIT, EISENSTEIN))
-    G = ctx.group()
-    ensure(filt.numbering == UPPER and filt.group == G)
-    c_def = _c_definitional(SubgroupDesc(G.s - lev, pr), (lev, pr) == (0, 0), filt)
+    c_def = _c_definitional(tables, lev, pr)
     c_clo = _c_closed(ctx.case, ctx.p, lev, pr)
     ensure(c_def == c_clo, "conductor mismatch at p={0.p} r={0.r} s={0.s} {0.case}: "
            "definitional {1} != closed {2} for lev={3}, pr={4}", ctx, c_def, c_clo, lev, pr)
@@ -117,22 +148,28 @@ def bucket_conductor(ctx, lev, pr, filt):
     return c_clo, f_val
 
 
-def conductor_buckets(ctx):
-    """{(level, prim_degree): (c, f)} over the buckets of the census, in
-    (level, prim_degree) order."""
-    return {(k, t): bucket_conductor(ctx, k, t, ctx.upper) for k, t in census(ctx.group())}
+def conductor_buckets(ctx, counts=None):
+    """{(level, prim_degree): (c, f)} over the buckets of `counts`, the
+    census of ctx's group (built here when not given), in (level,
+    prim_degree) order."""
+    ensure(ctx.case in (UNIT, EISENSTEIN))
+    G = ctx.group()
+    tables = escape_breaks(G, ctx.upper)
+    return {(k, t): bucket_conductor(ctx, k, t, tables) for k, t in counts or census(G)}
 
 
 # ---------------------------------------------------------------------------
 # Discriminant valuations.
 
 
-def disc_vp_local_sum(ctx, buckets):
+def disc_vp_local_sum(ctx, buckets, counts=None):
     """Conductor-discriminant formula: v_p(d) = sum of deg(chi) * f(chi)
     over the characters, taken over conductor_buckets(ctx) with each
-    bucket weighted by its census count."""
+    bucket weighted by its count in `counts`, the census of ctx's group
+    (built here when not given)."""
     p = ctx.p
-    return sum(n * level_degree(k, p) * buckets[k, t][1] for (k, t), n in census(ctx.group()).items())
+    counts = counts or census(ctx.group())
+    return sum(n * level_degree(k, p) * buckets[k, t][1] for (k, t), n in counts.items())
 
 
 def disc_vp_local_closed(ctx):
@@ -241,14 +278,17 @@ def disc_vp_global(m, a, p):
 # JSON shape and the named self-checks.
 
 
-def conductor_json(ctx, characters=True):
+def conductor_json(ctx, characters=True, counts=None):
     """The discriminant cross-check, plus, when `characters` is set, the
     per-character conductor rows: a Rows stream of {character, c, f}, one
     per table_rows tuple in table order.  A row is a Stamp of its bucket's
     sample, which holds the bucket's (c, f), filled with its twist.
-    The rows' census is checked here, before anything is written."""
-    buckets = conductor_buckets(ctx)
-    sum_route = disc_vp_local_sum(ctx, buckets)
+    The rows' census is checked here, before anything is written.
+    `counts` is the census of ctx's group, built here when not given."""
+    G = ctx.group()
+    counts = counts or census(G)
+    buckets = conductor_buckets(ctx, counts)
+    sum_route = disc_vp_local_sum(ctx, buckets, counts)
     closed_route = disc_vp_local_closed(ctx)
     diff_route = different_sum(ctx.lower)
     out = {
@@ -260,14 +300,13 @@ def conductor_json(ctx, characters=True):
         },
     }
     if characters:
-        G = ctx.group()
         mismatch = census_mismatch(G, table_rows(G))
         ensure(mismatch is None, "character table against census at p={}: {}", ctx.p, mismatch)
         samples = {
             key: {"character": character, "c": frac_str(buckets[key][0]), "f": buckets[key][1]}
-            for key, character in character_samples(G).items()
+            for key, character in character_samples(G, counts).items()
         }
-        out["characters"] = Rows(sum(census(G).values()), lambda: bucket_stamps(table_rows(G), samples))
+        out["characters"] = Rows(sum(counts.values()), lambda: bucket_stamps(table_rows(G), samples))
     return out
 
 
@@ -277,19 +316,21 @@ def conductor_checks(ctx):
     The conductor buckets are built once for all three checks; the build
     reconciles the definitional and closed exponent of every bucket and
     checks f.  A build that raises is not cached, so each check that
-    needs the buckets tries again and reports its own fail row."""
-    buckets = cache(lambda: conductor_buckets(ctx))
+    needs the buckets tries again and reports its own fail row.  The
+    census is built once, for all three."""
+    G = ctx.group()
+    counts = census(G)
+    buckets = cache(lambda: conductor_buckets(ctx, counts))
 
     def two_routes():
         buckets()  # definitional == closed, and f, in every bucket
-        G = ctx.group()
         mismatch = census_mismatch(G, table_rows(G))
         if mismatch is not None:
             return False, f"character table against census: {mismatch}"
-        return True, f"{sum(census(G).values())} characters reconciled"
+        return True, f"{sum(counts.values())} characters reconciled"
 
     def three_routes():
-        a = disc_vp_local_sum(ctx, buckets())
+        a = disc_vp_local_sum(ctx, buckets(), counts)
         b = disc_vp_local_closed(ctx)
         c = different_sum(ctx.lower)
         return a == b == c, f"sum={a} closed={b} different={c}"
@@ -297,7 +338,7 @@ def conductor_checks(ctx):
     def subtotals():
         got = disc_subtotals(ctx)
         want = disc_subtotals_closed(ctx)
-        total_ok = sum(got.values()) == disc_vp_local_sum(ctx, buckets())
+        total_ok = sum(got.values()) == disc_vp_local_sum(ctx, buckets(), counts)
         return got == want and total_ok, f"{got}"
 
     return run_checks([

@@ -33,10 +33,11 @@ printed pairs are satisfied only by the trivial group.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .arith import compute_s, ensure, factorint, integer_nthroot, is_prime, run_checks, vp
 from .chartab import (
@@ -314,13 +315,12 @@ def canonicalize(G, numbering, entries):
 
 def value_at(filt, t):
     """Group of the filtration at index t (None encodes the trivial group
-    above the last break)."""
+    above the last break): the step of the first break >= t, found by
+    bisecting the sorted breaks."""
     t = Fraction(t)
     ensure(t >= 0)
-    for b, h in filt.steps:
-        if t <= b:
-            return h
-    return None
+    i = bisect_left(filt.steps, t, key=itemgetter(0))
+    return filt.steps[i][1] if i < len(filt.steps) else None
 
 
 def last_break(filt):

@@ -15,7 +15,10 @@ against them:
     conj);
   * the conjugation orbits as arrays of element indices
     (classes_bruteforce);
-  * the order of a filtration's group at an index (order_at).
+  * the order of a filtration's group at an index (order_at);
+  * a character's definitional conductor exponent, by one containment
+    test (subgroup_contains) of every step of the upper filtration in
+    its null subgroup (c_definitional_scan).
 
 None of it reads the closed-form values it is the reference for:
 value_table, class_exponents, exponent_row, exponent_rows, packed_rows
@@ -23,6 +26,7 @@ and the oracle's canonical pairs are not imported here (a test in
 test_cli.py keeps it so).
 """
 
+from fractions import Fraction
 from itertools import compress
 from operator import sub
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from radical_ram._kernels import orbit_roots
 from radical_ram.arith import DEFAULT_MAX_ORDER, discrete_log, ensure, unit_decomp
-from radical_ram.chartab import Character, induced_coefficient, table_rows, twist_order
+from radical_ram.chartab import Character, induced_coefficient, subgroup_normal_form, table_rows, twist_order
 from radical_ram.holomorph import HolomorphElement, class_count
 from radical_ram.oracle import _conj_perms, _radical_rows, admit
 from radical_ram.ramfil import _step_order, value_at
@@ -283,3 +287,24 @@ def order_at(filt, t):
     """The order of the filtration's group at index t."""
     h = value_at(filt, t)
     return 1 if h is None else _step_order(h, filt.group)
+
+
+def subgroup_contains(big, small, G):
+    """Whether `small` is a subgroup of `big` (as actual groups):
+    componentwise on normal forms."""
+    a, b = subgroup_normal_form(big, G), subgroup_normal_form(small, G)
+    return a.x >= b.x and a.y <= b.y
+
+
+def c_definitional_scan(gr, trivial, filt):
+    """Largest break b of the upper filtration filt with G^b not inside
+    gr, a character's null subgroup, one containment test per step; -1
+    for the trivial character."""
+    if trivial:
+        return Fraction(-1)
+    best = Fraction(-1)
+    for b, h in filt.steps:
+        if not subgroup_contains(gr, h, filt.group):
+            best = max(best, b)
+    ensure(best >= 0, "a nontrivial character must be detected by some break")
+    return best

@@ -18,7 +18,6 @@ from radical_ram.chartab import null_subgroup
 from radical_ram.cli import main as cli_main
 from radical_ram.conductor import (
     _c_closed,
-    _c_definitional,
     conductor_buckets,
     disc_vp_global,
     disc_vp_local_closed,
@@ -43,7 +42,7 @@ from radical_ram.ramfil import (
 )
 
 from helpers import eis_ctx, unit_ctx
-from reference import character_table, classes_bruteforce
+from reference import c_definitional_scan, character_table, classes_bruteforce
 
 TRIPLES = [(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
 
@@ -94,12 +93,14 @@ def test_criterion_4_conductor_two_routes():
     ok = True
     for ctx in wild_contexts():
         filt = upper_filtration(ctx)
+        buckets = conductor_buckets(ctx)
         for chi in character_table(ctx.group()):
-            c = _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
+            c = c_definitional_scan(null_subgroup(chi), chi.is_trivial(), filt)
             ok = ok and c == _c_closed(ctx.case, chi.group.p, chi.level, chi.prim_degree)
+            ok = ok and c == buckets[chi.level, chi.prim_degree][0]
             f = chi.degree * (1 + c)
             ok = ok and f.denominator == 1 and f >= 0
-    verdict(4, ok, "definitional == closed conductor exponent; f integral >= 0")
+    verdict(4, ok, "definitional scan == closed == conductor table exponent; f integral >= 0")
 
 
 def test_criterion_5_discriminant_triple_agreement():

@@ -229,6 +229,13 @@ REJECTED = {
     "stamp-float-int": ([Stamp([HOLE], (1.5,)), Stamp(HOLE, (True,))], "Stamp value 1.5 "),
     "stamp-bool-int": ([Stamp(HOLE, (True,)), Stamp([HOLE], (1.5,))], "Stamp value True "),
     "stamp-run-float-int": (lazy([Stamp(SAMPLE["twist"], (1, 0.5))] * 9), "Stamp value 0.5 "),
+    "stamp-too-many-ints": (Stamp({"a": HOLE}, (1, 2)), "Stamp with 2 ints for a sample with 1 holes"),
+    "stamp-too-few-ints": ([Stamp({"a": HOLE, "b": HOLE}, (1,))], "Stamp with 1 ints for a sample with 2 holes"),
+    "stamp-run-too-many-ints": (lazy([Stamp(SAMPLE["twist"], (i, -i)) for i in range(9)]
+                                     + [Stamp(SAMPLE["twist"], (1, 2, 3))]),
+                                "Stamp with 3 ints for a sample with 2 holes"),
+    "stamp-later-too-few-ints": ([Stamp(SAMPLE["twist"], (1, 2)), 5, Stamp(SAMPLE["twist"], (1,))],
+                                 "Stamp with 1 ints for a sample with 2 holes"),
 }
 
 
@@ -262,6 +269,16 @@ real = chartab.bucket_stamps
 conductor.bucket_stamps = lambda rows, samples: (
     chartab.Stamp(s.sample, (s.ints[0] + 0.5,) + s.ints[1:]) for s in real(rows, samples))
 """, "Stamp value 0.5 in canonical JSON is not an int"),
+    "stamp-extra-int": ("""
+real = chartab.bucket_stamps
+conductor.bucket_stamps = lambda rows, samples: (
+    chartab.Stamp(s.sample, s.ints + (0,)) for s in real(rows, samples))
+""", "Stamp with 3 ints for a sample with 2 holes"),
+    "stamp-missing-int": ("""
+real = chartab.bucket_stamps
+conductor.bucket_stamps = lambda rows, samples: (
+    chartab.Stamp(s.sample, s.ints[:1]) if s.ints[1] else s for s in real(rows, samples))
+""", "Stamp with 1 ints for a sample with 2 holes"),
 }
 
 
@@ -269,8 +286,8 @@ conductor.bucket_stamps = lambda rows, samples: (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_float_in_a_payload_exits_3(flags, plant, message):
     """analyze --json whose filtration, or the ints of whose conductor
-    rows, carry a float exits 3 with one line on stderr, with and
-    without python -O."""
+    rows, carry a float, or whose rows carry one int too many or too
+    few, exits 3 with one line on stderr, with and without python -O."""
     src = Path(radical_ram.__file__).parents[1]
     proc = subprocess.run([sys.executable, *flags, "-c", PLANTED_FLOAT.replace("{plant}", plant),
                            "analyze", "2", "9", "--json"],

@@ -28,7 +28,6 @@ from radical_ram.chartab import (
     null_subgroup,
     packed_rows,
     prim_degree,
-    subgroup_contains,
     subgroup_eq,
     subgroup_intersect,
     subgroup_order,
@@ -47,6 +46,7 @@ from reference import (
     char_value,
     character_table,
     linear_exponent,
+    subgroup_contains,
     zeta_order,
 )
 

@@ -137,8 +137,8 @@ def test_analyze_prime_flag_still_checks_every_prime(capsys, monkeypatch):
     printing 3's block."""
     real = cli.conductor_json
 
-    def corrupted(ctx, characters):
-        payload = real(ctx, characters)
+    def corrupted(ctx, characters, counts):
+        payload = real(ctx, characters, counts)
         if ctx.p == 5:
             payload["v_p_disc"]["agree"] = False
         return payload
@@ -168,8 +168,8 @@ def test_analyze_global_index_examples(capsys):
 def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
     real = cli.conductor_json
 
-    def corrupted(ctx, characters):
-        payload = real(ctx, characters)
+    def corrupted(ctx, characters, counts):
+        payload = real(ctx, characters, counts)
         payload["v_p_disc"]["agree"] = False
         return payload
 
@@ -785,11 +785,10 @@ raised = [
     raises(quotient_filtration, wild_context(3, 2, 2, UNIT, 0).upper, SubgroupDesc(0, 1)),
 ]
 
-def subgroup_contains(big, small, G):  # y compared strictly: a broken containment test
-    a, b = subgroup_normal_form(big, G), subgroup_normal_form(small, G)
-    return a.x >= b.x and a.y < b.y
+def subgroup_normal_form(sd, G):  # y read one lower: the strict-y containment test
+    return SubgroupDesc(sd.x, min(sd.y, G.r) - 1)
 
-conductor.subgroup_contains = subgroup_contains
+conductor.subgroup_normal_form = subgroup_normal_form
 runs = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
@@ -801,7 +800,10 @@ sys.stdout.write(json.dumps([raised, runs]))
 
 def test_cross_checks_fail_under_O():
     """Under python -O, preconditions still raise, and a broken
-    definitional conductor route still ends in exit 3."""
+    definitional conductor route still ends in exit 3.  The route reads
+    each step's normal form once and takes a step (x, y) to escape
+    C(p^s) x| G(p^r)^t iff y < t; reading y one lower makes that y <= t,
+    the containment test that compares y strictly."""
     src = Path(radical_ram.__file__).parents[1]
     argvs = [["verify", "--p", "3", "--r", "2"], ["analyze", "2", "9"]]
     proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O, json.dumps(argvs)],
@@ -1285,7 +1287,8 @@ def test_src_holds_one_route_to_a_character_value():
 def test_reference_reads_no_closed_form_it_checks():
     """tests/reference.py neither imports nor reads the closed-form values
     it is the reference for, nor the oracle's canonical pairs."""
-    closed = {"value_table", "class_exponents", "exponent_row", "exponent_rows", "packed_rows", "_canonical"}
+    closed = {"value_table", "class_exponents", "exponent_row", "exponent_rows", "packed_rows", "_canonical",
+              "escape_breaks", "conductor_buckets"}
     tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
     assert sorted(closed & _code_names(tree)) == []
 

@@ -12,7 +12,15 @@ from fractions import Fraction
 import pytest
 
 from radical_ram import chartab, conductor, ramfil
-from radical_ram.chartab import census_mismatch, character_json, count_by, null_subgroup, table_rows
+from radical_ram.chartab import (
+    SubgroupDesc,
+    census,
+    census_mismatch,
+    character_json,
+    count_by,
+    null_subgroup,
+    table_rows,
+)
 from radical_ram.conductor import (
     _c_closed,
     _c_definitional,
@@ -25,9 +33,12 @@ from radical_ram.conductor import (
     disc_vp_global,
     disc_vp_local_closed,
     disc_vp_local_sum,
+    escape_breaks,
 )
 from radical_ram.ramfil import (
     UNIT,
+    UPPER,
+    Filtration,
     PrimeLocalContext,
     classify_prime,
     different_sum,
@@ -38,7 +49,7 @@ from radical_ram.ramfil import (
 )
 
 from helpers import eis_ctx, materialised, unit_ctx
-from reference import character_table
+from reference import c_definitional_scan, character_table
 
 
 ALL_WILD = [unit_ctx(p, r, s) for p in (3, 5, 7) for r in (1, 2, 3) for s in range(r + 1)]
@@ -118,12 +129,81 @@ def test_f_multiset_pinned():
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
 def test_two_routes_explicit(ctx):
-    """Definitional (filtration-escape) route == closed route, compared
+    """The reference's per-character scan of the filtration, the closed
+    route and the conductor table agree on every character, compared
     here rather than trusting the module's internal assert."""
     filt = upper_filtration(ctx)
+    buckets = conductor_buckets(ctx)
     for chi in character_table(ctx.group()):
-        c_def = _c_definitional(null_subgroup(chi), chi.is_trivial(), filt)
+        c_def = c_definitional_scan(null_subgroup(chi), chi.is_trivial(), filt)
         assert c_def == _c_closed(ctx.case, chi.group.p, chi.level, chi.prim_degree)
+        assert c_def == buckets[chi.level, chi.prim_degree][0]
+
+
+def _moved_breaks(filt, p):
+    """Each break of filt moved by -1/(p-1) or +1/(p-1), one at a time,
+    where it stays >= 0."""
+    for i, (b, h) in enumerate(filt.steps):
+        for db in (Fraction(-1, p - 1), Fraction(1, p - 1)):
+            if b + db >= 0:
+                yield filt.steps[:i] + ((b + db, h),) + filt.steps[i + 1:]
+
+
+def _moved_groups(filt):
+    """Each step's group replaced by one of its neighbouring descriptors,
+    x or y one away, one at a time."""
+    for i, (b, h) in enumerate(filt.steps):
+        for x, y in ((h.x - 1, h.y), (h.x + 1, h.y), (h.x, h.y - 1), (h.x, h.y + 1)):
+            if x >= 0 and y >= 0:
+                yield filt.steps[:i] + ((b, SubgroupDesc(x, y)),) + filt.steps[i + 1:]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError:
+        return "no break detects it"
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
+def test_swept_exponents_equal_the_scan_on_perturbed_filtrations(ctx):
+    """On upper filtrations with one break moved by 1/(p-1) or one group
+    moved to a neighbouring descriptor, the one-pass tables give every
+    bucket the exponent the per-character scan gives its null subgroup:
+    the sweep detects exactly what the scan detects, wherever it is
+    wrong."""
+    G = ctx.group()
+    up = ctx.upper
+    variants = [*_moved_breaks(up, ctx.p), *_moved_groups(up)]
+    assert variants
+    for steps in variants:
+        filt = Filtration(G, UPPER, steps)
+        tables = escape_breaks(G, filt)
+        for k, t in census(G):
+            want = _outcome(c_definitional_scan, SubgroupDesc(G.s - k, t), (k, t) == (0, 0), filt)
+            assert _outcome(_c_definitional, tables, k, t) == want, (steps, k, t)
+
+
+def test_conductor_table_reads_each_step_once(monkeypatch):
+    """The definitional route reads one normal form per filtration step,
+    not one containment test per (step, bucket): 80 reads for the 861
+    buckets of (3, 40, 40)."""
+    ctx = unit_ctx(3, 40, 40)
+    steps = len(ctx.upper.steps)
+    assert (steps, len(census(ctx.group()))) == (80, 861)
+    reads = []
+
+    def counted(real):
+        def normal_form(sd, G):
+            reads.append(sd)
+            return real(sd, G)
+        return normal_form
+
+    monkeypatch.setattr(chartab, "subgroup_normal_form", counted(chartab.subgroup_normal_form))
+    monkeypatch.setattr(conductor, "subgroup_normal_form", counted(conductor.subgroup_normal_form))
+    buckets = conductor_buckets(ctx)
+    assert len(buckets) == 861
+    assert 0 < len(reads) <= steps
 
 
 @pytest.mark.parametrize("ctx", ALL_WILD, ids=WILD_IDS)
@@ -267,15 +347,20 @@ def test_records_equal_their_buckets(ctx):
 
 def test_bucket_conductor_trivial_only_at_level_and_degree_zero():
     ctx = unit_ctx(3, 2, 1)
-    filt = upper_filtration(ctx)
-    assert bucket_conductor(ctx, 0, 0, filt) == (Fraction(-1), 0)
-    assert bucket_conductor(ctx, 0, 1, filt) == (Fraction(0), 1)
-    assert bucket_conductor(ctx, 1, 1, filt) == (Fraction(1, 2), 3)
+    tables = escape_breaks(ctx.group(), upper_filtration(ctx))
+    assert bucket_conductor(ctx, 0, 0, tables) == (Fraction(-1), 0)
+    assert bucket_conductor(ctx, 0, 1, tables) == (Fraction(0), 1)
+    assert bucket_conductor(ctx, 1, 1, tables) == (Fraction(1, 2), 3)
 
 
 def test_bucket_conductor_rejects_a_foreign_filtration():
+    """The definitional tables are read only from the group's own upper
+    filtration."""
+    ctx = unit_ctx(3, 1, 1)
     with pytest.raises(AssertionError):
-        bucket_conductor(unit_ctx(3, 1, 1), 0, 1, upper_filtration(unit_ctx(3, 2, 1)))
+        escape_breaks(ctx.group(), upper_filtration(unit_ctx(3, 2, 1)))
+    with pytest.raises(AssertionError):
+        escape_breaks(ctx.group(), ctx.lower)
 
 
 def test_census_mismatch_names_the_bucket():
@@ -405,9 +490,9 @@ def test_conductor_checks_build_the_table_once(monkeypatch):
     calls = []
     real = conductor.conductor_buckets
 
-    def counted(ctx):
+    def counted(ctx, counts=None):
         calls.append(ctx)
-        return real(ctx)
+        return real(ctx, counts)
 
     ctx = unit_ctx(3, 2, 1)
     clean = conductor_checks(ctx)
@@ -419,7 +504,7 @@ def test_conductor_checks_build_the_table_once(monkeypatch):
 def test_conductor_checks_table_failure_fails_every_row(monkeypatch):
     calls = []
 
-    def broken(ctx):
+    def broken(ctx, counts=None):
         calls.append(ctx)
         raise AssertionError("conductor mismatch")
 

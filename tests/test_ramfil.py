@@ -582,6 +582,31 @@ def test_canonicalize_rejects_fractional_lower_break():
         canonicalize(G, LOWER, [(F(1, 2), SubgroupDesc(1, 1))])
 
 
+TAME_CONTEXTS = [classify_prime(p, m, a) for p, m, a in ((2, 9, 2), (2, 5, 4), (7, 15, 7), (2, 27, 2))]
+
+
+def _scanned_value(filt, t):
+    """The group at index t by walking the steps: the first break >= t."""
+    for b, h in filt.steps:
+        if t <= b:
+            return h
+    return None
+
+
+@pytest.mark.parametrize("ctx", ALL_WILD + TAME_CONTEXTS, ids=lambda c: f"{c.case[:4]}-{c.p}-{c.r}-{c.s}-{c.e}")
+def test_value_at_equals_a_scan_of_the_steps(ctx):
+    """value_at bisects the breaks; a linear walk gives the same group at
+    0, at each break, between breaks and past the last break, in both
+    numberings."""
+    for filt in ctx.upper, ctx.lower:
+        breaks = [b for b, _ in filt.steps]
+        assert breaks
+        points = {F(0), breaks[-1] + F(1, 7), breaks[-1] + 1, *breaks}
+        points |= {(a + b) / 2 for a, b in zip(breaks, breaks[1:])}
+        for t in sorted(points):
+            assert value_at(filt, t) == _scanned_value(filt, t), (filt.numbering, t)
+
+
 def test_value_at_step_semantics():
     up = upper_filtration(unit_ctx(3, 2, 2))
     assert (value_at(up, F(1, 2)).x, value_at(up, F(1, 2)).y) == (2, 1)
