@@ -70,14 +70,6 @@ class Character(namedtuple("Character", "group kind twist degree level prim_degr
 
     __slots__ = ()
 
-    def is_trivial(self):
-        return self.kind == "linear" and self.twist == (0, 0)
-
-    @property
-    def row(self):
-        """The (kind, twist, degree, level, prim_degree) tuple of table_rows."""
-        return (self.kind, self.twist, self.degree, self.level, self.prim_degree)
-
 
 def twist_order(G):
     """phi(p^r): the order of the root-of-unity group the twists live in."""
@@ -288,7 +280,8 @@ def value_table(G):
 
 
 def character_json(row):
-    """The JSON object of one table_rows tuple (a Character's is its .row)."""
+    """The JSON object of one table_rows tuple (a Character's is chi[1:],
+    its fields after the group)."""
     kind, twist, degree, level, prim = row
     return {
         "kind": kind,

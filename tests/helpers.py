@@ -12,7 +12,7 @@ import pytest
 
 from radical_ram.arith import HOLE, Rows, Stamp, unit_decomp, vp
 from radical_ram.holomorph import GroupDesc, HolomorphElement, element
-from radical_ram.ramfil import EISENSTEIN, LOWER, UNIT, Filtration, _step_order, wild_context
+from radical_ram.ramfil import EISENSTEIN, LOWER, TAME, UNIT, Filtration, _step_order, wild_context
 
 from reference import conj, order_at
 
@@ -25,6 +25,14 @@ RADICAL_RINGS = sorted({n for p in (3, 5, 7, 11, 13) for r in range(1, 8)
 
 # (p, r, s) that name no group: p not an odd prime, r < 1, or s outside [0, r]
 BAD_GROUPS = [(9, 1, 0), (4, 1, 0), (2, 1, 0), (1, 1, 0), (15, 2, 1), (3, 0, 0), (3, 1, 2), (3, 2, -1)]
+
+# (p, r, s, case, e) that name no wild context
+BAD_WILD_CONTEXTS = [
+    (3, 2, 1, EISENSTEIN, 1),  # Eisenstein needs s = r
+    (3, 1, 1, TAME, 0),  # not a wild case
+    (9, 1, 1, UNIT, 0),  # p not prime
+    (3, 1, 2, UNIT, 0),  # s > r
+]
 
 
 def unit_ctx(p, r, s):

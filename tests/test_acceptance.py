@@ -95,7 +95,7 @@ def test_criterion_4_conductor_two_routes():
         filt = upper_filtration(ctx)
         buckets = conductor_buckets(ctx)
         for chi in character_table(ctx.group()):
-            c = c_definitional_scan(null_subgroup(chi), chi.is_trivial(), filt)
+            c = c_definitional_scan(null_subgroup(chi), (chi.kind, chi.twist) == ("linear", (0, 0)), filt)
             ok = ok and c == _c_closed(ctx.case, chi.group.p, chi.level, chi.prim_degree)
             ok = ok and c == buckets[chi.level, chi.prim_degree][0]
             f = chi.degree * (1 + c)

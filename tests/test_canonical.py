@@ -10,20 +10,16 @@ payload, fails ensure instead: exit 3 from cli.main.
 
 import contextlib
 import json
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import chain, repeat
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 from helpers import assert_same_text, materialised
-import radical_ram
 from radical_ram import cli
 from radical_ram.arith import HOLE, Rows, Stamp
 from radical_ram.holomorph import GroupDesc
@@ -249,51 +245,22 @@ def test_write_canonical_rejects_floats_and_non_str_keys(obj, message):
             written(obj)
 
 
-PLANTED_FLOAT = """
-import contextlib, io, json, sys
-from radical_ram import chartab, cli, conductor
-
-{plant}
-err = io.StringIO()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-    code = cli.main(sys.argv[1:])
-sys.stdout.write(json.dumps([code, err.getvalue()]))
-"""
-PLANTS = {
-    "filtration": ("""
-real = cli.filtration_json
-cli.filtration_json = lambda filt: {**real(filt), "x": 0.5}
-""", "float 0.5 in canonical JSON"),
-    "stamp-ints": ("""
-real = chartab.bucket_stamps
-conductor.bucket_stamps = lambda rows, samples: (
-    chartab.Stamp(s.sample, (s.ints[0] + 0.5,) + s.ints[1:]) for s in real(rows, samples))
-""", "Stamp value 0.5 in canonical JSON is not an int"),
-    "stamp-extra-int": ("""
-real = chartab.bucket_stamps
-conductor.bucket_stamps = lambda rows, samples: (
-    chartab.Stamp(s.sample, s.ints + (0,)) for s in real(rows, samples))
-""", "Stamp with 3 ints for a sample with 2 holes"),
-    "stamp-missing-int": ("""
-real = chartab.bucket_stamps
-conductor.bucket_stamps = lambda rows, samples: (
-    chartab.Stamp(s.sample, s.ints[:1]) if s.ints[1] else s for s in real(rows, samples))
-""", "Stamp with 1 ints for a sample with 2 holes"),
+FLOAT_MESSAGES = {
+    "filtration": "float 0.5 in canonical JSON",
+    "stamp-ints": "Stamp value 0.5 in canonical JSON is not an int",
+    "stamp-extra-int": "Stamp with 3 ints for a sample with 2 holes",
+    "stamp-missing-int": "Stamp with 1 ints for a sample with 2 holes",
 }
 
 
-@pytest.mark.parametrize("plant,message", PLANTS.values(), ids=PLANTS)
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_float_in_a_payload_exits_3(flags, plant, message):
+@pytest.mark.parametrize("plant,message", FLOAT_MESSAGES.items(), ids=FLOAT_MESSAGES)
+@pytest.mark.parametrize("flags", ["plain", "O"])
+def test_float_in_a_payload_exits_3(request, flags, plant, message):
     """analyze --json whose filtration, or the ints of whose conductor
     rows, carry a float, or whose rows carry one int too many or too
     few, exits 3 with one line on stderr, with and without python -O."""
-    src = Path(radical_ram.__file__).parents[1]
-    proc = subprocess.run([sys.executable, *flags, "-c", PLANTED_FLOAT.replace("{plant}", plant),
-                           "analyze", "2", "9", "--json"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    code, err = json.loads(proc.stdout)
+    name = f"float {plant}"
+    [(code, _, err)] = faults.run(name) if flags == "plain" else request.getfixturevalue("under_O")[name]
     assert (code, err) == (3, f"internal inconsistency: {message}\n")
 
 

@@ -19,20 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radical_ram
-from radical_ram import arith, chartab, cli, conductor, oracle, ramfil
+from radical_ram import arith, chartab, cli, conductor, oracle
 from radical_ram.chartab import character_json
 from radical_ram.cli import main
 from radical_ram.holomorph import GroupDesc, all_classes
 
-from helpers import (
-    CELL_GRID,
-    ROW_FAULTS,
-    faulty_table_rows,
-    off_by_one_prim_degree,
-    perturbed_radical_rows,
-    planted_lower_filtration,
-    printed_value_fault,
-)
+import faults
+from faults import FAULT_ARGVS, PRIM_DEGREE_ARGVS
+from helpers import CELL_GRID, ROW_FAULTS
 from reference import char_coefficient, character_table, linear_exponent
 
 
@@ -165,39 +159,34 @@ def test_analyze_global_index_examples(capsys):
     assert "e_local = 54" in out
 
 
-def test_analyze_detects_internal_disagreement(capsys, monkeypatch):
-    real = cli.conductor_json
-
-    def corrupted(ctx, characters, counts):
-        payload = real(ctx, characters, counts)
-        payload["v_p_disc"]["agree"] = False
-        return payload
-
-    monkeypatch.setattr(cli, "conductor_json", corrupted)
-    code, _, err = run(capsys, "analyze", "2", "3")
+def test_analyze_detects_internal_disagreement(planted):
+    [(code, _, err)] = planted("analyze-disagreement")
     assert code == 3
     assert "internal inconsistency" in err
 
 
-def test_analyze_derives_each_prime_once(capsys, monkeypatch):
+test_analyze_detects_internal_disagreement_under_O = test_analyze_detects_internal_disagreement
+
+
+def test_analyze_derives_each_prime_once(capsys):
     """analyze 2 2401 has one tame prime (2) and one wild prime (7).  Each
     gets one upper and one lower filtration, the input is validated once,
     and factorint runs once on m, in validate, and once on |a|."""
     counts = {}
-    for name in ("upper_filtration", "lower_filtration", "validate", "factorint"):
-        real = getattr(ramfil, name)
 
-        def counted(*args, _name=name, _real=real):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args)
+    def counted(name):
+        def make(real):
+            def count(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+            return count
+        return faults.plant(f"ramfil.{name}", make)
 
-        for module in (ramfil, cli, conductor):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
-    for argv in (["analyze", "2", "2401"], ["analyze", "2", "2401", "--json"]):
-        counts.clear()
-        assert run(capsys, *argv)[0] == 0
-        assert counts == {"upper_filtration": 2, "lower_filtration": 2, "validate": 1, "factorint": 2}
+    with counted("upper_filtration"), counted("lower_filtration"), counted("validate"), counted("factorint"):
+        for argv in (["analyze", "2", "2401"], ["analyze", "2", "2401", "--json"]):
+            counts.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert counts == {"upper_filtration": 2, "lower_filtration": 2, "validate": 1, "factorint": 2}
 
 
 SEMIPRIME_45 = (10**22 + 9) * (3 * 10**22 + 29)  # two 23-digit prime factors
@@ -243,12 +232,14 @@ def test_every_subcommand_maps_exceptions_to_exit_codes(capsys, monkeypatch, arg
     assert run(capsys, *argv) == (code, "", err)
 
 
-def test_analyze_wrong_factorization_exits_3(capsys, monkeypatch):
+def test_analyze_wrong_factorization_exits_3(planted):
     """A split that does not divide is an internal inconsistency."""
-    monkeypatch.setattr(arith, "_rho_divisor", lambda c, budget: (1009, budget))
-    code, out, err = run(capsys, "analyze", "2", str(1000003 * 1000033))
+    [(code, out, err)] = planted("wrong-factorization")
     assert (code, out) == (3, "")
     assert err.startswith("internal inconsistency: factorint(")
+
+
+test_analyze_wrong_factorization_exits_3_under_O = test_analyze_wrong_factorization_exits_3
 
 
 def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
@@ -266,30 +257,16 @@ def test_text_analyze_builds_no_character_table(capsys, monkeypatch):
     assert run(capsys, "analyze", "2", "2401", "--json") == (0, json_out, "")
 
 
-def _census_moved(monkeypatch):
-    """count_by of (3,2,1) with one character moved from bucket (0, 2)
-    to bucket (0, 1), in chartab, the census's one home."""
-    real = chartab.count_by
-    small = GroupDesc(3, 2, 1)
-
-    def moved(k, t, G):
-        n = real(k, t, G)
-        if G == small and (k, t) == (0, 2):
-            return n - 1
-        if G == small and (k, t) == (0, 1):
-            return n + 1
-        return n
-
-    monkeypatch.setattr(chartab, "count_by", moved)
-
-
-def test_analyze_detects_a_census_moved_between_buckets(capsys, monkeypatch):
-    assert run(capsys, "analyze", "10", "9")[0] == 0  # 3 is UNIT with s = 1
-    _census_moved(monkeypatch)
-    code, _, err = run(capsys, "analyze", "10", "9")
+def test_analyze_detects_a_census_moved_between_buckets(planted):
+    """analyze 10 9, in text and JSON, with a character of (3,2,1) moved
+    between buckets of its census (3 is UNIT with s = 1)."""
+    *clean, (code, _, err), (json_code, _, json_err) = planted("census-moved analyze")
+    assert [run[0] for run in clean] == [0, 0]
     assert code == 3 and "internal inconsistency" in err
-    code, _, err = run(capsys, "analyze", "10", "9", "--json")
-    assert code == 3 and "internal inconsistency" in err
+    assert json_code == 3 and "internal inconsistency" in json_err
+
+
+test_analyze_detects_a_census_moved_between_buckets_under_O = test_analyze_detects_a_census_moved_between_buckets
 
 
 def _run_quiet(*argv):
@@ -481,39 +458,16 @@ def test_verify_assertion_in_oracle_check_is_a_fail_row(capsys, monkeypatch):
     assert all(rows[key] == clean[key] for key in others)
 
 
-def _negated_value_rows(capsys, monkeypatch, attr, fault):
-    """verify (3,2,·) at s = 1 with chartab.<attr> replaced by fault: the
-    exit code, the rows, and the rows of the clean run."""
-    argv = ("verify", "--p", "3", "--r", "2", "--s", "1", "--json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    clean = _verify_rows(out)
-    oracle._value_arrays.cache_clear()  # the clean run's tables must not serve the faulty one
-    monkeypatch.setattr(chartab, attr, fault)
-    code, out, _ = run(capsys, *argv)
-    rows = _verify_rows(out)
-    assert rows.keys() == clean.keys()
-    return code, rows, clean
-
-
-def test_verify_catches_one_negated_value(capsys, fresh_caches, monkeypatch):
+def test_verify_catches_one_negated_value(planted):
     """The values of the small group on its u = 7 classes turned into
     their negatives at twist (0, 1), by moving value_table's eb exponent
     there half a turn without flipping the sign, must fail the quotient
     lift at that twist.  The batched orthogonality engine reads the same
     table and fails too; every other check passes."""
-    small = GroupDesc(3, 2, 1)
-    real = chartab.class_exponents
-
-    def negated(G, classes):
-        ea, eb = real(G, classes)
-        if G == small:
-            m0 = chartab.twist_order(G)
-            eb = [(e + m0 // 2) % m0 if c.representative.u == 7 else e for c, e in zip(classes, eb)]
-        return ea, eb
-
-    code, rows, clean = _negated_value_rows(capsys, monkeypatch, "class_exponents", negated)
-    assert code == 3
+    (clean_code, clean_out, _), (code, out, _) = planted("negated-value")
+    assert (clean_code, code) == (0, 3)
+    clean, rows = _verify_rows(clean_out), _verify_rows(out)
+    assert rows.keys() == clean.keys()
     failed = rows[("oracle", "quotient_lift")]
     assert failed["status"] == "fail"
     assert failed["detail"] == {"k": 1, "twist": [0, 1], "class_key": [7, 0]}
@@ -523,38 +477,24 @@ def test_verify_catches_one_negated_value(capsys, fresh_caches, monkeypatch):
     assert all(rows[key] == clean[key] for key in rows if key not in hit)
 
 
-def test_verify_catches_a_census_moved_between_buckets(capsys, fresh_caches, monkeypatch):
-    _census_moved(monkeypatch)
-    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--s", "1", "--json")
+test_verify_catches_one_negated_value_under_O = test_verify_catches_one_negated_value
+
+
+def test_verify_catches_a_census_moved_between_buckets(planted):
+    [(code, out, _)] = planted("census-moved verify")
     assert code == 3
     row = _verify_rows(out)[("unit_checks", "conductor_two_routes")]
     assert row["status"] == "fail"
     assert "(level 0, prim_degree 1): 1 characters, census 2" in row["detail"]
 
 
-@pytest.fixture
-def fresh_caches():
-    """No table or oracle result cached from before or after a mutation."""
-    caches = (oracle.frobenius_induction_check, oracle._value_arrays, oracle._closed_class_index)
-    for fn in caches:
-        fn.cache_clear()
-    yield
-    for fn in caches:
-        fn.cache_clear()
+test_verify_catches_a_census_moved_between_buckets_under_O = test_verify_catches_a_census_moved_between_buckets
 
 
-@pytest.fixture
-def prim_degree_off_by_one(fresh_caches, monkeypatch):
-    """chartab.prim_degree off by one where p | b."""
-    monkeypatch.setattr(chartab, "prim_degree", off_by_one_prim_degree(chartab.prim_degree))
-
-
-def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch):
+def test_degree_square_sum_shows_sum_and_order(planted):
     """A level-1 degree one too large fails degree_square_sum with the
     sum and the order as its detail."""
-    real = chartab.level_degree
-    monkeypatch.setattr(chartab, "level_degree", lambda k, p: real(k, p) + (k == 1))
-    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "1", "--json")
+    [(code, out, _)] = planted("degree-square-sum")
     assert code == 3
     checks = {entry["group"]["s"]: {row["name"]: row for row in entry["oracle"]["checks"]}
               for entry in json.loads(out)["groups"]}
@@ -563,7 +503,9 @@ def test_degree_square_sum_shows_sum_and_order(capsys, fresh_caches, monkeypatch
                                               "detail": {"sum": 11, "order": 6}}
 
 
-PRINTED_VALUE_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+test_degree_square_sum_shows_sum_and_order_under_O = test_degree_square_sum_shows_sum_and_order
+
+
 # The oracle checks each fault fails, in a group of depth s; every other
 # check passes.  "abs" reaches row_orthogonality through the induced
 # levels only, and frobenius_induction through the coefficients.  "eb"
@@ -581,9 +523,12 @@ PRINTED_VALUE_REACH = {
 PRINTED_VALUE_FAULTS = list(PRINTED_VALUE_REACH)
 
 
-def _assert_printed_value_caught(name, code, out):
-    """verify exits 3 and fails exactly the checks the fault reaches, in
-    every group."""
+def _assert_printed_value_caught(name, runs):
+    """A wrong value in the table chartab prints changes what chartab
+    prints, and verify, which checks that same table, exits 3 and fails
+    exactly the checks the fault reaches, in every group."""
+    clean, clean_verify, faulty, (code, out, _) = runs
+    assert (clean[0], clean_verify[0], faulty[0]) == (0, 0, 0) and faulty[1] != clean[1]
     assert code == 3, name
     for entry in json.loads(out)["groups"]:
         failed = {row["name"] for row in entry["oracle"]["checks"] if row["status"] == "fail"}
@@ -591,52 +536,15 @@ def _assert_printed_value_caught(name, code, out):
 
 
 @pytest.mark.parametrize("name", PRINTED_VALUE_FAULTS)
-def test_verify_catches_a_wrong_printed_value(capsys, fresh_caches, monkeypatch, name):
-    """A wrong value in the table chartab prints changes what chartab
-    prints, and verify, which checks that same table, exits 3."""
-    clean = run(capsys, "chartab", "3", "2", "2", "--json")
-    monkeypatch.setattr(chartab, *printed_value_fault(name, chartab))
-    code, out, _ = run(capsys, "chartab", "3", "2", "2", "--json")
-    assert code == 0 and out != clean[1]
-    _assert_printed_value_caught(name, *run(capsys, *PRINTED_VALUE_ARGV)[:2])
+def test_verify_catches_a_wrong_printed_value(name):
+    _assert_printed_value_caught(name, faults.run(f"printed-value {name}"))
 
 
-PRINTED_VALUE_RUNS = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import chartab, oracle
-from radical_ram.cli import main
-from helpers import printed_value_fault
-argv, runs = json.loads(sys.argv[1]), []
-for name in json.loads(sys.argv[2]):
-    attr, fault = printed_value_fault(name, chartab)
-    real = getattr(chartab, attr)
-    setattr(chartab, attr, fault)
-    oracle.frobenius_induction_check.cache_clear()
-    oracle._value_arrays.cache_clear()
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        runs.append([main(argv), out.getvalue()])
-    setattr(chartab, attr, real)
-sys.stdout.write(json.dumps(runs))
-"""
+def test_verify_catches_a_wrong_printed_value_under_O(under_O):
+    for name in PRINTED_VALUE_FAULTS:
+        _assert_printed_value_caught(name, under_O[f"printed-value {name}"])
 
 
-def test_verify_catches_a_wrong_printed_value_under_O():
-    """The same faults under python -O, in one process."""
-    src = Path(radical_ram.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-O", "-c", PRINTED_VALUE_RUNS, json.dumps(PRINTED_VALUE_ARGV),
-                           json.dumps(PRINTED_VALUE_FAULTS)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert len(runs) == len(PRINTED_VALUE_FAULTS)
-    for name, (code, out) in zip(PRINTED_VALUE_FAULTS, runs):
-        _assert_printed_value_caught(name, code, out)
-
-
-RADICAL_FAULT_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
 # Per rad(n) table planted with one wrong entry, the one check that fails
 # in every group of p = 3, r = 2, with its detail: row orthogonality
 # reduces its bins in Z[zeta_6] through the table of 6, and the Frobenius
@@ -647,73 +555,39 @@ RADICAL_FAULTS = {
 }
 
 
-def _assert_radical_fault_caught(rad, code, out):
+def _assert_radical_fault_caught(rad, runs):
     """verify exits 3 and exactly the check that reduces through the
     planted table fails, in every group."""
+    [(code, out, _)] = runs
     assert code == 3
     for entry in json.loads(out)["groups"]:
         failed = {row["name"]: row["detail"] for row in cli._iter_check_rows(entry) if row["status"] == "fail"}
         assert failed == RADICAL_FAULTS[rad], (rad, entry["group"])
 
 
-def _verify_with_radical_fault(capsys, monkeypatch, rad):
-    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(oracle._radical_rows, rad))
-    _assert_radical_fault_caught(rad, *run(capsys, *RADICAL_FAULT_ARGV)[:2])
-
-
-def test_verify_catches_one_wrong_entry_of_the_radical_table(capsys, fresh_caches, monkeypatch):
+def test_verify_catches_one_wrong_entry_of_the_radical_table():
     """One entry of the small rad(n) = 6 reduction table one off fails
     row orthogonality: the reduction through the radical is not a vacuous
     pass."""
-    _verify_with_radical_fault(capsys, monkeypatch, 6)
+    _assert_radical_fault_caught(6, faults.run("radical 6"))
 
 
-def test_verify_catches_one_wrong_entry_of_the_frobenius_radical_table(capsys, fresh_caches, monkeypatch):
+def test_verify_catches_one_wrong_entry_of_the_frobenius_radical_table():
     """One entry of the rad(p^r) = p table one off fails the Frobenius
     check, whose sums live in Z[zeta_(p^r)]."""
-    _verify_with_radical_fault(capsys, monkeypatch, 3)
+    _assert_radical_fault_caught(3, faults.run("radical 3"))
 
 
-RADICAL_FAULT_RUNS = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import oracle
-from radical_ram.cli import main
-from helpers import perturbed_radical_rows
-real, runs = oracle._radical_rows, []
-for rad in json.loads(sys.argv[2]):
-    oracle._radical_rows = perturbed_radical_rows(real, rad)
-    oracle.frobenius_induction_check.cache_clear()
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        runs.append([main(json.loads(sys.argv[1])), out.getvalue()])
-sys.stdout.write(json.dumps(runs))
-"""
+def test_verify_catches_one_wrong_entry_of_the_radical_table_under_O(under_O):
+    for rad in RADICAL_FAULTS:
+        _assert_radical_fault_caught(rad, under_O[f"radical {rad}"])
 
 
-def test_verify_catches_one_wrong_entry_of_the_radical_table_under_O():
-    """Both planted entries under python -O, in one process."""
-    src = Path(radical_ram.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    rads = list(RADICAL_FAULTS)
-    proc = subprocess.run([sys.executable, "-O", "-c", RADICAL_FAULT_RUNS, json.dumps(RADICAL_FAULT_ARGV),
-                           json.dumps(rads)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert len(runs) == len(rads)
-    for rad, (code, out) in zip(rads, runs):
-        _assert_radical_fault_caught(rad, code, out)
-
-
-PRIM_DEGREE_ARGVS = [
-    ["verify", "--p", "3", "--r", "3", "--s", "1", "--json"],
-    ["analyze", "2", "27", "--json"],
-    ["chartab", "3", "3", "1", "--json"],
-]
-
-
-def _assert_prim_degree_caught(argv, code, out):
+def _assert_prim_degree_caught(argv, runs):
+    """verify's elementwise null-subgroup scan and the census checks of
+    analyze --json and chartab each catch a closed-form primitive degree
+    that is off by one where p | b."""
+    [(code, out, _)] = runs
     assert code == 3
     if argv[0] == "verify":
         assert _verify_rows(out)[("oracle", "null_subgroup_scan")]["status"] == "fail"
@@ -722,144 +596,42 @@ def _assert_prim_degree_caught(argv, code, out):
 
 
 @pytest.mark.parametrize("argv", PRIM_DEGREE_ARGVS)
-def test_wrong_prim_degree_is_caught(capsys, prim_degree_off_by_one, argv):
-    """verify's elementwise null-subgroup scan and the census checks of
-    analyze --json and chartab each catch a closed-form primitive degree
-    that is off by one."""
-    code, out, _ = run(capsys, *argv)
-    _assert_prim_degree_caught(argv, code, out)
+def test_wrong_prim_degree_is_caught(argv):
+    _assert_prim_degree_caught(argv, faults.run("prim-degree " + " ".join(argv)))
 
 
-MUTATED_RUNS = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import chartab
-from radical_ram.cli import main
-from helpers import off_by_one_prim_degree
-chartab.prim_degree = off_by_one_prim_degree(chartab.prim_degree)
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        runs.append([main(argv), out.getvalue()])
-sys.stdout.write(json.dumps(runs))
-"""
+def test_wrong_prim_degree_is_caught_under_O(under_O):
+    for argv in PRIM_DEGREE_ARGVS:
+        _assert_prim_degree_caught(argv, under_O["prim-degree " + " ".join(argv)])
 
 
-def test_wrong_prim_degree_is_caught_under_O():
-    """The same mutation under `python -O`, in one process for all three
-    runs, which share one start-up and one warm-up of the caches."""
-    src = Path(radical_ram.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-O", "-c", MUTATED_RUNS, json.dumps(PRIM_DEGREE_ARGVS)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert len(runs) == len(PRIM_DEGREE_ARGVS)
-    for argv, (code, out) in zip(PRIM_DEGREE_ARGVS, runs):
-        _assert_prim_degree_caught(argv, code, out)
-
-
-CHECKS_UNDER_O = """
-import contextlib, io, json, sys
-from fractions import Fraction
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import conductor
-from radical_ram.chartab import SubgroupDesc, subgroup_normal_form
-from radical_ram.cli import main
-from radical_ram.holomorph import GroupDesc
-from radical_ram.ramfil import LOWER, UNIT, canonicalize, quotient_filtration, wild_context
-
-def raises(fn, *args):
-    try:
-        fn(*args)
-    except AssertionError:
-        return True
-    return False
-
-raised = [
-    raises(conductor.disc_vp_global, 15, 2, 3),
-    raises(canonicalize, GroupDesc(3, 1, 1), LOWER, [(Fraction(1, 2), SubgroupDesc(1, 1))]),
-    raises(quotient_filtration, wild_context(3, 2, 2, UNIT, 0).upper, SubgroupDesc(0, 1)),
-]
-
-def subgroup_normal_form(sd, G):  # y read one lower: the strict-y containment test
-    return SubgroupDesc(sd.x, min(sd.y, G.r) - 1)
-
-conductor.subgroup_normal_form = subgroup_normal_form
-runs = []
-for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        runs.append([main(argv), err.getvalue()])
-sys.stdout.write(json.dumps([raised, runs]))
-"""
-
-
-def test_cross_checks_fail_under_O():
-    """Under python -O, preconditions still raise, and a broken
-    definitional conductor route still ends in exit 3.  The route reads
-    each step's normal form once and takes a step (x, y) to escape
-    C(p^s) x| G(p^r)^t iff y < t; reading y one lower makes that y <= t,
-    the containment test that compares y strictly."""
-    src = Path(radical_ram.__file__).parents[1]
-    argvs = [["verify", "--p", "3", "--r", "2"], ["analyze", "2", "9"]]
-    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O, json.dumps(argvs)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    raised, ((verify_code, _), (analyze_code, analyze_err)) = json.loads(proc.stdout)
-    assert raised == [True, True, True]
+def test_cross_checks_fail(planted):
+    """Preconditions raise, and a broken definitional conductor route
+    ends in exit 3.  The route reads each step's normal form once and
+    takes a step (x, y) to escape C(p^s) x| G(p^r)^t iff y < t; reading y
+    one lower makes that y <= t, the containment test that compares y
+    strictly."""
+    assert [exc[0] for exc in planted("preconditions")] == ["AssertionError"] * 3
+    (verify_code, _, _), (analyze_code, _, analyze_err) = planted("strict-y")
     assert (verify_code, analyze_code) == (3, 3)
     assert analyze_err.startswith("internal inconsistency: conductor mismatch")
 
 
-MOVED_BREAK_ARGV = ["verify", "--p", "3", "--r", "2", "--json"]
+test_cross_checks_fail_under_O = test_cross_checks_fail
 
 
-def _assert_moved_break_caught(code, out):
-    """verify exits 3 and the herbrand_roundtrip row of every wild context
-    fails: unit s = 0, 1, 2 and Eisenstein s = 2."""
+def test_verify_catches_a_lower_break_moved_by_one(planted):
+    """With every lower filtration's last break one too large, verify
+    exits 3 and the herbrand_roundtrip row of every wild context fails:
+    unit s = 0, 1, 2 and Eisenstein s = 2."""
+    [(code, out, _)] = planted("moved-break")
     assert code == 3
     rows = [row for entry in json.loads(out)["groups"] for row in cli._iter_check_rows(entry)
             if row["name"] == "herbrand_roundtrip"]
     assert [row["status"] for row in rows] == ["fail"] * 4
 
 
-def test_verify_catches_a_lower_break_moved_by_one(capsys, monkeypatch):
-    """Every lower filtration with its last break one too large: the
-    round trip through the Herbrand tables fails."""
-    monkeypatch.setattr(ramfil, "lower_filtration", planted_lower_filtration(ramfil.lower_filtration))
-    _assert_moved_break_caught(*run(capsys, *MOVED_BREAK_ARGV)[:2])
-
-
-MOVED_BREAK_RUN = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import ramfil
-from radical_ram.cli import main
-from helpers import planted_lower_filtration
-ramfil.lower_filtration = planted_lower_filtration(ramfil.lower_filtration)
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-sys.stdout.write(json.dumps([code, out.getvalue()]))
-"""
-
-
-def test_verify_catches_a_lower_break_moved_by_one_under_O():
-    """The same planted filtrations under python -O."""
-    src = Path(radical_ram.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-O", "-c", MOVED_BREAK_RUN, json.dumps(MOVED_BREAK_ARGV)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    _assert_moved_break_caught(*json.loads(proc.stdout))
-
-
-PRINTED_F_ARGVS = [["verify", "--p", "3", "--r", "2", "--json"], ["analyze", "2", "9"]]
+test_verify_catches_a_lower_break_moved_by_one_under_O = test_verify_catches_a_lower_break_moved_by_one
 
 
 def _assert_printed_f_caught(runs):
@@ -879,69 +651,28 @@ def _assert_printed_f_caught(runs):
                            "deg * (1 + c) = 0 != printed 1 for lev=0, pr=0\n")
 
 
-def test_printed_conductor_off_by_one_is_caught(capsys, monkeypatch):
-    real = conductor._f_printed
-    monkeypatch.setattr(conductor, "_f_printed", lambda *args: real(*args) + 1)
-    _assert_printed_f_caught([run(capsys, *argv) for argv in PRINTED_F_ARGVS])
+def test_printed_conductor_off_by_one_is_caught():
+    _assert_printed_f_caught(faults.run("printed-f"))
 
 
-CONDUCTOR_MUTATIONS_UNDER_O = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import conductor
-from radical_ram.cli import main
-
-closed, printed = conductor.disc_vp_local_closed, conductor._f_printed
-conductor.disc_vp_local_closed = lambda ctx: closed(ctx) + 1
-try:
-    conductor.disc_vp_global(9, 10, 3)
-    message = None
-except AssertionError as exc:
-    message = str(exc)
-conductor.disc_vp_local_closed = closed
-conductor._f_printed = lambda *args: printed(*args) + 1
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        runs.append([main(argv), out.getvalue(), err.getvalue()])
-sys.stdout.write(json.dumps([message, runs]))
-"""
+def test_conductor_mutations_are_caught_under_O(under_O):
+    """A shifted local closed form fails disc_vp_global's two global
+    routes, and a printed f off by one fails verify and analyze."""
+    message = "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
+    assert under_O["closed-shifted"] == [["AssertionError", message]]
+    _assert_printed_f_caught(under_O["printed-f"])
 
 
-def test_conductor_mutations_are_caught_under_O():
-    """Under python -O, a shifted local closed form still fails
-    disc_vp_global's two global routes, and a printed f off by one still
-    fails verify and analyze."""
-    src = Path(radical_ram.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-O", "-c", CONDUCTOR_MUTATIONS_UNDER_O, json.dumps(PRINTED_F_ARGVS)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    message, runs = json.loads(proc.stdout)
-    assert message == "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
-    _assert_printed_f_caught(runs)
-
-
-def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):
+def test_verify_other_exception_in_a_check_is_a_fail_row(planted):
     """A non-assertion exception inside a check is that check's fail row,
     named by its type; the report is still printed."""
-    argv = ("verify", "--p", "3", "--r", "1", "--json")
+    (clean_code, clean_out, _), (code, out, _) = planted("other-exception")
+    assert (clean_code, code) == (0, 3)
 
     def all_rows(out):
         return [row for entry in json.loads(out)["groups"] for row in cli._iter_check_rows(entry)]
 
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    clean = all_rows(out)
-
-    def broken(ctx):
-        raise ValueError("no closed subtotals")
-
-    monkeypatch.setattr(conductor, "disc_subtotals_closed", broken)
-    code, out, _ = run(capsys, *argv)
-    assert code == 3
-    rows = all_rows(out)
+    clean, rows = all_rows(clean_out), all_rows(out)
     assert len(rows) == len(clean)
     hit = 0
     for row, before in zip(rows, clean):
@@ -955,6 +686,9 @@ def test_verify_other_exception_in_a_check_is_a_fail_row(capsys, monkeypatch):
         else:
             assert row == before
     assert hit == 3  # unit checks of (3,1,0) and (3,1,1), Eisenstein of (3,1,1)
+
+
+test_verify_other_exception_in_a_check_is_a_fail_row_under_O = test_verify_other_exception_in_a_check_is_a_fail_row
 
 
 def test_verify_usage_errors(capsys):
@@ -1038,7 +772,7 @@ def test_chartab_json_cells_match_the_characters(capsys, p, r, s):
     assert payload["classes"] == [
         {"u": cls.representative.u, "beta": cls.beta, "alpha": cls.alpha, "size": cls.size} for cls in classes
     ]
-    assert payload["characters"] == [character_json(chi.row) for chi in table]
+    assert payload["characters"] == [character_json(chi[1:]) for chi in table]
     assert len(payload["values"]) == len(table)
     for chi, row in zip(table, payload["values"]):
         want = []
@@ -1048,24 +782,16 @@ def test_chartab_json_cells_match_the_characters(capsys, p, r, s):
         assert row == want, chi
 
 
-def test_chartab_characters_outside_the_census_exit_3(capsys, monkeypatch):
+def test_chartab_characters_outside_the_census_exit_3(planted):
     """A streamed row whose bucket has no template fails as outside the
     census: the census pass sees the clean table, the stream one row
     more, in a bucket the census does not have."""
-    real = chartab.table_rows
-    calls = []
-
-    def with_stray(G):
-        calls.append(G)
-        yield from real(G)
-        if len(calls) > 1:
-            yield ("induced", (0, 0), 2, 1, G.r + 1)
-
-    monkeypatch.setattr(chartab, "table_rows", with_stray)
-    monkeypatch.setattr(cli, "table_rows", with_stray)
-    code, _, err = run(capsys, "chartab", "3", "2", "1", "--json")
+    [(code, _, err)] = planted("stray-row")
     assert code == 3
     assert err == "internal inconsistency: character ('induced', (0, 0), 2, 1, 3) outside the census\n"
+
+
+test_chartab_characters_outside_the_census_exit_3_under_O = test_chartab_characters_outside_the_census_exit_3
 
 
 def readme_blocks():
@@ -1102,11 +828,12 @@ def test_readme_python_blocks_run(capsys):
         assert capsys.readouterr().out
 
 
-FAULT_ARGVS = [["chartab", "3", "2", "1", "--json"], ["chartab", "3", "2", "1"], ["analyze", "10", "9", "--json"]]
-
-
-def _assert_row_fault_caught(name, argv, code, out, err):
-    assert code == 3, (name, argv)
+def _assert_row_fault_caught(name, argv, runs):
+    """A character moved to another bucket, a row outside the census,
+    and a short stream each exit 3 in every command that streams table
+    rows; the first two before anything is written."""
+    (clean_code, _, _), (code, out, err) = runs
+    assert (clean_code, code) == (0, 3), (name, argv)
     if name == "short-stream":
         assert err.startswith("internal inconsistency: streamed")
         assert "were stated" in err
@@ -1117,57 +844,27 @@ def _assert_row_fault_caught(name, argv, code, out, err):
 
 @pytest.mark.parametrize("name", ROW_FAULTS)
 @pytest.mark.parametrize("argv", FAULT_ARGVS, ids=" ".join)
-def test_row_faults_exit_3(capsys, monkeypatch, name, argv):
-    """A character moved to another bucket, a row outside the census,
-    and a short stream each exit 3 in every command that streams table
-    rows; the first two before anything is written."""
-    assert run(capsys, *argv)[0] == 0
-    faulty = faulty_table_rows(chartab.table_rows, name)
-    for module in (chartab, cli, conductor):
-        monkeypatch.setattr(module, "table_rows", faulty)
-    _assert_row_fault_caught(name, argv, *run(capsys, *argv))
+def test_row_faults_exit_3(name, argv):
+    _assert_row_fault_caught(name, argv, faults.run(f"rows {name} " + " ".join(argv)))
 
 
-ROW_FAULT_RUNS = """
-import contextlib, io, json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram import chartab, cli, conductor
-from helpers import faulty_table_rows
-real = chartab.table_rows
-runs = []
-for name, argv in json.loads(sys.argv[1]):
-    chartab.table_rows = cli.table_rows = conductor.table_rows = faulty_table_rows(real, name)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        runs.append([cli.main(argv), out.getvalue(), err.getvalue()])
-sys.stdout.write(json.dumps(runs))
-"""
+def test_row_faults_exit_3_under_O(under_O):
+    for name in ROW_FAULTS:
+        for argv in FAULT_ARGVS:
+            _assert_row_fault_caught(name, argv, under_O[f"rows {name} " + " ".join(argv)])
 
 
-def test_row_faults_exit_3_under_O():
-    """The same faults under python -O, in one process."""
-    cases = [[name, argv] for name in ROW_FAULTS for argv in FAULT_ARGVS]
-    src = Path(radical_ram.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-O", "-c", ROW_FAULT_RUNS, json.dumps(cases)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert len(runs) == len(cases)
-    for (name, argv), result in zip(cases, runs):
-        _assert_row_fault_caught(name, argv, *result)
-
-
-def test_chartab_checks_its_census(capsys, monkeypatch):
+def test_chartab_checks_its_census(planted):
     """A table whose (level, prim_degree) histogram is not the census
-    exits 3 and prints nothing."""
-    _census_moved(monkeypatch)
-    for argv in (("chartab", "3", "2", "1", "--json"), ("chartab", "3", "2", "1")):
-        code, out, err = run(capsys, *argv)
+    exits 3 and prints nothing; the census of (3,2,2) is untouched."""
+    *moved, (other_code, _, _) = planted("census-moved chartab")
+    for code, out, err in moved:
         assert code == 3 and out == ""
         assert "internal inconsistency: character table against census" in err
-    assert run(capsys, "chartab", "3", "2", "2", "--json")[0] == 0
+    assert other_code == 0
+
+
+test_chartab_checks_its_census_under_O = test_chartab_checks_its_census
 
 
 def test_chartab_usage_errors(capsys):
@@ -1235,16 +932,47 @@ def test_src_modules_use_every_name_they_import():
 def test_src_has_no_assert_statement():
     """Every check fails through arith.ensure, which python -O keeps, and
     ensure is the one raise of AssertionError; an assert statement would
-    vanish under -O."""
-    asserts, raises = [], []
+    vanish under -O.  Nor does the package read __debug__ or sys.flags,
+    the other ways -O could change what it does: so the planted faults
+    of tests/faults.py meet the same program with and without -O."""
+    asserts, raises, reads = [], [], []
     for path in sorted(Path(radical_ram.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Assert):
                 asserts.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node):
                 raises.append(path.name)
+            elif (isinstance(node, ast.Name) and node.id == "__debug__"
+                  or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.flags"
+                  or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                  and "flags" in [alias.name for alias in node.names]):
+                reads.append(f"{path.name}:{node.lineno}")
     assert asserts == []
     assert raises == ["arith.py"]
+    assert reads == []
+
+
+def test_helper_modules_with_asserts_are_rewritten():
+    """Every module of tests/ that is not a test module and holds an
+    assert statement is registered in conftest.py for pytest's assert
+    rewriting, without which its asserts vanish under python -O."""
+    tests = Path(__file__).parent
+    conftest = ast.parse((tests / "conftest.py").read_text())
+    registered = {arg.value for node in ast.walk(conftest)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.register_assert_rewrite"
+                  for arg in node.args}
+    with_asserts = {path.stem for path in tests.glob("*.py")
+                    if not path.name.startswith("test_") and path.name != "conftest.py"
+                    and any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(path.read_text())))}
+    assert with_asserts and with_asserts <= registered
+
+
+@pytest.mark.parametrize("target", ["chartab.no_such_function", "no_such_module.table_rows", "table_rows"])
+def test_plant_raises_on_a_missing_target(target):
+    """A plant whose target does not exist raises, so that a renamed
+    function cannot turn a planted fault into a clean run."""
+    with pytest.raises(LookupError, match="does not exist"), faults.plant(target, lambda real: real):
+        pass
 
 
 def _code_names(tree):

@@ -48,6 +48,7 @@ from radical_ram.ramfil import (
     upper_filtration,
 )
 
+import faults
 from helpers import eis_ctx, materialised, unit_ctx
 from reference import c_definitional_scan, character_table
 
@@ -135,7 +136,7 @@ def test_two_routes_explicit(ctx):
     filt = upper_filtration(ctx)
     buckets = conductor_buckets(ctx)
     for chi in character_table(ctx.group()):
-        c_def = c_definitional_scan(null_subgroup(chi), chi.is_trivial(), filt)
+        c_def = c_definitional_scan(null_subgroup(chi), (chi.kind, chi.twist) == ("linear", (0, 0)), filt)
         assert c_def == _c_closed(ctx.case, chi.group.p, chi.level, chi.prim_degree)
         assert c_def == buckets[chi.level, chi.prim_degree][0]
 
@@ -184,7 +185,7 @@ def test_swept_exponents_equal_the_scan_on_perturbed_filtrations(ctx):
             assert _outcome(_c_definitional, tables, k, t) == want, (steps, k, t)
 
 
-def test_conductor_table_reads_each_step_once(monkeypatch):
+def test_conductor_table_reads_each_step_once():
     """The definitional route reads one normal form per filtration step,
     not one containment test per (step, bucket): 80 reads for the 861
     buckets of (3, 40, 40)."""
@@ -199,9 +200,8 @@ def test_conductor_table_reads_each_step_once(monkeypatch):
             return real(sd, G)
         return normal_form
 
-    monkeypatch.setattr(chartab, "subgroup_normal_form", counted(chartab.subgroup_normal_form))
-    monkeypatch.setattr(conductor, "subgroup_normal_form", counted(conductor.subgroup_normal_form))
-    buckets = conductor_buckets(ctx)
+    with faults.plant("chartab.subgroup_normal_form", counted):
+        buckets = conductor_buckets(ctx)
     assert len(buckets) == 861
     assert 0 < len(reads) <= steps
 
@@ -318,14 +318,11 @@ def test_disc_vp_global_preconditions():
         disc_vp_global(9, 2, 5)  # p = 5 is unramified here: no wild data
 
 
-def test_disc_vp_global_routes_can_disagree(monkeypatch):
+def test_disc_vp_global_routes_can_disagree():
     """A local closed form shifted by one fails the check of the global
     product against the global closed form."""
-    real = conductor.disc_vp_local_closed
-    monkeypatch.setattr(conductor, "disc_vp_local_closed", lambda ctx: real(ctx) + 1)
-    with pytest.raises(AssertionError) as exc:
-        disc_vp_global(9, 10, 3)
-    assert str(exc.value) == "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
+    message = "global discriminant routes disagree at p=3, r=2, s=1: 96 vs 93"
+    assert faults.run("closed-shifted") == [["AssertionError", message]]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +363,11 @@ def test_bucket_conductor_rejects_a_foreign_filtration():
 def test_census_mismatch_names_the_bucket():
     G = unit_ctx(3, 2, 1).group()
     table = character_table(G)
-    rows = [chi.row for chi in table]
+    rows = [chi[1:] for chi in table]
     assert rows == list(table_rows(G))
     assert census_mismatch(G, rows) is None
     assert census_mismatch(G, rows[1:]) == "(level 0, prim_degree 0): 0 characters, census 1"
-    stray = table[0]._replace(prim_degree=5).row
+    stray = table[0]._replace(prim_degree=5)[1:]
     assert census_mismatch(G, [stray] + rows[1:]) == (
         "(level 0, prim_degree 0): 0 characters, census 1"
     )
@@ -390,7 +387,7 @@ def test_conductor_json_builds_no_character(monkeypatch):
 
     ctx = unit_ctx(3, 2, 1)
     expected = [
-        {"character": character_json(chi.row), "c": frac_str(c), "f": f}
+        {"character": character_json(chi[1:]), "c": frac_str(c), "f": f}
         for chi, (_, c, f) in zip(character_table(ctx.group()), conductor_rows(ctx), strict=True)
     ]
     monkeypatch.setattr(chartab, "Character", forbidden)

@@ -4,6 +4,8 @@ conjugation), plus the documented behavior of induction, lifting,
 orthogonality and the null-subgroup scan, and a planted fault each
 check must catch."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from radical_ram.oracle import (
     within_bound,
 )
 
+import faults
 from helpers import RADICAL_RINGS, SMALL, brute_orbits, elements, perturbed_radical_rows
 from reference import CycInt, char_value, character_table, classes_bruteforce, mul, zeta_order
 
@@ -143,20 +146,20 @@ def test_orbit_partition_check(G):
     assert ok, detail
 
 
-def planted_classes(monkeypatch, edit):
-    """oracle._closed_class_index with edit(classes, cidx), which returns
-    the pair to use, applied to fresh copies of each result."""
-    real = oracle._closed_class_index
-
-    def closed_class_index(G):
-        classes, cidx = real(G)
-        return edit(list(classes), cidx.copy())
-
-    monkeypatch.setattr(oracle, "_closed_class_index", closed_class_index)
+def planted_classes(edit):
+    """A plant of oracle._closed_class_index with edit(classes, cidx),
+    which returns the pair to use, applied to fresh copies of each
+    result."""
+    def make(real):
+        def closed_class_index(G):
+            classes, cidx = real(G)
+            return edit(list(classes), cidx.copy())
+        return closed_class_index
+    return faults.plant("oracle._closed_class_index", make)
 
 
 @pytest.mark.parametrize("i", [6, 3])
-def test_orbit_partition_names_the_orbit_that_leaves_its_class(monkeypatch, i):
+def test_orbit_partition_names_the_orbit_that_leaves_its_class(i):
     """The element (i, 1) of (3,2,2), element index i, put in the
     identity's class: its orbit {(3, 1), (6, 1)} now meets two classes,
     and the check names the orbit by its least member, with the orbit's
@@ -168,25 +171,27 @@ def test_orbit_partition_names_the_orbit_that_leaves_its_class(monkeypatch, i):
         cidx[i] = class_at(G, (1, 2))
         return classes, cidx
 
-    planted_classes(monkeypatch, moved)
-    assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [3, 1], "orbit_size": 2})
+    with planted_classes(moved):
+        assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [3, 1],
+                                                    "orbit_size": 2})
 
 
-def test_orbit_partition_gives_each_class_one_orbit(monkeypatch):
+def test_orbit_partition_gives_each_class_one_orbit():
     """The elements of unit 5 in (3,2,2) put in the class of unit 8, of
     the same size: every orbit still lies in one class of its size, but
     two orbits share a class, and the later root's orbit is named."""
     G = GroupDesc(3, 2, 2)
-    planted_classes(monkeypatch, lambda classes, cidx: (
-        classes, np.where(cidx == class_at(G, (5, 0)), class_at(G, (8, 0)), cidx)))
-    assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [0, 8], "orbit_size": 9})
+    with planted_classes(lambda classes, cidx: (
+            classes, np.where(cidx == class_at(G, (5, 0)), class_at(G, (8, 0)), cidx))):
+        assert orbit_partition_check(G) == (False, {"reason": "orbit/class mismatch", "element": [0, 8],
+                                                    "orbit_size": 9})
 
 
-def test_orbit_partition_counts_the_classes(monkeypatch):
+def test_orbit_partition_counts_the_classes():
     """A closed class list one too long fails the orbit count first."""
     G = GroupDesc(3, 2, 2)
-    planted_classes(monkeypatch, lambda classes, cidx: (classes + classes[-1:], cidx))
-    assert orbit_partition_check(G) == (False, {"reason": "orbit count", "brute": 10, "closed": 11})
+    with planted_classes(lambda classes, cidx: (classes + classes[-1:], cidx)):
+        assert orbit_partition_check(G) == (False, {"reason": "orbit count", "brute": 10, "closed": 11})
 
 
 # --------------------------------------------------------------- induction
@@ -229,49 +234,38 @@ def test_frobenius_induction_check(p, r):
 # ------------------------------------------------------------------- lifts
 
 
-@pytest.fixture
-def clear_oracle_caches():
-    """A mutated run must neither read nor leave cached oracle results."""
-    caches = (oracle.frobenius_induction_check, oracle._value_arrays, oracle._closed_class_index)
-    for fn in caches:
-        fn.cache_clear()
-    yield
-    for fn in caches:
-        fn.cache_clear()
-
-
-def test_frobenius_reads_the_table_level_r_row(clear_oracle_caches, monkeypatch):
+def test_frobenius_reads_the_table_level_r_row():
     """The check compares value_table's level-r coefficients, the ones
     chartab prints, with the honest sums: one off by one fails at its
     class, with both integers in the detail."""
     big = GroupDesc(3, 2, 2)
-    real = chartab.coefficient_row
 
-    def one_more(k, classes, p):
-        row = real(k, classes, p)
-        return [c + 1 for c in row] if k == big.r else row
+    def one_more(real):
+        def coefficient_row(k, classes, p):
+            row = real(k, classes, p)
+            return [c + 1 for c in row] if k == big.r else row
+        return coefficient_row
 
-    monkeypatch.setattr(chartab, "coefficient_row", one_more)
-    ok, detail = frobenius_induction_check(3, 2)
+    with faults.plant("chartab.coefficient_row", one_more):
+        ok, detail = frobenius_induction_check(3, 2)
     assert not ok
     # the first class lies off the cyclic part: honest sum 0, closed 0 + 1
     assert detail == {"class_key": list(all_classes(big)[0].key), "honest": 0, "closed": 1}
 
 
-def planted(monkeypatch, H, edit):
-    """oracle.value_table with edit(classes, coeffs, ea, eb) applied to
-    fresh copies of H's lists, and H's alone."""
-    real = oracle.value_table
-
-    def value_table(G):
-        classes, coeffs, ea, eb = real(G)
-        if G != H:
+def planted(H, edit):
+    """A plant of value_table with edit(classes, coeffs, ea, eb) applied
+    to fresh copies of H's lists, and H's alone."""
+    def make(real):
+        def value_table(G):
+            classes, coeffs, ea, eb = real(G)
+            if G != H:
+                return classes, coeffs, ea, eb
+            coeffs, ea, eb = [list(row) for row in coeffs], list(ea), list(eb)
+            edit(classes, coeffs, ea, eb)
             return classes, coeffs, ea, eb
-        coeffs, ea, eb = [list(row) for row in coeffs], list(ea), list(eb)
-        edit(classes, coeffs, ea, eb)
-        return classes, coeffs, ea, eb
-
-    monkeypatch.setattr(oracle, "value_table", value_table)
+        return value_table
+    return faults.plant("chartab.value_table", make)
 
 
 def class_at(G, key):
@@ -284,20 +278,20 @@ CHUNKS = [pytest.param(oracle._CHUNK_CELLS, id="chunks"), pytest.param(1, id="on
 
 
 @pytest.mark.parametrize("cells", CHUNKS)
-def test_frobenius_names_the_first_class_that_misses(clear_oracle_caches, monkeypatch, cells):
+def test_frobenius_names_the_first_class_that_misses(monkeypatch, cells):
     """One entry of the rad(9) = 3 reduction table one off: the sums on
     the cyclic classes (1, 0) and (1, 1) of (3,2,2) both come out wrong,
     and the first in class order is named, as a non-integer sum."""
     G = GroupDesc(3, 2, 2)
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    monkeypatch.setattr(oracle, "_radical_rows", perturbed_radical_rows(oracle._radical_rows, 3))
-    honest, integral = oracle._induction_sums(G)
-    cyclic = [class_at(G, (1, beta)) for beta in range(3)]
-    assert honest[cyclic].tolist() == [0, 0, 6] and integral[cyclic].tolist() == [False, True, True]
-    assert frobenius_induction_check(3, 2) == (False, {"class_key": [1, 0], "reason": "non-integer sum"})
+    with faults.plant("oracle._radical_rows", partial(perturbed_radical_rows, rad=3)):
+        honest, integral = oracle._induction_sums(G)
+        cyclic = [class_at(G, (1, beta)) for beta in range(3)]
+        assert honest[cyclic].tolist() == [0, 0, 6] and integral[cyclic].tolist() == [False, True, True]
+        assert frobenius_induction_check(3, 2) == (False, {"class_key": [1, 0], "reason": "non-integer sum"})
 
 
-def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, monkeypatch):
+def test_kernel_census_catches_a_row_trivial_on_the_kernel():
     """The level-2 row of (3,2,2) made trivial on the kernel of the
     reduction onto C(3), by its value_table coefficient set to the degree
     on the kernel's classes: the census for s = 1 must flag it."""
@@ -309,15 +303,14 @@ def test_kernel_census_catches_a_row_trivial_on_the_kernel(clear_oracle_caches, 
                 coeffs[2][j] = chartab.level_degree(2, big.p)
 
     assert oracle._kernel_trivial_census(G) == (True, None)
-    oracle._value_arrays.cache_clear()
-    planted(monkeypatch, big, trivial_on_kernel)
-    ok, detail = oracle._kernel_trivial_census(G)
+    with planted(big, trivial_on_kernel):
+        ok, detail = oracle._kernel_trivial_census(G)
     assert not ok
     top = [chi for chi in character_table(big) if chi.level == 2]
-    assert detail == {"character": character_json(top[0].row), "trivial_on_kernel": True}
+    assert detail == {"character": character_json(top[0][1:]), "trivial_on_kernel": True}
 
 
-def test_kernel_census_catches_one_kernel_class(clear_oracle_caches, monkeypatch):
+def test_kernel_census_catches_one_kernel_class():
     """The level-1 value of (3,2,2) negated on one kernel class, (u, beta)
     = (1, 1): the first level-1 row, which must be trivial on the kernel
     for s = 1, is not."""
@@ -327,14 +320,14 @@ def test_kernel_census_catches_one_kernel_class(clear_oracle_caches, monkeypatch
     def negated(classes, coeffs, ea, eb):
         coeffs[1][j] = -coeffs[1][j]
 
-    planted(monkeypatch, big, negated)
-    ok, detail = oracle._kernel_trivial_census(G)
+    with planted(big, negated):
+        ok, detail = oracle._kernel_trivial_census(G)
     assert not ok
     assert detail == {"character": character_json(("induced", (0, 0), 2, 1, 1)), "trivial_on_kernel": False}
 
 
 @pytest.mark.parametrize("cells", CHUNKS)
-def test_lift_check_catches_one_pulled_back_exponent(clear_oracle_caches, monkeypatch, cells):
+def test_lift_check_catches_one_pulled_back_exponent(monkeypatch, cells):
     """The eb exponent of one class of (3,2,1), (u, beta) = (7, 1), one
     step off: the level-1 lift fails at the first twist that reads eb,
     (0, 1), on the first upstairs class that pulls back there."""
@@ -345,11 +338,11 @@ def test_lift_check_catches_one_pulled_back_exponent(clear_oracle_caches, monkey
         eb[j] = (eb[j] + 1) % chartab.twist_order(G)
 
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    planted(monkeypatch, G, shifted)
-    assert lift_check(G) == (False, {"k": 1, "twist": [0, 1], "class_key": [7, 1]})
+    with planted(G, shifted):
+        assert lift_check(G) == (False, {"k": 1, "twist": [0, 1], "class_key": [7, 1]})
 
 
-def test_lift_check_catches_one_pulled_back_coefficient(clear_oracle_caches, monkeypatch):
+def test_lift_check_catches_one_pulled_back_coefficient():
     """The level-1 coefficient of (3,2,1) on its class (1, 1) negated:
     the lift fails at the first twist, (0, 0), on the first upstairs
     class that pulls back there."""
@@ -359,8 +352,8 @@ def test_lift_check_catches_one_pulled_back_coefficient(clear_oracle_caches, mon
     def negated(classes, coeffs, ea, eb):
         coeffs[1][j] = -coeffs[1][j]
 
-    planted(monkeypatch, G, negated)
-    assert lift_check(G) == (False, {"k": 1, "twist": [0, 0], "class_key": [1, 1]})
+    with planted(G, negated):
+        assert lift_check(G) == (False, {"k": 1, "twist": [0, 0], "class_key": [1, 1]})
 
 
 @pytest.mark.parametrize("G", [GroupDesc(3, 2, 1), GroupDesc(3, 2, 2), GroupDesc(3, 3, 1), GroupDesc(3, 3, 2),
@@ -370,20 +363,21 @@ def test_lift_check(G):
     assert ok, detail
 
 
-def test_lift_check_pulls_each_class_back_once(clear_oracle_caches, monkeypatch):
+def test_lift_check_pulls_each_class_back_once():
     """The lift checks of a group pull every upstairs class down to G
     once, however many levels and twists they check."""
     G = GroupDesc(3, 3, 2)
     pulled = []
-    real = oracle.conj_class_of
 
-    def counting(g, H):
-        if H == G:
-            pulled.append(g)
-        return real(g, H)
+    def counting(real):
+        def conj_class_of(g, H):
+            if H == G:
+                pulled.append(g)
+            return real(g, H)
+        return conj_class_of
 
-    monkeypatch.setattr(oracle, "conj_class_of", counting)
-    assert lift_check(G)[0]
+    with faults.plant("oracle.conj_class_of", counting, only=True):
+        assert lift_check(G)[0]
     assert len(pulled) == class_count(GroupDesc(3, 3, 3))
 
 
@@ -397,7 +391,7 @@ def test_orthogonality_check(G):
 
 
 @pytest.mark.parametrize("cells", CHUNKS)
-def test_orthogonality_names_the_first_difference_that_misses(clear_oracle_caches, monkeypatch, cells):
+def test_orthogonality_names_the_first_difference_that_misses(monkeypatch, cells):
     """The ea exponent of the first class of (3,2,2) moved by 2: every
     difference twist (0, b) still meets its target, and (1, 0), the first
     with da != 0 in (da, db) order, is the one named."""
@@ -407,8 +401,8 @@ def test_orthogonality_names_the_first_difference_that_misses(clear_oracle_cache
         ea[0] = (ea[0] + 2) % chartab.twist_order(G)
 
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    planted(monkeypatch, G, shifted)
-    assert orthogonality_check(G) == (False, {"pair_kind": "linear-linear", "delta": [1, 0]})
+    with planted(G, shifted):
+        assert orthogonality_check(G) == (False, {"pair_kind": "linear-linear", "delta": [1, 0]})
 
 
 # Both reductions in Z[zeta_n], the reference CycInt.reduce and the
@@ -471,10 +465,10 @@ def test_null_scan_catches_a_class_hit_only_partly(monkeypatch, cells):
         return classes, cidx
 
     monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
-    planted_classes(monkeypatch, moved)
     top = [chi for chi in character_table(G) if chi.level == 2]
-    assert null_subgroup_scan_check(G) == (False, {"character": character_json(top[0].row),
-                                                   "reason": "induced null set is not exactly the descriptor"})
+    with planted_classes(moved):
+        assert null_subgroup_scan_check(G) == (False, {"character": character_json(top[0][1:]),
+                                                       "reason": "induced null set is not exactly the descriptor"})
 
 
 def test_null_set_closed_under_multiplication():

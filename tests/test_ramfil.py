@@ -6,18 +6,12 @@ group orders hand-checked against the different/discriminant sums in
 test_conductor.py); the module must reproduce them exactly.
 """
 
-import json
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import radical_ram
 from radical_ram.chartab import SubgroupDesc, subgroup_order
 from radical_ram.holomorph import GroupDesc
 from radical_ram.ramfil import (
@@ -55,7 +49,7 @@ from radical_ram.ramfil import (
     wild_context,
 )
 
-from helpers import BAD_GROUPS, eis_ctx, moved_break, unit_ctx, walk_herbrand
+from helpers import BAD_GROUPS, BAD_WILD_CONTEXTS, eis_ctx, moved_break, unit_ctx, walk_herbrand
 from reference import order_at
 
 
@@ -145,47 +139,17 @@ def test_classify_strips_full_p_power():
     assert ctx.case == UNIT and ctx.vp_a == 9 and ctx.s == 2 and ctx.e == 54
 
 
-BAD_WILD_CONTEXTS = [
-    (3, 2, 1, EISENSTEIN, 1),  # Eisenstein needs s = r
-    (3, 1, 1, TAME, 0),  # not a wild case
-    (9, 1, 1, UNIT, 0),  # p not prime
-    (3, 1, 2, UNIT, 0),  # s > r
-]
-
-
 @pytest.mark.parametrize("args", BAD_WILD_CONTEXTS)
 def test_wild_context_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         wild_context(*args)
 
 
-PRECONDITIONS_UNDER_O = """
-import json, sys
-if __debug__:
-    sys.exit("expected python -O")
-from radical_ram.holomorph import GroupDesc
-from radical_ram.ramfil import wild_context
-cases = json.loads(sys.argv[1])
-raised = []
-for fn, args in [(GroupDesc, a) for a in cases["groups"]] + [(wild_context, a) for a in cases["contexts"]]:
-    try:
-        fn(*args)
-        raised.append(None)
-    except ValueError:
-        raised.append("ValueError")
-sys.stdout.write(json.dumps(raised))
-"""
-
-
-def test_preconditions_raise_under_O():
+def test_preconditions_raise_under_O(under_O):
     """GroupDesc and wild_context check their arguments with explicit
     raises, so python -O does not let a bad group through."""
-    src = Path(radical_ram.__file__).parents[1]
-    cases = {"groups": BAD_GROUPS, "contexts": BAD_WILD_CONTEXTS}
-    proc = subprocess.run([sys.executable, "-O", "-c", PRECONDITIONS_UNDER_O, json.dumps(cases)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["ValueError"] * (len(BAD_GROUPS) + len(BAD_WILD_CONTEXTS))
+    raised = [exc[0] for exc in under_O["bad-preconditions"]]
+    assert raised == ["ValueError"] * (len(BAD_GROUPS) + len(BAD_WILD_CONTEXTS))
 
 
 def test_classify_rejects_bad_valuation():
